@@ -71,6 +71,10 @@ class EssSolution:
 class BlsFromPartitionSolution:
     partition: BiPlonkaPartition
 
+    def __post_init__(self) -> None:
+        if self.partition.g_endomaps is None:
+            raise ValueError("a BLS solution needs both the f and the g grid")
+
 
 @dataclass(frozen=True)
 class OdometerSolution:

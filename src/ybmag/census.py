@@ -12,29 +12,37 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (BiMagma, CayleyTable, GuardExceeded, Limits, DEFAULT_LIMITS,
                    FiniteFunction, canonical_correspondence)
-from .families import FunctionFamily, OdometerTriple, is_incompressible
+from .families import FunctionFamily, OdometerTriple, _partitions, is_incompressible
 from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, check_bimagma_law,
                    check_magma_law, check_rmap_law)
+from .plonka import UnionFind
 
 
 # ---------------------------------------------------------------------------
 # canonical forms and orbit bookkeeping
 
 
-def _apply_perm_flat(flat: tuple[int, ...], sigma: Sequence[int], n: int) -> tuple[int, ...]:
-    out = [0] * (n * n)
-    for x in range(n):
-        sx = sigma[x] * n
-        row = x * n
-        for y in range(n):
-            out[sx + sigma[y]] = sigma[flat[row + y]]
-    return tuple(out)
+def _relabellings(n: int, length: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each permutation sigma of 0..n-1 with the source cells of its
+    relabelling on ``length`` cells, one flattened table or several
+    concatenated on the same carrier: x -> sigma(x) moves ``flat`` to the
+    tuple with sigma[flat[src[j]]] at cell j."""
+    out = []
+    for sigma in itertools.permutations(range(n)):
+        inv = [0] * n
+        for x, s in enumerate(sigma):
+            inv[s] = x
+        cells = [inv[x] * n + inv[y] for x in range(n) for y in range(n)]
+        out.append((sigma, tuple(base + c for base in range(0, length, max(n * n, 1))
+                                 for c in cells)))
+    return out
 
 
 def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
@@ -43,13 +51,14 @@ def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[
     if n > limits.sn_sweep:
         raise GuardExceeded(f"minimal image sweep refused for n = {n}")
     flat = table.flat()
-    return min(_apply_perm_flat(flat, sigma, n) for sigma in itertools.permutations(range(n)))
+    return min(tuple([sigma[flat[k]] for k in src]) for sigma, src in _relabellings(n, n * n))
 
 
 def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
-    """Split raw flattened tables into relabelling classes; returns the
+    """Split raw flattened tables (or equal-length concatenations of them,
+    such as dot + star of a bi-magma) into relabelling classes; returns the
     sorted canonical representatives and the raw count."""
-    perms = list(itertools.permutations(range(n)))
+    relabellings = None
     seen: set[tuple[int, ...]] = set()
     classes: list[tuple[int, ...]] = []
     raw_count = 0
@@ -57,31 +66,12 @@ def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[in
         raw_count += 1
         if flat in seen:
             continue
+        if relabellings is None:
+            relabellings = _relabellings(n, len(flat))
         best = flat
-        for sigma in perms:
-            img = _apply_perm_flat(flat, sigma, n)
+        for sigma, src in relabellings:
+            img = tuple([sigma[flat[k]] for k in src])
             seen.add(img)
-            if img < best:
-                best = img
-        classes.append(best)
-    classes.sort()
-    return classes, raw_count
-
-
-def _orbit_dedupe_pairs(n: int, raw) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    perms = list(itertools.permutations(range(n)))
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    raw_count = 0
-    for dot, star in raw:
-        raw_count += 1
-        key = dot + star
-        if key in seen:
-            continue
-        best = (dot, star)
-        for sigma in perms:
-            img = (_apply_perm_flat(dot, sigma, n), _apply_perm_flat(star, sigma, n))
-            seen.add(img[0] + img[1])
             if img < best:
                 best = img
         classes.append(best)
@@ -258,29 +248,38 @@ def _known_counts() -> dict[tuple[str, int], int]:
 KNOWN_COUNTS = _known_counts()
 
 
-def _magma_raw_stream(query: CensusQuery, limits: Limits,
-                      first_column_range: Optional[range] = None) -> Iterator[tuple[int, ...]]:
-    n = query.n
+def _column_search(query: CensusQuery, limits: Limits
+                   ) -> tuple[bool, Optional[tuple[Optional[int], bool, bool]]]:
+    """How a magma query is searched.  Returns whether the search runs on
+    the transpose (left Plonka laws read as right ones) and the column
+    backtracker's (orders dividing, band, permutations only), or None when
+    the query needs the generic table sweep."""
     laws = set(query.magma_laws)
-    transpose = False
-    if MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws:
-        transpose = True
+    transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
+    if transpose:
         laws = {MagmaLaw.RIGHT_PLONKA if law is MagmaLaw.LEFT_PLONKA else law for law in laws}
         if MagmaLaw.LEFT_INVOLUTORY in laws:
             laws.discard(MagmaLaw.LEFT_INVOLUTORY)
             laws.add(MagmaLaw.RIGHT_INVOLUTORY)
-    plonka_based = MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws
+    if MagmaLaw.RIGHT_PLONKA not in laws and MagmaLaw.TWO_CYCLIC not in laws:
+        return transpose, None
+    if query.n > limits.census_carrier:
+        raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
+    orders = None
+    if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
+        orders = 2
+    elif MagmaLaw.K_CYCLIC in laws and query.k is not None:
+        orders = query.k
+    band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
+    return transpose, (orders, band, "right_simple" in query.predicates)
 
-    if plonka_based:
-        if n > limits.census_carrier:
-            raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
-        orders = None
-        if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
-            orders = 2
-        elif MagmaLaw.K_CYCLIC in laws and query.k is not None:
-            orders = query.k
-        band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
-        perm_only = "right_simple" in query.predicates
+
+def _magma_raw_stream(query: CensusQuery, limits: Limits,
+                      first_column_range: Optional[range] = None) -> Iterator[tuple[int, ...]]:
+    n = query.n
+    transpose, plan = _column_search(query, limits)
+    if plan is not None:
+        orders, band, perm_only = plan
         pool = _function_pool(n, orders, perm_only)
         stream = _iter_plonka_tables(n, pool, band, first_column_range)
     else:
@@ -290,7 +289,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
         stream = (flat for flat in itertools.product(range(n), repeat=n * n))
 
     for flat in stream:
-        table = CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+        table = CayleyTable.from_flat(n, flat)
         source = table.opposite() if transpose else table
         ok = all(check_magma_law(source, law, query.k if law is MagmaLaw.K_CYCLIC else None)
                  for law in query.magma_laws)
@@ -310,22 +309,14 @@ def _right_simple(m: CayleyTable) -> bool:
 
 
 def _census_worker(args) -> list[tuple[int, ...]]:
-    query_data, lo, hi, limits_data = args
-    query = _query_from_primitives(query_data)
-    limits = Limits(*limits_data)
+    query, lo, hi, limits = args
     return list(_magma_raw_stream(query, limits, first_column_range=range(lo, hi)))
 
 
-def _query_to_primitives(q: CensusQuery):
-    return (q.n, tuple(l.value for l in q.magma_laws), tuple(l.value for l in q.bimagma_laws),
-            tuple(l.value for l in q.rmap_laws), q.k, q.predicates, q.mode)
-
-
-def _query_from_primitives(data) -> CensusQuery:
-    n, magma, bimagma, rmap, k, predicates, mode = data
-    return CensusQuery(n, tuple(MagmaLaw(v) for v in magma),
-                       tuple(BiMagmaLaw(v) for v in bimagma),
-                       tuple(RMapLaw(v) for v in rmap), k, predicates, mode)
+def _process_count(workers: int, jobs: int, cpus: Optional[int]) -> int:
+    """Processes to start for a split census: the workers asked for, but
+    never more than there are jobs or CPUs (``cpus`` None counts as one)."""
+    return min(workers, jobs, cpus or 1)
 
 
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
@@ -333,36 +324,31 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     """Run a census query: count isomorphism classes (and list canonical
     representatives when asked).  With several workers the search tree is
     split by the first table column; the final dedupe pass is always a
-    single deterministic merge, so output does not depend on worker count."""
+    single deterministic merge, so output does not depend on worker count.
+    Only the column backtracker is split, over at most one process per CPU."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     start = time.perf_counter()
     n = query.n
     if query.bimagma_laws or query.rmap_laws:
         classes, raw_count = _bimagma_census(query, limits)
-        reps = tuple(BiMagma(CayleyTable(n, tuple(tuple(d[i * n:(i + 1) * n]) for i in range(n))),
-                             CayleyTable(n, tuple(tuple(s[i * n:(i + 1) * n]) for i in range(n))))
-                     for d, s in classes)
+        reps = tuple(BiMagma(CayleyTable.from_flat(n, f[:n * n]),
+                             CayleyTable.from_flat(n, f[n * n:])) for f in classes)
     else:
-        if workers > 1 and n > 1:
-            pool_size = len(_function_pool(
-                n,
-                2 if (MagmaLaw.RIGHT_INVOLUTORY in query.magma_laws
-                      or MagmaLaw.TWO_CYCLIC in query.magma_laws) else
-                (query.k if MagmaLaw.K_CYCLIC in query.magma_laws else None),
-                "right_simple" in query.predicates))
-            bounds = [(i * pool_size) // workers for i in range(workers + 1)]
-            jobs = [(_query_to_primitives(query), lo, hi,
-                     (limits.sn_sweep, limits.hom_space, limits.subset_listing,
-                      limits.two_part_split, limits.simple_bls_brute,
-                      limits.conjugacy_census, limits.census_carrier, limits.family_enum))
-                    for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-            with multiprocessing.Pool(workers) as mp:
+        _, plan = _column_search(query, limits)
+        if workers > 1 and n > 1 and plan is not None:
+            orders, _, perm_only = plan
+            pool_size = len(_function_pool(n, orders, perm_only))
+            parts = min(workers, pool_size)
+            bounds = [(i * pool_size) // parts for i in range(parts + 1)]
+            jobs = [(query, lo, hi, limits) for lo, hi in zip(bounds, bounds[1:])]
+            with multiprocessing.Pool(_process_count(workers, len(jobs), os.cpu_count())) as mp:
                 chunks = mp.map(_census_worker, jobs)
             raw = itertools.chain.from_iterable(chunks)
         else:
             raw = _magma_raw_stream(query, limits)
         classes, raw_count = _orbit_dedupe(n, raw)
-        reps = tuple(CayleyTable(n, tuple(tuple(f[i * n:(i + 1) * n]) for i in range(n)))
-                     for f in classes)
+        reps = tuple(CayleyTable.from_flat(n, f) for f in classes)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     label = query.label()
     if (label, n) in KNOWN_COUNTS:
@@ -395,20 +381,17 @@ def _bimagma_census(query: CensusQuery, limits: Limits):
         dots = list(_magma_raw_stream(base, limits))
         stars = [_transpose_flat(d, n) for d in dots]
 
-    def as_table(flat):
-        return CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-
     def accepted():
         for d in dots:
-            dt = as_table(d)
+            dt = CayleyTable.from_flat(n, d)
             for s in stars:
-                b = BiMagma(dt, as_table(s))
+                b = BiMagma(dt, CayleyTable.from_flat(n, s))
                 if all(check_bimagma_law(b, law) for law in query.bimagma_laws) and \
                    all(check_rmap_law(canonical_correspondence(b), law)
                        for law in query.rmap_laws):
-                    yield (d, s)
+                    yield d + s
 
-    return _orbit_dedupe_pairs(n, accepted())
+    return _orbit_dedupe(n, accepted())
 
 
 def _transpose_flat(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -417,17 +400,6 @@ def _transpose_flat(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # simple-solution census: odometer triples vs exhaustive commuting pairs
-
-
-def _partitions_of(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    yield from rec(n, n)
 
 
 def _perm_from_cycle_type(lengths: Sequence[int], n: int) -> tuple[int, ...]:
@@ -455,7 +427,7 @@ def commuting_permutation_pairs_up_to_conjugacy(n: int) -> Iterator[tuple[tuple[
             q[v] = i
         return tuple(q)
 
-    for cycle_type in _partitions_of(n):
+    for cycle_type in _partitions(n):
         f = _perm_from_cycle_type(cycle_type, n)
         centralizer = [g for g in perms if compose(f, g) == compose(g, f)]
         seen: set[tuple[int, ...]] = set()
@@ -556,19 +528,10 @@ def _functional_graph_code(f: tuple[int, ...], n: int):
 
 
 def _is_connected_map(f: tuple[int, ...], n: int) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(n)
     for x in range(n):
-        rx, ry = find(x), find(f[x])
-        if rx != ry:
-            parent[ry] = rx
-    return n == 0 or len({find(x) for x in range(n)}) == 1
+        uf.union(x, f[x])
+    return n == 0 or len({uf.find(x) for x in range(n)}) == 1
 
 
 def function_conjugacy_census(n: int, connected_only: bool = False,

@@ -28,9 +28,8 @@ from .formats import ParseError, parse_structure, serialize, serialize_json
 from .ideals import IdealKind, decomposition_report, ideals, is_simple
 from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, check_bimagma_law,
                    check_magma_law, check_rmap_law)
-from .plonka import (BiPlonkaPartition, NotPlonkaError, PlonkaPartition,
-                     bi_plonka_partition, bijectivize, plonka_partition,
-                     structured_iso)
+from .plonka import (BiPlonkaPartition, NotPlonkaError, bi_plonka_partition,
+                     bijectivize, plonka_partition, structured_iso)
 
 
 def _fmt_value(value) -> str:
@@ -102,9 +101,7 @@ def _print_partition(p) -> None:
     blocks = p.partition.blocks
     for i, block in enumerate(blocks):
         print(f"block {i}: " + " ".join(str(v) for v in block))
-    grids = [("f", p.endomaps)] if isinstance(p, PlonkaPartition) else \
-        [("f", p.f_endomaps), ("g", p.g_endomaps)]
-    for name, grid in grids:
+    for name, grid in zip("fg", p.grids):
         for i, row in enumerate(grid):
             for j, fn in enumerate(row):
                 print(f"{name} {i} {j}: " + " ".join(str(v) for v in fn.images))
@@ -199,6 +196,9 @@ def _parse_images(text: str) -> FiniteFunction:
 def _parse_bi_partition(path: str) -> "BiPlonkaPartition":
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    missing = [key for key in ("blocks", "f", "g") if key not in data]
+    if missing:
+        raise ValueError(f"partition file lacks {', '.join(missing)}")
     blocks = tuple(tuple(b) for b in data["blocks"])
     n = sum(len(b) for b in blocks)
     part = SetPartition(n, blocks)

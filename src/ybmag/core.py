@@ -175,6 +175,11 @@ class CayleyTable:
     def from_columns(n: int, columns: Sequence[Sequence[int]]) -> "CayleyTable":
         return CayleyTable(n, tuple(tuple(columns[y][x] for y in range(n)) for x in range(n)))
 
+    @staticmethod
+    def from_flat(n: int, flat: Sequence[int]) -> "CayleyTable":
+        """The table whose row-major flattening (see ``flat``) is ``flat``."""
+        return CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
+
 
 @dataclass(frozen=True)
 class BiMagma:

@@ -1,10 +1,13 @@
 """Structure theory of right Plonka magmas and Plonka bi-magmas.
 
-A right Plonka magma decomposes into a partition with per-pair commuting
-block endomaps; the coarsest and finest such decompositions are unique and
-serve as complete invariants.  Bi-magmas carry two endomap families.
-Blocks are listed by least element and each endomap acts on block-local
-indices (positions within the sorted block).
+A right Plonka magma decomposes into a partition plus one grid of block
+endomaps, the maps in each block's grid row commuting; the coarsest and
+finest such decompositions are unique and serve as complete invariants.
+A Plonka bi-magma (., *) is the pair of right Plonka magmas (., *^op) over
+one shared partition, so it carries a second grid; a magma's partition is
+the one-grid case of the same type.  Blocks are listed by least element
+and each endomap acts on block-local indices (positions within the sorted
+block).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .core import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, Limits,
 from .laws import BiMagmaLaw, MagmaLaw, check_bimagma_law, check_magma_law
 
 Extremity = Literal["coarsest", "finest"]
+Grid = tuple[tuple[FiniteFunction, ...], ...]
 
 
 class NotPlonkaError(ValueError):
@@ -49,56 +53,44 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def _check_commuting(fams: Sequence[Sequence[FiniteFunction]]) -> None:
-    for maps in fams:
-        for f, g in itertools.combinations(maps, 2):
-            if f.compose(g) != g.compose(f):
-                raise ValueError("block endomap family does not commute")
-
-
-@dataclass(frozen=True)
-class PlonkaPartition:
-    """Blocks plus endomaps f[i][j] on block i; product of x in block i with
-    anything in block j is f[i][j](x)."""
-
-    partition: SetPartition
-    endomaps: tuple[tuple[FiniteFunction, ...], ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.partition)
-        if len(self.endomaps) != k or any(len(row) != k for row in self.endomaps):
-            raise ValueError("endomaps must form a k x k grid")
-        for i, block in enumerate(self.partition.blocks):
-            for f in self.endomaps[i]:
-                if f.n != len(block) or f.codomain != len(block):
-                    raise ValueError("endomap carrier must match its block")
-        _check_commuting(self.endomaps)
-
-
 @dataclass(frozen=True)
 class BiPlonkaPartition:
-    """Blocks plus two endomap grids; f drives the dot product, g the star."""
+    """Blocks plus one or two endomap grids.  The product of x in block i
+    with anything in block j is f[i][j](x); the star product, present for a
+    bi-magma only, of anything with y in block j is g[j][i](y).  A magma's
+    partition has ``g_endomaps`` None."""
 
     partition: SetPartition
-    f_endomaps: tuple[tuple[FiniteFunction, ...], ...]
-    g_endomaps: tuple[tuple[FiniteFunction, ...], ...]
+    f_endomaps: Grid
+    g_endomaps: Optional[Grid] = None
+
+    @property
+    def grids(self) -> tuple[Grid, ...]:
+        if self.g_endomaps is None:
+            return (self.f_endomaps,)
+        return (self.f_endomaps, self.g_endomaps)
+
+    @property
+    def endomaps(self) -> Grid:
+        return self.f_endomaps
 
     def __post_init__(self) -> None:
         k = len(self.partition)
-        for grid in (self.f_endomaps, self.g_endomaps):
+        for grid in self.grids:
             if len(grid) != k or any(len(row) != k for row in grid):
                 raise ValueError("endomaps must form a k x k grid")
             for i, block in enumerate(self.partition.blocks):
                 for f in grid[i]:
                     if f.n != len(block) or f.codomain != len(block):
                         raise ValueError("endomap carrier must match its block")
-        _check_commuting(self.f_endomaps)
-        _check_commuting(self.g_endomaps)
         for i in range(k):
-            for f in self.f_endomaps[i]:
-                for g in self.g_endomaps[i]:
-                    if f.compose(g) != g.compose(f):
-                        raise ValueError("dot and star endomap families must commute")
+            maps = [f for grid in self.grids for f in grid[i]]
+            for f, g in itertools.combinations(maps, 2):
+                if f.compose(g) != g.compose(f):
+                    raise ValueError("block endomaps do not commute")
+
+
+PlonkaPartition = BiPlonkaPartition
 
 
 def connected_components(n: int, maps: Sequence[FiniteFunction]) -> SetPartition:
@@ -117,13 +109,6 @@ def connected_components(n: int, maps: Sequence[FiniteFunction]) -> SetPartition
     return SetPartition(n, tuple(tuple(v) for v in groups.values()))
 
 
-def _congruence_blocks(keys: list) -> SetPartition:
-    groups: dict[object, list[int]] = {}
-    for x, key in enumerate(keys):
-        groups.setdefault(key, []).append(x)
-    return SetPartition(len(keys), tuple(tuple(v) for v in groups.values()))
-
-
 def _local_index(partition: SetPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     owner = partition.block_of()
     local = [0] * partition.n
@@ -133,7 +118,7 @@ def _local_index(partition: SetPartition) -> tuple[tuple[int, ...], tuple[int, .
     return owner, tuple(local)
 
 
-def plonka_partition(m: CayleyTable, extremity: Extremity) -> PlonkaPartition:
+def plonka_partition(m: CayleyTable, extremity: Extremity) -> BiPlonkaPartition:
     """The coarsest or finest Plonka partition of a right Plonka magma.
 
     Coarsest blocks are the classes of the congruence  a ~ b  iff
@@ -143,163 +128,109 @@ def plonka_partition(m: CayleyTable, extremity: Extremity) -> PlonkaPartition:
     verdict = check_magma_law(m, MagmaLaw.RIGHT_PLONKA)
     if not verdict:
         raise NotPlonkaError("not a right Plonka magma", verdict)
-    n = m.n
-    part = _congruence_blocks([m.column(a) for a in range(n)])
-    owner, local = _local_index(part)
-    blocks = part.blocks
-    endo = []
-    for i, bi in enumerate(blocks):
-        row = []
-        for j, bj in enumerate(blocks):
-            rep = bj[0]
-            images = []
-            for x in bi:
-                y = m.apply(x, rep)
-                if owner[y] != i:
-                    raise AssertionError("congruence class not closed under products")
-                images.append(local[y])
-            row.append(FiniteFunction(len(bi), tuple(images)))
-        endo.append(tuple(row))
-    coarse = PlonkaPartition(part, tuple(endo))
-    if extremity == "coarsest":
-        return coarse
-    if extremity == "finest":
-        return _refine_plonka(coarse)
-    raise ValueError("extremity must be 'coarsest' or 'finest'")
-
-
-def _refine_plonka(p: PlonkaPartition) -> PlonkaPartition:
-    fine_blocks: list[tuple[int, ...]] = []
-    origin: list[tuple[int, SetPartition, int]] = []  # (old index, sub index)
-    for i, block in enumerate(p.partition.blocks):
-        family = list(p.endomaps[i])
-        comps = connected_components(len(block), family)
-        for si, comp in enumerate(comps.blocks):
-            fine_blocks.append(tuple(block[loc] for loc in comp))
-            origin.append((i, comps, si))
-    part = SetPartition(p.partition.n, tuple(fine_blocks))
-    # SetPartition reorders blocks by least element; rebuild the origin map.
-    by_first = {b[0]: o for b, o in zip(fine_blocks, origin)}
-    ordered = [by_first[b[0]] for b in part.blocks]
-    endo = []
-    for a, (i, comps_i, si) in enumerate(ordered):
-        sub = comps_i.blocks[si]
-        sub_pos = {loc: t for t, loc in enumerate(sub)}
-        row = []
-        for b, (j, _, _) in enumerate(ordered):
-            old = p.endomaps[i][j]
-            row.append(FiniteFunction(len(sub), tuple(sub_pos[old(loc)] for loc in sub)))
-        endo.append(tuple(row))
-    return PlonkaPartition(part, tuple(endo))
+    return _partition_of((m,), extremity)
 
 
 def bi_plonka_partition(b: BiMagma, extremity: Extremity) -> BiPlonkaPartition:
     """The coarsest or finest bi-Plonka partition of a Plonka bi-magma.
 
     The coarsest congruence identifies a and b when x.a = x.b and
-    a*x = b*x for every x.
+    a*x = b*x for every x, that is, when a and b share their columns in
+    both dot and the opposite of star.
     """
     verdict = check_bimagma_law(b, BiMagmaLaw.PLONKA_BIMAGMA)
     if not verdict:
         raise NotPlonkaError("not a Plonka bi-magma", verdict)
-    n = b.n
-    keys = [(b.dot.column(a), b.star.row(a)) for a in range(n)]
-    part = _congruence_blocks(keys)
+    return _partition_of((b.dot, b.star.opposite()), extremity)
+
+
+def _partition_of(tables: Sequence[CayleyTable], extremity: Extremity) -> BiPlonkaPartition:
+    """The partition shared by right Plonka tables on one carrier, with one
+    grid per table: a ~ b iff columns a and b agree in every table, and
+    grid[i][j] sends x in block i to x.r for the least element r of block j."""
+    if extremity not in ("coarsest", "finest"):
+        raise ValueError("extremity must be 'coarsest' or 'finest'")
+    n = tables[0].n
+    groups: dict[tuple, list[int]] = {}
+    for a in range(n):
+        groups.setdefault(tuple(t.column(a) for t in tables), []).append(a)
+    part = SetPartition(n, tuple(tuple(v) for v in groups.values()))
     owner, local = _local_index(part)
-    blocks = part.blocks
-    f_endo, g_endo = [], []
-    for i, bi in enumerate(blocks):
-        f_row, g_row = [], []
-        for j, bj in enumerate(blocks):
-            rep = bj[0]
-            f_images, g_images = [], []
-            for x in bi:
-                y = b.dot.apply(x, rep)
-                z = b.star.apply(rep, x)
-                if owner[y] != i or owner[z] != i:
-                    raise AssertionError("congruence class not closed under products")
-                f_images.append(local[y])
-                g_images.append(local[z])
-            f_row.append(FiniteFunction(len(bi), tuple(f_images)))
-            g_row.append(FiniteFunction(len(bi), tuple(g_images)))
-        f_endo.append(tuple(f_row))
-        g_endo.append(tuple(g_row))
-    coarse = BiPlonkaPartition(part, tuple(f_endo), tuple(g_endo))
-    if extremity == "coarsest":
-        return coarse
-    if extremity == "finest":
-        return _refine_bi_plonka(coarse)
-    raise ValueError("extremity must be 'coarsest' or 'finest'")
+    grids = []
+    for t in tables:
+        grid = []
+        for i, bi in enumerate(part.blocks):
+            row = []
+            for bj in part.blocks:
+                images = []
+                for x in bi:
+                    y = t.apply(x, bj[0])
+                    if owner[y] != i:
+                        raise AssertionError("congruence class not closed under products")
+                    images.append(local[y])
+                row.append(FiniteFunction(len(bi), tuple(images)))
+            grid.append(tuple(row))
+        grids.append(tuple(grid))
+    coarse = BiPlonkaPartition(part, *grids)
+    return coarse if extremity == "coarsest" else _refine(coarse)
 
 
-def _refine_bi_plonka(p: BiPlonkaPartition) -> BiPlonkaPartition:
+def _refine(p: BiPlonkaPartition) -> BiPlonkaPartition:
+    """Split each block into the connected components of all its endomaps
+    and restrict every grid to the new blocks."""
     fine_blocks: list[tuple[int, ...]] = []
-    origin: list[tuple[int, SetPartition, int]] = []
+    origin: list[tuple[int, tuple[int, ...]]] = []  # (old block, component)
     for i, block in enumerate(p.partition.blocks):
-        family = list(p.f_endomaps[i]) + list(p.g_endomaps[i])
-        comps = connected_components(len(block), family)
-        for si, comp in enumerate(comps.blocks):
+        comps = connected_components(len(block), [f for grid in p.grids for f in grid[i]])
+        for comp in comps.blocks:
             fine_blocks.append(tuple(block[loc] for loc in comp))
-            origin.append((i, comps, si))
+            origin.append((i, comp))
     part = SetPartition(p.partition.n, tuple(fine_blocks))
+    # SetPartition reorders blocks by least element; rebuild the origin map.
     by_first = {b[0]: o for b, o in zip(fine_blocks, origin)}
     ordered = [by_first[b[0]] for b in part.blocks]
-    f_endo, g_endo = [], []
-    for a, (i, comps_i, si) in enumerate(ordered):
-        sub = comps_i.blocks[si]
-        sub_pos = {loc: t for t, loc in enumerate(sub)}
-        f_row, g_row = [], []
-        for bidx, (j, _, _) in enumerate(ordered):
-            old_f = p.f_endomaps[i][j]
-            old_g = p.g_endomaps[i][j]
-            f_row.append(FiniteFunction(len(sub), tuple(sub_pos[old_f(loc)] for loc in sub)))
-            g_row.append(FiniteFunction(len(sub), tuple(sub_pos[old_g(loc)] for loc in sub)))
-        f_endo.append(tuple(f_row))
-        g_endo.append(tuple(g_row))
-    return BiPlonkaPartition(part, tuple(f_endo), tuple(g_endo))
+
+    def restrict(grid: Grid) -> Grid:
+        rows = []
+        for i, sub in ordered:
+            sub_pos = {loc: t for t, loc in enumerate(sub)}
+            rows.append(tuple(FiniteFunction(len(sub), tuple(sub_pos[grid[i][j](loc)] for loc in sub))
+                              for j, _ in ordered))
+        return tuple(rows)
+
+    return BiPlonkaPartition(part, *(restrict(grid) for grid in p.grids))
 
 
-def rebuild(p: Union[PlonkaPartition, BiPlonkaPartition]) -> Union[CayleyTable, BiMagma]:
+def rebuild(p: BiPlonkaPartition) -> Union[CayleyTable, BiMagma]:
     """Reassemble the magma (or bi-magma) from partition data.
 
     x in block i times y in block j is f[i][j](x); the star product lands
-    in y's block via g[j][i](y).
+    in y's block via g[j][i](y), so star is the opposite of the table the
+    g grid builds.
     """
     part = p.partition
     owner, local = _local_index(part)
     n = part.n
     blocks = part.blocks
-    if isinstance(p, PlonkaPartition):
-        rows = []
-        for x in range(n):
-            i = owner[x]
-            rows.append(tuple(blocks[i][p.endomaps[i][owner[y]](local[x])] for y in range(n)))
-        return CayleyTable(n, tuple(rows))
-    dot_rows, star_rows = [], []
-    for x in range(n):
-        i = owner[x]
-        dot_rows.append(tuple(blocks[i][p.f_endomaps[i][owner[y]](local[x])] for y in range(n)))
-        star_rows.append(tuple(blocks[owner[y]][p.g_endomaps[owner[y]][i](local[y])]
-                               for y in range(n)))
-    return BiMagma(CayleyTable(n, tuple(dot_rows)), CayleyTable(n, tuple(star_rows)))
+    tables = [CayleyTable(n, tuple(
+        tuple(blocks[owner[x]][grid[owner[x]][owner[y]](local[x])] for y in range(n))
+        for x in range(n))) for grid in p.grids]
+    if len(tables) == 1:
+        return tables[0]
+    return BiMagma(tables[0], tables[1].opposite())
 
 
-def is_refinement(fine: Union[PlonkaPartition, BiPlonkaPartition],
-                  coarse: Union[PlonkaPartition, BiPlonkaPartition]) -> bool:
+def is_refinement(fine: BiPlonkaPartition, coarse: BiPlonkaPartition) -> bool:
     """True when every fine block sits inside a coarse block and the fine
     endomaps are the restrictions of the coarse ones."""
     c_owner, c_local = _local_index(coarse.partition)
-    grids_f = ((fine.endomaps,) if isinstance(fine, PlonkaPartition)
-               else (fine.f_endomaps, fine.g_endomaps))
-    grids_c = ((coarse.endomaps,) if isinstance(coarse, PlonkaPartition)
-               else (coarse.f_endomaps, coarse.g_endomaps))
-    if len(grids_f) != len(grids_c):
+    if len(fine.grids) != len(coarse.grids):
         return False
     fine_blocks = fine.partition.blocks
     for a, block_a in enumerate(fine_blocks):
         if len({c_owner[v] for v in block_a}) != 1:
             return False
-    for grid_f, grid_c in zip(grids_f, grids_c):
+    for grid_f, grid_c in zip(fine.grids, coarse.grids):
         for a, block_a in enumerate(fine_blocks):
             i = c_owner[block_a[0]]
             coarse_block = coarse.partition.blocks[i]
@@ -361,12 +292,9 @@ def structured_iso(a: Union[CayleyTable, BiMagma], b: Union[CayleyTable, BiMagma
         raise TypeError("can only compare structures of the same kind")
     if a.n != b.n:
         return None
-    if isinstance(a, CayleyTable):
-        pa, pb = plonka_partition(a, "coarsest"), plonka_partition(b, "coarsest")
-        grids_a, grids_b = (pa.endomaps,), (pb.endomaps,)
-    else:
-        pa, pb = bi_plonka_partition(a, "coarsest"), bi_plonka_partition(b, "coarsest")
-        grids_a, grids_b = (pa.f_endomaps, pa.g_endomaps), (pb.f_endomaps, pb.g_endomaps)
+    partition_of = plonka_partition if isinstance(a, CayleyTable) else bi_plonka_partition
+    pa, pb = partition_of(a, "coarsest"), partition_of(b, "coarsest")
+    grids_a, grids_b = pa.grids, pb.grids
     k = len(pa.partition)
     if k != len(pb.partition):
         return None

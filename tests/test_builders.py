@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ybmag import (BiMagma, BiMagmaLaw, FiniteFunction, MagmaLaw,
-                   OdometerTriple, RMapLaw, canonical_correspondence,
+from ybmag import (BiMagma, BiMagmaLaw, BiPlonkaPartition, FiniteFunction,
+                   MagmaLaw, OdometerTriple, PlonkaPartition, RMapLaw,
+                   SetPartition, canonical_correspondence,
                    check_bimagma_law, check_magma_law, check_rmap_law,
                    cyclic_group_table, flip_map, free_k_cyclic, identity_rmap,
                    is_simple, left_zero_table, magma_from_function,
                    symmetric_group_table, trivial_bimagma, trivial_brace)
-from ybmag.build import (EssSolution, FlipSolution, IdentitySolution,
-                         LyubashenkoSolution, OdometerSolution,
+from ybmag.build import (BlsFromPartitionSolution, EssSolution, FlipSolution,
+                         IdentitySolution, LyubashenkoSolution, OdometerSolution,
                          RightPlonkaOppositeSolution, SkewBraceSolution,
                          build_solution)
 from ybmag.core import GuardExceeded
@@ -35,6 +36,15 @@ def test_ess_builder_shape_and_validation():
         EssSolution(4, 1, 0)           # not prime
     with pytest.raises(ValueError):
         EssSolution(3, 0, 0)           # both constants vanish
+
+
+def test_bls_partition_variant_needs_two_grids():
+    part = SetPartition(2, ((0, 1),))
+    swap = ff(1, 0)
+    r = build_solution(BlsFromPartitionSolution(BiPlonkaPartition(part, ((swap,),), ((swap,),))))
+    assert check_rmap_law(r, RMapLaw.BLS).holds
+    with pytest.raises(ValueError):
+        BlsFromPartitionSolution(PlonkaPartition(part, ((swap,),)))
 
 
 def test_opposite_variant_swap():

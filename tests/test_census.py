@@ -8,7 +8,7 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    commuting_permutation_pairs_up_to_conjugacy,
                    enumerate_structures, function_conjugacy_census,
                    minimal_image, rebuild, structured_iso)
-from ybmag.census import _magma_raw_stream
+from ybmag.census import _magma_raw_stream, _process_count
 from ybmag.core import DEFAULT_LIMITS, GuardExceeded
 from ybmag.plonka import BiPlonkaPartition
 
@@ -92,15 +92,40 @@ def test_isomorph_rejection_matches_pairwise_oracle():
 
 
 def test_determinism_and_workers():
-    query = CensusQuery(4, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY),
-                        mode="representatives")
-    first = enumerate_structures(query)
-    second = enumerate_structures(query)
-    assert first.representatives == second.representatives
-    parallel = enumerate_structures(query, workers=2)
-    assert parallel.representatives == first.representatives
-    assert parallel.row.class_count == first.row.class_count
-    assert parallel.row.raw_count == first.row.raw_count
+    queries = [
+        CensusQuery(4, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY),
+                    mode="representatives"),
+        # the worker split must size its pool from the transposed laws
+        CensusQuery(4, (MagmaLaw.LEFT_PLONKA, MagmaLaw.LEFT_INVOLUTORY),
+                    mode="representatives"),
+        # the generic sweep is not split, so no table is counted twice
+        CensusQuery(2, (MagmaLaw.ASSOCIATIVE,), mode="representatives"),
+    ]
+    for query in queries:
+        first = enumerate_structures(query)
+        second = enumerate_structures(query)
+        assert first.representatives == second.representatives
+        parallel = enumerate_structures(query, workers=2)
+        assert parallel.representatives == first.representatives
+        assert parallel.row.class_count == first.row.class_count
+        assert parallel.row.raw_count == first.row.raw_count
+    left = enumerate_structures(queries[1], workers=2).row
+    assert (left.class_count, left.raw_count) == (12, 70)
+
+
+def test_process_count_is_bounded_by_jobs_and_cpus():
+    assert _process_count(2, 10, 2) == 2
+    assert _process_count(1000, 3, 64) == 3
+    assert _process_count(1000, 10**6, 4) == 4
+    assert _process_count(8, 5, None) == 1
+    assert _process_count(1, 5, 8) == 1
+
+
+def test_workers_below_one_rejected():
+    query = CensusQuery(2, (MagmaLaw.RIGHT_PLONKA,))
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_structures(query, workers=workers)
 
 
 def test_census_guard():

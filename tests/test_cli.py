@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 
 from ybmag import (CayleyTable, FiniteFunction, FunctionFamily,
-                   canonical_correspondence, flip_map, parse_structure,
-                   serialize, serialize_json)
+                   bi_plonka_partition, canonical_correspondence, flip_map,
+                   lyubashenko_rmap, parse_structure, serialize, serialize_json,
+                   trivial_bimagma)
 from ybmag.cli import main
 from ybmag.formats import ParseError
 from ybmag.laws import MagmaLaw
@@ -121,6 +122,28 @@ def test_decompose_matches_library(capsys):
     assert out.splitlines()[1] == "block 1: 1"
 
 
+def test_decompose_bimagma_prints_both_grids(capsys, tmp_path):
+    swap = FiniteFunction(3, (1, 0, 2))
+    ident = FiniteFunction(3, (0, 1, 2))
+    cycle = FiniteFunction(3, (1, 2, 0))
+    path = tmp_path / "b.txt"
+    for b in (trivial_bimagma(3),
+              canonical_correspondence(lyubashenko_rmap(swap, ident)),
+              canonical_correspondence(lyubashenko_rmap(cycle, cycle))):
+        path.write_text(serialize(b))
+        for extremity in ("coarsest", "finest"):
+            code, out, _ = run(capsys, "decompose", "--extremity", extremity, str(path))
+            assert code == 0
+            p = bi_plonka_partition(b, extremity)
+            expected = [f"block {i}: " + " ".join(map(str, block))
+                        for i, block in enumerate(p.partition.blocks)]
+            for name, grid in (("f", p.f_endomaps), ("g", p.g_endomaps)):
+                expected += [f"{name} {i} {j}: " + " ".join(map(str, fn.images))
+                             for i, row in enumerate(grid) for j, fn in enumerate(row)]
+            assert out.splitlines() == expected
+            assert any(line.startswith("g ") for line in expected)
+
+
 def test_decompose_rejects_non_plonka(capsys):
     code, out, _ = run(capsys, "decompose", "--extremity", "coarsest",
                        str(GOLDEN / "z3.txt"))
@@ -216,6 +239,17 @@ def test_build_bls_partition_variant(capsys, tmp_path):
     assert code == 0 and out == "HOLDS\n"
 
 
+def test_build_bls_partition_missing_key_is_usage_error(capsys, tmp_path):
+    full = {"blocks": [[0, 1]], "f": [[[1, 0]]], "g": [[[1, 0]]]}
+    for key in full:
+        part = tmp_path / f"no_{key}.json"
+        part.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
+        code, out, err = run(capsys, "build", "--variant", "bls-partition",
+                             "--input", str(part))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and key in err
+
+
 def test_build_json_output(capsys):
     code, out, _ = run(capsys, "build", "--variant", "identity", "--size", "2", "--json")
     data = json.loads(out)
@@ -235,6 +269,12 @@ def test_census_representatives(capsys):
     assert code == 0
     blocks = out.strip().split("\n\n")
     assert len(blocks) == 4  # row plus three representatives
+
+
+def test_census_workers_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "census", "--n", "2", "--laws", "right-plonka",
+                         "--workers", "0")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_census_simple_bls_command(capsys):
