@@ -5,9 +5,9 @@ simple solutions by odometer triples, named solution builders, and
 symmetry-reduced censuses.
 """
 
-from .core import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, Limits,
-                   DEFAULT_LIMITS, Permutation, RMap, SetPartition, Verdict,
-                   Witness, are_isomorphic, automorphisms,
+from .core import (BiMagma, CayleyTable, CrossCheckFailed, FiniteFunction,
+                   GuardExceeded, Limits, DEFAULT_LIMITS, Permutation, RMap,
+                   SetPartition, Verdict, Witness, are_isomorphic, automorphisms,
                    canonical_correspondence, find_homomorphisms, flip_map,
                    identity_rmap, lyubashenko_rmap)
 from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, check_bimagma_law,

@@ -2,23 +2,30 @@
 
 The magma engine backtracks over table columns: the two right Plonka laws
 say precisely that the columns pairwise commute and that column r_z(y)
-equals column y, so partial assignments prune hard.  Isomorph rejection
-expands the full relabelling orbit of each newly seen table once; the
-canonical representative of a class is the lexicographically minimal
-flattened table in its orbit.
+equals column y, so partial assignments prune hard.  The search runs on
+indices into the column pool: each chosen column carries a commute mask, a
+Python-int bitset over the pool that numpy builds the first time the
+column is chosen, and the candidates for the next column are the AND of
+the chosen columns' masks.  Isomorph rejection expands the full relabelling
+orbit of each newly seen table once, as byte strings; the canonical
+representative of a class is the lexicographically minimal flattened
+table in its orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import (BiMagma, CayleyTable, GuardExceeded, Limits, DEFAULT_LIMITS,
-                   FiniteFunction, canonical_correspondence)
+import numpy as np
+
+from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits,
+                   DEFAULT_LIMITS, FiniteFunction, canonical_correspondence)
 from .families import FunctionFamily, OdometerTriple, _partitions, is_incompressible
 from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, check_bimagma_law,
                    check_magma_law, check_rmap_law)
@@ -29,19 +36,22 @@ from .plonka import UnionFind
 # canonical forms and orbit bookkeeping
 
 
-def _relabellings(n: int, length: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each permutation sigma of 0..n-1 with the source cells of its
-    relabelling on ``length`` cells, one flattened table or several
-    concatenated on the same carrier: x -> sigma(x) moves ``flat`` to the
-    tuple with sigma[flat[src[j]]] at cell j."""
+def _relabellings(n: int, length: int) -> list[tuple[Callable, bytes]]:
+    """For each permutation sigma of 0..n-1, the relabelling x -> sigma(x)
+    of ``length`` cells, one flattened table or several concatenated on the
+    same carrier, as a cell picker and a byte translation: image j is
+    sigma[flat[src[j]]], so ``bytes(pick(flat)).translate(table)``."""
     out = []
     for sigma in itertools.permutations(range(n)):
         inv = [0] * n
         for x, s in enumerate(sigma):
             inv[s] = x
         cells = [inv[x] * n + inv[y] for x in range(n) for y in range(n)]
-        out.append((sigma, tuple(base + c for base in range(0, length, max(n * n, 1))
-                                 for c in cells)))
+        src = [base + c for base in range(0, length, max(n * n, 1)) for c in cells]
+        # itemgetter of one index returns a bare value, not a 1-tuple
+        pick = operator.itemgetter(*src) if len(src) > 1 \
+            else (lambda flat, src=src: [flat[k] for k in src])
+        out.append((pick, bytes(sigma) + bytes(range(n, 256))))
     return out
 
 
@@ -51,32 +61,30 @@ def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[
     if n > limits.sn_sweep:
         raise GuardExceeded(f"minimal image sweep refused for n = {n}")
     flat = table.flat()
-    return min(tuple([sigma[flat[k]] for k in src]) for sigma, src in _relabellings(n, n * n))
+    return tuple(min(bytes(pick(flat)).translate(sigma)
+                     for pick, sigma in _relabellings(n, n * n)))
 
 
 def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
     """Split raw flattened tables (or equal-length concatenations of them,
     such as dot + star of a bi-magma) into relabelling classes; returns the
-    sorted canonical representatives and the raw count."""
+    sorted canonical representatives and the raw count.  Images are byte
+    strings, which order like the int tuples they encode."""
     relabellings = None
-    seen: set[tuple[int, ...]] = set()
-    classes: list[tuple[int, ...]] = []
+    seen: set[bytes] = set()
+    classes: list[bytes] = []
     raw_count = 0
     for flat in raw:
         raw_count += 1
-        if flat in seen:
+        if bytes(flat) in seen:
             continue
         if relabellings is None:
             relabellings = _relabellings(n, len(flat))
-        best = flat
-        for sigma, src in relabellings:
-            img = tuple([sigma[flat[k]] for k in src])
-            seen.add(img)
-            if img < best:
-                best = img
-        classes.append(best)
+        images = [bytes(pick(flat)).translate(sigma) for pick, sigma in relabellings]
+        seen.update(images)
+        classes.append(min(images))
     classes.sort()
-    return classes, raw_count
+    return [tuple(c) for c in classes], raw_count
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +106,9 @@ def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bo
     return pool
 
 
-def _columns_commute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x in range(len(a)):
-        if a[b[x]] != b[a[x]]:
-            return False
-    return True
+def _bitset(flags: np.ndarray) -> int:
+    """A boolean vector over the pool as an int whose bit i is flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
@@ -110,58 +116,79 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
                         ) -> Iterator[tuple[int, ...]]:
     """All tables whose columns pairwise commute and satisfy the coherence
     rule column[column_z(y)] = column[y]; exactly the right Plonka tables
-    drawn from the given column pool."""
-    columns: list[tuple[int, ...]] = []
-    forced: dict[int, tuple[int, ...]] = {}
+    drawn from the given pool of distinct columns, in pool order.  A
+    ``first_column_range`` (contiguous) restricts column 0 to those pool
+    indices."""
+    columns: list[tuple[int, ...]] = []   # the chosen columns 0..y-1
+    chosen: list[int] = []                # and their pool indices
+    forced: dict[int, int] = {}           # a later column's required pool index
+    grid = np.array(pool, dtype=np.intp).reshape(len(pool), n)
+    commute_masks: dict[int, int] = {}
 
-    def viable(y: int, col: tuple[int, ...]) -> Optional[dict[int, tuple[int, ...]]]:
-        if band and col[y] != y:
-            return None
-        required = forced.get(y)
-        if required is not None and required != col:
-            return None
-        for other in columns:
-            if not _columns_commute(col, other):
-                return None
-        new_forced: dict[int, tuple[int, ...]] = {}
-        trial = columns + [col]
-        for a in range(y + 1):
-            for b in range(y + 1):
-                target = trial[b][a]
-                need = trial[a]
-                if target <= y:
-                    if trial[target] != need:
-                        return None
-                else:
-                    prior = forced.get(target, new_forced.get(target))
-                    if prior is not None and prior != need:
-                        return None
+    def commute_mask(i: int) -> int:
+        mask = commute_masks.get(i)
+        if mask is None:
+            c = grid[i]
+            mask = commute_masks[i] = _bitset((c[grid] == grid[:, c]).all(1))
+        return mask
+
+    everything = (1 << len(pool)) - 1
+    # per-position masks that no choice changes: the band law and the range
+    static = [_bitset(grid[:, y] == y) if band else everything for y in range(n)]
+    if first_column_range is not None and n:
+        static[0] &= ((1 << len(first_column_range)) - 1) << first_column_range.start
+
+    def coherent(y: int, later: list[int]) -> Optional[dict[int, int]]:
+        """Check the coherence rule on the pairs (a, y) for the column just
+        chosen at y; the pairs (y, b) were settled before the candidate
+        loop and the rest at earlier depths.  Returns the columns newly
+        forced beyond y (those in ``later`` to column y itself), or None."""
+        i = chosen[y]
+        new_forced = dict.fromkeys(later, i)
+        for a, target in zip(range(y + 1), columns[y]):
+            need = chosen[a]
+            if target <= y:
+                if chosen[target] != need:
+                    return None
+            else:
+                prior = forced.get(target, new_forced.get(target))
+                if prior is None:
                     new_forced[target] = need
+                elif prior != need:
+                    return None
         return new_forced
 
-    def rec(y: int) -> Iterator[tuple[int, ...]]:
+    def rec(y: int, commuting: int) -> Iterator[tuple[int, ...]]:
+        # commuting: the pool indices that commute with every chosen column
         if y == n:
-            flat = tuple(columns[j][i] for i in range(n) for j in range(n))
-            yield flat
+            yield tuple(itertools.chain.from_iterable(zip(*columns)))
             return
-        candidates = pool if not (y == 0 and first_column_range is not None) \
-            else [pool[i] for i in first_column_range]
-        for col in candidates:
-            new_forced = viable(y, col)
-            if new_forced is None:
-                continue
-            columns.append(col)
-            saved = {t: forced.get(t) for t in new_forced}
-            forced.update(new_forced)
-            yield from rec(y + 1)
-            columns.pop()
-            for t, old in saved.items():
-                if old is None:
+        candidates = commuting & static[y]
+        # the pairs (y, b): column y*b = columns[b][y] must equal column y;
+        # and column y itself may be forced by an earlier depth
+        later = []
+        for target in {col[y] for col in columns} | {y}:
+            required = chosen[target] if target < y else forced.get(target)
+            if required is not None:
+                candidates &= 1 << required
+            elif target > y:
+                later.append(target)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            columns.append(pool[i])
+            chosen.append(i)
+            new_forced = coherent(y, later)
+            if new_forced is not None:
+                forced.update(new_forced)
+                yield from rec(y + 1, commuting & commute_mask(i))
+                for t in new_forced:
                     del forced[t]
-                else:
-                    forced[t] = old
+            columns.pop()
+            chosen.pop()
 
-    yield from rec(0)
+    yield from rec(0, everything)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +381,7 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     if (label, n) in KNOWN_COUNTS:
         expected = KNOWN_COUNTS[(label, n)]
         if expected != len(classes):
-            raise AssertionError(
+            raise CrossCheckFailed(
                 f"census {label} at n={n} found {len(classes)} classes, literature says {expected}")
     else:
         label += " [unverified]"
@@ -474,7 +501,7 @@ def census_simple_bls(t: int, limits: Limits = DEFAULT_LIMITS) -> SimpleSolution
             if is_incompressible(family):
                 pair_count += 1
         if pair_count != len(triples):
-            raise AssertionError(
+            raise CrossCheckFailed(
                 f"simple-solution routes disagree at t={t}: "
                 f"{len(triples)} triples vs {pair_count} pair classes")
     return SimpleSolutionCensus(t, triples, len(triples), pair_count)
@@ -571,6 +598,6 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
             continue
         codes.add(_functional_graph_code(f, n))
     if orbit_count != len(codes):
-        raise AssertionError(
+        raise CrossCheckFailed(
             f"conjugacy census methods disagree at n={n}: {orbit_count} vs {len(codes)}")
     return orbit_count

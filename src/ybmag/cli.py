@@ -2,7 +2,8 @@
 
 Exit codes: 0 when a law holds or an operation succeeds, 1 when a checked
 property fails (a machine-readable ``WITNESS`` line is printed), 2 for
-usage or parse errors, 3 when a size guard refuses a sweep.
+usage or parse errors, 3 when a size guard refuses a sweep, 4 when a
+census cross-check (a second route or a literature value) disagrees.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
-from .core import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, RMap,
-                   SetPartition, Verdict, Witness, are_isomorphic,
-                   canonical_correspondence, find_homomorphisms)
+from .core import (BiMagma, CayleyTable, CrossCheckFailed, FiniteFunction,
+                   GuardExceeded, RMap, SetPartition, Verdict, Witness,
+                   are_isomorphic, canonical_correspondence, find_homomorphisms)
 from .build import (BlsFromPartitionSolution, EssSolution, FlipSolution,
                     FreeMagmaResult, IdentitySolution, LyubashenkoSolution,
                     OdometerSolution, RightPlonkaOppositeSolution,
@@ -254,18 +256,23 @@ _RMAP_LOOKUP = {law.value: law for law in RMapLaw}
 
 
 def _cmd_census(args) -> int:
+    start = time.perf_counter()
     if args.simple_bls is not None:
         result = census_simple_bls(args.simple_bls)
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
         route = "single_route" if result.single_route else "dual_route"
-        print(f"{args.simple_bls}\tsimple_bls[{route}]\t{result.count}\t{len(result.triples)}\t0")
+        print(f"{args.simple_bls}\tsimple_bls[{route}]\t{result.count}\t{len(result.triples)}"
+              f"\t{elapsed_ms}")
         if args.mode == "representatives":
             for t in result.triples:
                 print(f"{t.m} {t.n} {t.d}")
         return 0
     if args.function_classes is not None:
         count = function_conjugacy_census(args.function_classes, args.connected_only)
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
         label = "connected_self_maps" if args.connected_only else "self_maps"
-        print(f"{args.function_classes}\t{label}\t{count}\t{args.function_classes ** args.function_classes}\t0")
+        print(f"{args.function_classes}\t{label}\t{count}"
+              f"\t{args.function_classes ** args.function_classes}\t{elapsed_ms}")
         return 0
     if args.n is None or not args.laws:
         raise ValueError("census needs --n and --laws (or --simple-bls / --function-classes)")
@@ -411,6 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
+    except CrossCheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except NotPlonkaError as exc:
         print(f"FAILS {exc.verdict.witness.kind}")
         print(witness_line(exc.verdict.witness))

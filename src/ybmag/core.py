@@ -15,6 +15,11 @@ class GuardExceeded(Exception):
     """A brute-force sweep was asked to exceed its configured size limit."""
 
 
+class CrossCheckFailed(AssertionError):
+    """Two independent routes to the same count disagree, or a count
+    disagrees with its literature value."""
+
+
 @dataclass(frozen=True)
 class Limits:
     """Size guards for the exhaustive searches.  All sweeps refuse, with an

@@ -8,7 +8,8 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    commuting_permutation_pairs_up_to_conjugacy,
                    enumerate_structures, function_conjugacy_census,
                    minimal_image, rebuild, structured_iso)
-from ybmag.census import _magma_raw_stream, _process_count
+from ybmag.census import (_function_pool, _iter_plonka_tables, _magma_raw_stream,
+                          _process_count)
 from ybmag.core import DEFAULT_LIMITS, GuardExceeded
 from ybmag.plonka import BiPlonkaPartition
 
@@ -66,14 +67,54 @@ def test_associative_right_plonka_is_partition_numbers():
 
 
 def test_representatives_are_canonical_and_sorted():
-    res = enumerate_structures(CensusQuery(3, (MagmaLaw.RIGHT_PLONKA,),
-                                           mode="representatives"))
-    reps = res.representatives
-    assert len(reps) == 11
-    flats = [r.flat() for r in reps]
-    assert flats == sorted(flats)
-    for rep in reps:
-        assert rep.flat() == minimal_image(rep)
+    # n = 1 relabels one cell, the single-index case of the cell picker
+    for n, count in ((1, 1), (3, 11)):
+        res = enumerate_structures(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,),
+                                               mode="representatives"))
+        reps = res.representatives
+        assert len(reps) == count
+        flats = [r.flat() for r in reps]
+        assert flats == sorted(flats)
+        for rep in reps:
+            assert rep.flat() == minimal_image(rep)
+
+
+@pytest.mark.parametrize("n, orders, band", [
+    (n, orders, band) for n in (1, 2, 3)
+    for orders, band in ((None, False), (2, False), (None, True))] + [(4, 2, False)])
+def test_column_backtracker_matches_product_filter(n, orders, band):
+    # oracle: every n-tuple of pool columns, in product order, kept when the
+    # table it spells is right Plonka (and a band when asked)
+    pool = _function_pool(n, orders, False)
+    laws = (MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND) if band else (MagmaLaw.RIGHT_PLONKA,)
+    expected = []
+    for cols in itertools.product(pool, repeat=n):
+        flat = tuple(cols[y][x] for x in range(n) for y in range(n))
+        if all(check_magma_law(CayleyTable.from_flat(n, flat), law).holds for law in laws):
+            expected.append(flat)
+    assert list(_iter_plonka_tables(n, pool, band)) == expected
+    half = len(pool) // 2
+    halves = list(_iter_plonka_tables(n, pool, band, range(0, half))) + \
+        list(_iter_plonka_tables(n, pool, band, range(half, len(pool))))
+    assert halves == expected
+
+
+@pytest.mark.parametrize("band, count", [(False, 964), (True, 150)])
+def test_column_backtracker_is_sound_at_n4(band, count):
+    # too many column tuples for the product oracle: check that each table
+    # is right Plonka (and a band when asked), comes once and in pool order,
+    # and that all of them come (964 tables, 150 of them bands, found by a
+    # sweep over pairwise commuting column tuples)
+    pool = _function_pool(4, None, False)
+    index = {col: i for i, col in enumerate(pool)}
+    laws = (MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND) if band else (MagmaLaw.RIGHT_PLONKA,)
+    keys = []
+    for flat in _iter_plonka_tables(4, pool, band):
+        table = CayleyTable.from_flat(4, flat)
+        assert all(check_magma_law(table, law).holds for law in laws)
+        keys.append(tuple(index[flat[y::4]] for y in range(4)))
+    assert keys == sorted(set(keys))
+    assert len(keys) == count
 
 
 def test_isomorph_rejection_matches_pairwise_oracle():

@@ -8,6 +8,7 @@ from ybmag import (CayleyTable, FiniteFunction, FunctionFamily,
                    bi_plonka_partition, canonical_correspondence, flip_map,
                    lyubashenko_rmap, parse_structure, serialize, serialize_json,
                    trivial_bimagma)
+from ybmag import census
 from ybmag.cli import main
 from ybmag.formats import ParseError
 from ybmag.laws import MagmaLaw
@@ -275,6 +276,14 @@ def test_census_workers_below_one_is_usage_error(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--laws", "right-plonka",
                          "--workers", "0")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_census_cross_check_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setitem(census.KNOWN_COUNTS, ("right_plonka", 3), 12)
+    code, out, err = run(capsys, "census", "--n", "3", "--laws", "right-plonka")
+    assert code == 4 and out == ""
+    assert err.startswith("error: census right_plonka at n=3 found 11 classes")
+    assert "Traceback" not in err
 
 
 def test_census_simple_bls_command(capsys):
