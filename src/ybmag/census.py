@@ -10,11 +10,17 @@ the chosen columns' masks.  Isomorph rejection expands the full relabelling
 orbit of each newly seen table once, as byte strings; the canonical
 representative of a class is the lexicographically minimal flattened
 table in its orbit.
+
+The second routes of the cross-checks, the sweep of commuting permutation
+pairs and the orbit partition of all self-maps, run on numpy arrays of
+permutation rows: one array operation gives a whole conjugation orbit, and a
+boolean mask keyed by each row's base-n code marks what has been seen.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import operator
 import os
@@ -426,7 +432,8 @@ def _transpose_flat(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# simple-solution census: odometer triples vs exhaustive commuting pairs
+# simple-solution census: odometer triples vs exhaustive commuting pairs,
+# swept as numpy arrays of permutation rows
 
 
 def _perm_from_cycle_type(lengths: Sequence[int], n: int) -> tuple[int, ...]:
@@ -439,31 +446,60 @@ def _perm_from_cycle_type(lengths: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(images)
 
 
+def _permutation_array(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 as a uint8 row, in ``itertools.permutations``
+    order, which is lexicographic (one empty row for n = 0)."""
+    count = math.factorial(n)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                       dtype=np.uint8, count=count * n)
+    return flat.reshape(count, n)
+
+
+def _codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row read as a base-n number, first entry most significant: the
+    index of the row in ``itertools.product(range(n), repeat=n)`` order, and
+    an order-preserving key for lexicographically sorted rows."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        codes *= n
+        codes += column
+    return codes
+
+
+def _unseen_indices(unseen: np.ndarray) -> Iterator[int]:
+    """The indices still set in ``unseen``, low to high, looked up afresh
+    after each one is handed out, so the caller can clear that index's whole
+    orbit before the next lookup.  ``argmax`` stops at the first set entry
+    and allocates nothing, unlike ``flatnonzero``."""
+    i = 0
+    while i < len(unseen):
+        i += int(unseen[i:].argmax())
+        if not unseen[i]:
+            return
+        yield i
+        i += 1
+
+
 def commuting_permutation_pairs_up_to_conjugacy(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """One representative per simultaneous-conjugacy class of commuting
     permutation pairs: the first component runs over cycle types, the second
-    over centralizer orbits within the centralizer."""
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-
-    def compose(a, b):
-        return tuple(a[b[x]] for x in range(n))
-
-    def invert(p):
-        q = [0] * n
-        for i, v in enumerate(p):
-            q[v] = i
-        return tuple(q)
-
+    over centralizer orbits within the centralizer, in lexicographic order.
+    The centralizer is a numpy array of permutation rows, and each orbit
+    sigma g sigma^-1 is computed in one array operation."""
+    perms = _permutation_array(n)
     for cycle_type in _partitions(n):
         f = _perm_from_cycle_type(cycle_type, n)
-        centralizer = [g for g in perms if compose(f, g) == compose(g, f)]
-        seen: set[tuple[int, ...]] = set()
-        for g in centralizer:
-            if g in seen:
-                continue
-            for sigma in centralizer:
-                seen.add(compose(compose(sigma, g), invert(sigma)))
-            yield f, g
+        f_row = np.array(f, dtype=np.uint8)
+        centralizer = perms[(f_row[perms] == perms[:, f_row]).all(1)]
+        inverses = np.argsort(centralizer, axis=1).astype(np.uint8)
+        codes = _codes(centralizer, n)   # ascending: the rows are lexicographic
+        unseen = np.ones(len(centralizer), dtype=bool)
+        for i in _unseen_indices(unseen):
+            g = centralizer[i]
+            conjugates = np.take_along_axis(centralizer, g[inverses], 1)
+            unseen[np.searchsorted(codes, _codes(conjugates, n))] = False
+            # FiniteFunction takes Python ints only
+            yield f, tuple(g.tolist())
 
 
 @dataclass(frozen=True)
@@ -508,7 +544,7 @@ def census_simple_bls(t: int, limits: Limits = DEFAULT_LIMITS) -> SimpleSolution
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes of self-maps
+# conjugacy classes of self-maps: orbits over numpy arrays vs graph codes
 
 
 def _functional_graph_code(f: tuple[int, ...], n: int):
@@ -571,26 +607,16 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
     if n == 0:
         return 1
 
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-    inverses = []
-    for p in perms:
-        q = [0] * n
-        for i, v in enumerate(p):
-            q[v] = i
-        inverses.append(tuple(q))
-
-    seen: set[tuple[int, ...]] = set()
+    perms = _permutation_array(n)
+    inverses = np.argsort(perms, axis=1).astype(np.uint8)
+    unseen = np.ones(n ** n, dtype=bool)   # by base-n code: itertools.product order
     orbit_count = 0
-    for f in itertools.product(range(n), repeat=n):
-        if f in seen:
-            continue
-        if not connected_only or _is_connected_map(f, n):
+    for code in _unseen_indices(unseen):
+        f = np.array(np.unravel_index(code, (n,) * n), dtype=np.uint8)
+        if not connected_only or _is_connected_map(tuple(f.tolist()), n):
             orbit_count += 1
-            keep = True
-        else:
-            keep = False
-        for p, q in zip(perms, inverses):
-            seen.add(tuple(p[f[q[x]]] for x in range(n)))
+        # the images p f p^-1 under every relabelling p
+        unseen[_codes(np.take_along_axis(perms, f[inverses], 1), n)] = False
 
     codes = set()
     for f in itertools.product(range(n), repeat=n):

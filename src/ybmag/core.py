@@ -29,7 +29,9 @@ class Limits:
     hom_space: int = 10**7       # |B|**|A| function sweeps
     subset_listing: int = 16     # 2**n ideal listings
     two_part_split: int = 16     # 2**n bipartition searches
-    simple_bls_brute: int = 10   # exhaustive route of the simple-solution census
+    # exhaustive route of the simple-solution census; measured on a 2-vCPU
+    # VM: t = 9 takes 3.9 s and 65 MB max RSS, t = 10 takes 76 s and 420 MB
+    simple_bls_brute: int = 9
     conjugacy_census: int = 8    # self-map conjugacy class counting
     census_carrier: int = 7      # table backtracking searches
     family_enum: int = 10**6     # generator-tuple enumeration, t**k

@@ -8,9 +8,11 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    commuting_permutation_pairs_up_to_conjugacy,
                    enumerate_structures, function_conjugacy_census,
                    minimal_image, rebuild, structured_iso)
-from ybmag.census import (_function_pool, _iter_plonka_tables, _magma_raw_stream,
-                          _process_count)
-from ybmag.core import DEFAULT_LIMITS, GuardExceeded
+from ybmag import census
+from ybmag.census import (_function_pool, _is_connected_map, _iter_plonka_tables,
+                          _magma_raw_stream, _perm_from_cycle_type, _process_count)
+from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
+from ybmag.families import _partitions
 from ybmag.plonka import BiPlonkaPartition
 
 
@@ -282,29 +284,96 @@ def test_simple_bls_guard_single_route():
     assert res.count == 28  # divisor sum of 12
 
 
-def test_commuting_pair_reps_are_exhaustive_n3():
-    # every commuting permutation pair on 3 points is simultaneously
+def _invert(p):
+    q = [0] * len(p)
+    for i, v in enumerate(p):
+        q[v] = i
+    return tuple(q)
+
+
+def _conjugate(sigma, f):
+    inv = _invert(sigma)
+    return tuple(sigma[f[inv[x]]] for x in range(len(f)))
+
+
+def _pair_sweep_oracle(n):
+    """The pure-Python commuting-pair sweep: cycle types in partition order,
+    centralizer elements in lexicographic order, each new one's orbit under
+    conjugation by the centralizer marked seen."""
+    perms = list(itertools.permutations(range(n)))
+    for cycle_type in _partitions(n):
+        f = _perm_from_cycle_type(cycle_type, n)
+        centralizer = [g for g in perms if all(f[g[x]] == g[f[x]] for x in range(n))]
+        seen = set()
+        for g in centralizer:
+            if g not in seen:
+                seen.update(_conjugate(sigma, g) for sigma in centralizer)
+                yield f, g
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_commuting_pairs_match_python_sweep(n):
+    pairs = list(commuting_permutation_pairs_up_to_conjugacy(n))
+    assert pairs == list(_pair_sweep_oracle(n))
+    assert all(type(v) is int for f, g in pairs for v in f + g)
+    if n == 0:
+        assert pairs == [((), ())]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_commuting_pair_reps_are_exhaustive(n):
+    # every commuting permutation pair on n points is simultaneously
     # conjugate to exactly one listed representative
-    reps = list(commuting_permutation_pairs_up_to_conjugacy(3))
-    perms = list(itertools.permutations(range(3)))
+    reps = list(commuting_permutation_pairs_up_to_conjugacy(n))
+    perms = list(itertools.permutations(range(n)))
     covered = set()
     for f, g in reps:
-        orbit = set()
-        for sigma in perms:
-            inv = [0] * 3
-            for i, v in enumerate(sigma):
-                inv[v] = i
-            orbit.add((tuple(sigma[f[inv[x]]] for x in range(3)),
-                       tuple(sigma[g[inv[x]]] for x in range(3))))
+        orbit = {(_conjugate(sigma, f), _conjugate(sigma, g)) for sigma in perms}
         assert not (orbit & covered)  # representatives are pairwise non-conjugate
         covered |= orbit
     all_pairs = {(f, g) for f in perms for g in perms
-                 if all(f[g[x]] == g[f[x]] for x in range(3))}
+                 if all(f[g[x]] == g[f[x]] for x in range(n))}
     assert covered == all_pairs
+
+
+def test_simple_bls_pair_route_failure_is_typed(monkeypatch):
+    # a second route that accepts every pair must disagree with the triples
+    monkeypatch.setattr(census, "is_incompressible", lambda family: True)
+    with pytest.raises(CrossCheckFailed, match="simple-solution routes disagree at t=4"):
+        census_simple_bls(4)
+
+
+def test_simple_bls_default_guard_is_single_route_beyond():
+    # one past the default limit is refused by the pair sweep, not run
+    t = DEFAULT_LIMITS.simple_bls_brute + 1
+    res = census_simple_bls(t)
+    assert res.single_route and res.count == sum(d for d in range(1, t + 1) if t % d == 0)
 
 
 # ---------------------------------------------------------------------------
 # conjugacy classes of self-maps
+
+
+def _orbit_partition_oracle(n, connected_only):
+    """The pure-Python orbit route: every self-map in product order, each
+    unseen one counted and its conjugates under every relabelling marked."""
+    perms = list(itertools.permutations(range(n)))
+    seen = set()
+    count = 0
+    for f in itertools.product(range(n), repeat=n):
+        if f in seen:
+            continue
+        if not connected_only or _is_connected_map(f, n):
+            count += 1
+        seen.update(_conjugate(p, f) for p in perms)
+    return count
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_conjugacy_orbit_route_matches_python_partition(n):
+    for connected_only in (False, True):
+        assert function_conjugacy_census(n, connected_only) == \
+            _orbit_partition_oracle(n, connected_only)
 
 
 def test_conjugacy_census_values():
@@ -316,6 +385,13 @@ def test_conjugacy_census_values():
         all_classes = function_conjugacy_census(n)
         connected = function_conjugacy_census(n, connected_only=True)
         assert connected < all_classes
+
+
+def test_conjugacy_census_failure_is_typed(monkeypatch):
+    # a code route that merges every class must disagree with the orbits
+    monkeypatch.setattr(census, "_functional_graph_code", lambda f, n: ())
+    with pytest.raises(CrossCheckFailed, match="conjugacy census methods disagree at n=4"):
+        function_conjugacy_census(4)
 
 
 def test_conjugacy_census_guard():

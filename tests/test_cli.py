@@ -286,6 +286,14 @@ def test_census_cross_check_failure_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_simple_bls_cross_check_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(census, "is_incompressible", lambda family: True)
+    code, out, err = run(capsys, "census", "--simple-bls", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("error: simple-solution routes disagree at t=4")
+    assert "Traceback" not in err
+
+
 def test_census_simple_bls_command(capsys):
     code, out, _ = run(capsys, "census", "--simple-bls", "6")
     assert code == 0
