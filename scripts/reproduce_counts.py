@@ -20,28 +20,24 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="include the slower n = 6 right involutory census")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     print("# right Plonka magmas")
     for n in (1, 2, 3):
-        row = enumerate_structures(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
-                                   workers=args.workers).row
+        row = enumerate_structures(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,))).row
         print(row.tsv())
 
     print("# right involutory Plonka magmas")
     top = 7 if args.full else 6
     for n in range(1, top):
         row = enumerate_structures(
-            CensusQuery(n, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)),
-            workers=args.workers).row
+            CensusQuery(n, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))).row
         print(row.tsv())
 
     print("# associative right Plonka magmas (partition numbers)")
     for n in (1, 2, 3, 4, 5):
         row = enumerate_structures(
-            CensusQuery(n, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.ASSOCIATIVE)),
-            workers=args.workers).row
+            CensusQuery(n, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.ASSOCIATIVE))).row
         print(row.tsv())
 
     print("# simple solutions on t points (two routes)")

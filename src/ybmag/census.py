@@ -9,7 +9,10 @@ column is chosen, and the candidates for the next column are the AND of
 the chosen columns' masks.  Isomorph rejection expands the full relabelling
 orbit of each newly seen table once, as byte strings; the canonical
 representative of a class is the lexicographically minimal flattened
-table in its orbit.
+table in its orbit.  Every census runs in the calling process: a split of
+the column search over worker processes has to rebuild the pool and the
+commute masks in each worker and pickle every raw table back for the one
+dedupe, and measured slower than one process.
 
 The second routes of the cross-checks, the sweep of commuting permutation
 pairs and the orbit partition of all self-maps, run on numpy arrays of
@@ -21,9 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import operator
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -118,13 +119,10 @@ def _bitset(flags: np.ndarray) -> int:
 
 
 def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
-                        band: bool, first_column_range: Optional[range] = None
-                        ) -> Iterator[tuple[int, ...]]:
+                        band: bool) -> Iterator[tuple[int, ...]]:
     """All tables whose columns pairwise commute and satisfy the coherence
     rule column[column_z(y)] = column[y]; exactly the right Plonka tables
-    drawn from the given pool of distinct columns, in pool order.  A
-    ``first_column_range`` (contiguous) restricts column 0 to those pool
-    indices."""
+    drawn from the given pool of distinct columns, in pool order."""
     columns: list[tuple[int, ...]] = []   # the chosen columns 0..y-1
     chosen: list[int] = []                # and their pool indices
     forced: dict[int, int] = {}           # a later column's required pool index
@@ -139,10 +137,8 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
         return mask
 
     everything = (1 << len(pool)) - 1
-    # per-position masks that no choice changes: the band law and the range
+    # per-position masks that no choice changes: the band law
     static = [_bitset(grid[:, y] == y) if band else everything for y in range(n)]
-    if first_column_range is not None and n:
-        static[0] &= ((1 << len(first_column_range)) - 1) << first_column_range.start
 
     def coherent(y: int, later: list[int]) -> Optional[dict[int, int]]:
         """Check the coherence rule on the pairs (a, y) for the column just
@@ -281,12 +277,11 @@ def _known_counts() -> dict[tuple[str, int], int]:
 KNOWN_COUNTS = _known_counts()
 
 
-def _column_search(query: CensusQuery, limits: Limits
-                   ) -> tuple[bool, Optional[tuple[Optional[int], bool, bool]]]:
-    """How a magma query is searched.  Returns whether the search runs on
-    the transpose (left Plonka laws read as right ones) and the column
-    backtracker's (orders dividing, band, permutations only), or None when
-    the query needs the generic table sweep."""
+def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
+    """The flattened tables that satisfy a magma query, in search order.
+    Left Plonka laws are searched on the transpose, read as right ones; a
+    query that implies no right Plonka law needs the generic table sweep."""
+    n = query.n
     laws = set(query.magma_laws)
     transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
     if transpose:
@@ -294,27 +289,17 @@ def _column_search(query: CensusQuery, limits: Limits
         if MagmaLaw.LEFT_INVOLUTORY in laws:
             laws.discard(MagmaLaw.LEFT_INVOLUTORY)
             laws.add(MagmaLaw.RIGHT_INVOLUTORY)
-    if MagmaLaw.RIGHT_PLONKA not in laws and MagmaLaw.TWO_CYCLIC not in laws:
-        return transpose, None
-    if query.n > limits.census_carrier:
-        raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
-    orders = None
-    if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
-        orders = 2
-    elif MagmaLaw.K_CYCLIC in laws and query.k is not None:
-        orders = query.k
-    band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
-    return transpose, (orders, band, "right_simple" in query.predicates)
-
-
-def _magma_raw_stream(query: CensusQuery, limits: Limits,
-                      first_column_range: Optional[range] = None) -> Iterator[tuple[int, ...]]:
-    n = query.n
-    transpose, plan = _column_search(query, limits)
-    if plan is not None:
-        orders, band, perm_only = plan
-        pool = _function_pool(n, orders, perm_only)
-        stream = _iter_plonka_tables(n, pool, band, first_column_range)
+    if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
+        if n > limits.census_carrier:
+            raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
+        orders = None
+        if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
+            orders = 2
+        elif MagmaLaw.K_CYCLIC in laws and query.k is not None:
+            orders = query.k
+        band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
+        pool = _function_pool(n, orders, "right_simple" in query.predicates)
+        stream = _iter_plonka_tables(n, pool, band)
     else:
         if n > 3:
             raise GuardExceeded("generic table sweep limited to n <= 3; "
@@ -341,24 +326,13 @@ def _right_simple(m: CayleyTable) -> bool:
     return is_incompressible(cols)
 
 
-def _census_worker(args) -> list[tuple[int, ...]]:
-    query, lo, hi, limits = args
-    return list(_magma_raw_stream(query, limits, first_column_range=range(lo, hi)))
-
-
-def _process_count(workers: int, jobs: int, cpus: Optional[int]) -> int:
-    """Processes to start for a split census: the workers asked for, but
-    never more than there are jobs or CPUs (``cpus`` None counts as one)."""
-    return min(workers, jobs, cpus or 1)
-
-
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
                          workers: int = 1) -> CensusResult:
     """Run a census query: count isomorphism classes (and list canonical
-    representatives when asked).  With several workers the search tree is
-    split by the first table column; the final dedupe pass is always a
-    single deterministic merge, so output does not depend on worker count.
-    Only the column backtracker is split, over at most one process per CPU."""
+    representatives when asked).  The search, the per-table recheck and the
+    orbit dedupe all run in the calling process; no process is started.
+    ``workers`` is kept for compatibility: a value below 1 raises
+    ``ValueError``, and any other value changes nothing."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     start = time.perf_counter()
@@ -368,19 +342,7 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
         reps = tuple(BiMagma(CayleyTable.from_flat(n, f[:n * n]),
                              CayleyTable.from_flat(n, f[n * n:])) for f in classes)
     else:
-        _, plan = _column_search(query, limits)
-        if workers > 1 and n > 1 and plan is not None:
-            orders, _, perm_only = plan
-            pool_size = len(_function_pool(n, orders, perm_only))
-            parts = min(workers, pool_size)
-            bounds = [(i * pool_size) // parts for i in range(parts + 1)]
-            jobs = [(query, lo, hi, limits) for lo, hi in zip(bounds, bounds[1:])]
-            with multiprocessing.Pool(_process_count(workers, len(jobs), os.cpu_count())) as mp:
-                chunks = mp.map(_census_worker, jobs)
-            raw = itertools.chain.from_iterable(chunks)
-        else:
-            raw = _magma_raw_stream(query, limits)
-        classes, raw_count = _orbit_dedupe(n, raw)
+        classes, raw_count = _orbit_dedupe(n, _magma_raw_stream(query, limits))
         reps = tuple(CayleyTable.from_flat(n, f) for f in classes)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     label = query.label()

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when a law holds or an operation succeeds, 1 when a checked
 property fails (a machine-readable ``WITNESS`` line is printed), 2 for
-usage or parse errors, 3 when a size guard refuses a sweep, 4 when a
-census cross-check (a second route or a literature value) disagrees.
+usage or parse errors, 3 when a size guard refuses a sweep, 4 when an
+internal consistency check fails (a census second route or literature value
+disagrees, or a computed object fails its invariant).
 """
 
 from __future__ import annotations
@@ -389,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--predicates", default=None)
     p.add_argument("--mode", choices=("count", "representatives"), default="count")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility: every census runs in one process; "
+                        "a value below 1 is a usage error")
     p.add_argument("--simple-bls", type=int, default=None)
     p.add_argument("--function-classes", type=int, default=None)
     p.add_argument("--connected-only", action="store_true")

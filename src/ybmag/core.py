@@ -16,8 +16,9 @@ class GuardExceeded(Exception):
 
 
 class CrossCheckFailed(AssertionError):
-    """Two independent routes to the same count disagree, or a count
-    disagrees with its literature value."""
+    """An internal consistency check failed: two independent routes to the
+    same count disagree, a count disagrees with its literature value, or a
+    computed object fails the invariant it was built to have."""
 
 
 @dataclass(frozen=True)
@@ -415,5 +416,5 @@ def automorphisms(a: Structure, limits: Limits = DEFAULT_LIMITS) -> list[Permuta
     for p in autos:
         for q in autos:
             if p.compose(q).images not in images:
-                raise AssertionError("automorphism set not closed under composition")
+                raise CrossCheckFailed("automorphism set not closed under composition")
     return autos

@@ -283,32 +283,24 @@ def _run_chain(chain, out, n, triple):
     return triple
 
 
-def _triple_law(r: RMap, lhs_chain, rhs_chain, kind: str) -> Optional[Witness]:
+def _triple_law(r: RMap, pieces) -> Optional[Witness]:
+    """Check the ``(kind, lhs_chain, rhs_chain)`` pieces in order at each
+    triple; the first failing piece gives the witness."""
     n, out = r.n, r.out
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                lhs = _run_chain(lhs_chain, out, n, (x, y, z))
-                rhs = _run_chain(rhs_chain, out, n, (x, y, z))
-                if lhs != rhs:
-                    return Witness(kind, (x, y, z), lhs, rhs)
-    return None
-
-
-def _bls(r: RMap) -> Optional[Witness]:
-    n, out = r.n, r.out
-    pieces = [(RMapLaw.COMMUTATIVE, *_TRIPLE_LAWS[RMapLaw.COMMUTATIVE]),
-              (RMapLaw.COCOMMUTATIVE, *_TRIPLE_LAWS[RMapLaw.COCOMMUTATIVE]),
-              (RMapLaw.LONG, *_TRIPLE_LAWS[RMapLaw.LONG])]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for law, lhs_chain, rhs_chain in pieces:
+                for kind, lhs_chain, rhs_chain in pieces:
                     lhs = _run_chain(lhs_chain, out, n, (x, y, z))
                     rhs = _run_chain(rhs_chain, out, n, (x, y, z))
                     if lhs != rhs:
-                        return Witness(f"bls:{law.value}", (x, y, z), lhs, rhs)
+                        return Witness(kind, (x, y, z), lhs, rhs)
     return None
+
+
+# the BLS law is the commutative, cocommutative and long laws together
+_BLS_PIECES = [(f"bls:{law.value}", *_TRIPLE_LAWS[law])
+               for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]
 
 
 def _bijectivity_witness(r: RMap) -> Optional[Witness]:
@@ -379,10 +371,9 @@ def _nondegenerate(r: RMap, left_right: bool) -> Optional[Witness]:
 def check_rmap_law(r: RMap, law: RMapLaw) -> Verdict:
     """Evaluate one R-map law exhaustively (triple laws run over all n**3 inputs)."""
     if law in _TRIPLE_LAWS:
-        lhs_chain, rhs_chain = _TRIPLE_LAWS[law]
-        return _verdict(_triple_law(r, lhs_chain, rhs_chain, law.value))
+        return _verdict(_triple_law(r, [(law.value, *_TRIPLE_LAWS[law])]))
     if law is RMapLaw.BLS:
-        return _verdict(_bls(r))
+        return _verdict(_triple_law(r, _BLS_PIECES))
     if law is RMapLaw.UNITARY:
         return _verdict(_unitary(r))
     if law is RMapLaw.INVOLUTIVE:

@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
-from .core import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, Limits,
-                   DEFAULT_LIMITS, Permutation, SetPartition, Verdict)
+from .core import (BiMagma, CayleyTable, CrossCheckFailed, FiniteFunction, GuardExceeded,
+                   Limits, DEFAULT_LIMITS, Permutation, SetPartition, Verdict)
 from .laws import BiMagmaLaw, MagmaLaw, check_bimagma_law, check_magma_law
 
 Extremity = Literal["coarsest", "finest"]
@@ -166,7 +166,7 @@ def _partition_of(tables: Sequence[CayleyTable], extremity: Extremity) -> BiPlon
                 for x in bi:
                     y = t.apply(x, bj[0])
                     if owner[y] != i:
-                        raise AssertionError("congruence class not closed under products")
+                        raise CrossCheckFailed("congruence class not closed under products")
                     images.append(local[y])
                 row.append(FiniteFunction(len(bi), tuple(images)))
             grid.append(tuple(row))
@@ -346,7 +346,7 @@ def structured_iso(a: Union[CayleyTable, BiMagma], b: Union[CayleyTable, BiMagma
             images[v] = target[locals_found[ai][pos]]
     sigma = Permutation(a.n, tuple(images))
     if a.relabel(sigma.images) != b:
-        raise AssertionError("block-assembled map is not an isomorphism")
+        raise CrossCheckFailed("block-assembled map is not an isomorphism")
     return sigma
 
 
@@ -391,5 +391,5 @@ def bijectivize(f: FiniteFunction) -> BijectivizationResult:
     result = BijectivizationResult(current, unit)
     for x in range(n):
         if result.unit(f(x)) != result.target(result.unit(x)):
-            raise AssertionError("unit does not intertwine the maps")
+            raise CrossCheckFailed("unit does not intertwine the maps")
     return result

@@ -8,7 +8,7 @@ from ybmag import (CayleyTable, FiniteFunction, FunctionFamily,
                    bi_plonka_partition, canonical_correspondence, flip_map,
                    lyubashenko_rmap, parse_structure, serialize, serialize_json,
                    trivial_bimagma)
-from ybmag import census
+from ybmag import census, plonka
 from ybmag.cli import main
 from ybmag.formats import ParseError
 from ybmag.laws import MagmaLaw
@@ -312,6 +312,17 @@ def test_bijectivize_command(capsys):
     code, out, _ = run(capsys, "bijectivize", str(GOLDEN / "collapse_3.txt"))
     assert code == 0
     assert out.splitlines() == ["target 2: 1 0", "unit: 0 1 0"]
+
+
+def test_internal_check_failure_exit_code(capsys, monkeypatch):
+    # bijectivize's own check that the unit intertwines, forced to fail
+    real = plonka.BijectivizationResult
+    monkeypatch.setattr(plonka, "BijectivizationResult", lambda target, unit: real(
+        FiniteFunction(target.n, tuple(range(target.n))), unit))
+    code, out, err = run(capsys, "bijectivize", str(GOLDEN / "collapse_3.txt"))
+    assert code == 4 and out == ""
+    assert err.startswith("error: unit does not intertwine the maps")
+    assert "Traceback" not in err
 
 
 def test_morphisms_command(capsys, tmp_path):

@@ -10,6 +10,8 @@ from ybmag import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, Limits,
                    identity_rmap, left_zero_table, lyubashenko_rmap,
                    right_zero_table)
 from ybmag.build import EssSolution, build_solution
+from ybmag import core
+from ybmag.core import CrossCheckFailed
 
 from conftest import bimagmas, rmaps
 
@@ -103,6 +105,15 @@ def test_iso_iff_bijective_homs_both_ways(a, b):
 def test_automorphisms_identity_rmap():
     autos = automorphisms(canonical_correspondence(identity_rmap(3)))
     assert len(autos) == 6
+
+
+def test_automorphisms_closure_failure_is_typed(monkeypatch):
+    # every permutation fixes a left-zero table; two transpositions alone
+    # are not closed under composition
+    monkeypatch.setattr(core, "all_permutations",
+                        lambda n, limits: [(0, 1, 2), (1, 0, 2), (0, 2, 1)])
+    with pytest.raises(CrossCheckFailed, match="not closed under composition"):
+        automorphisms(left_zero_table(3))
 
 
 def test_automorphisms_flip():

@@ -83,6 +83,59 @@ def test_witness_iff_failing(r):
         assert v.holds == (v.witness is None)
 
 
+def _bls_oracle(r):
+    """The BLS check as a loop of its own: at each triple, the commutative,
+    cocommutative and long pieces in turn; lifts apply R to two slots."""
+    n, out = r.n, r.out
+
+    def lift12(a, b, c):
+        u, v = out[a * n + b]
+        return (u, v, c)
+
+    def lift23(a, b, c):
+        u, v = out[b * n + c]
+        return (a, u, v)
+
+    def lift13(a, b, c):
+        u, v = out[a * n + c]
+        return (u, b, v)
+
+    pieces = [("commutative", (lift13, lift12), (lift12, lift13)),
+              ("cocommutative", (lift23, lift13), (lift13, lift23)),
+              ("long", (lift23, lift12), (lift12, lift23))]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for kind, lhs_chain, rhs_chain in pieces:
+                    lhs = rhs = (x, y, z)
+                    for step in lhs_chain:
+                        lhs = step(*lhs)
+                    for step in rhs_chain:
+                        rhs = step(*rhs)
+                    if lhs != rhs:
+                        return (f"bls:{kind}", (x, y, z), lhs, rhs)
+    return None
+
+
+def test_bls_witness_matches_loop_oracle():
+    # every R-map on 2 points and a seeded sample on 3, plus the lawful
+    # correspondents of the trivial bi-magma on 3 points
+    rng = random.Random(5)
+    cells2 = list(itertools.product(range(2), repeat=2))
+    cells3 = list(itertools.product(range(3), repeat=2))
+    maps = [RMap(2, out) for out in itertools.product(cells2, repeat=4)]
+    maps += [RMap(3, tuple(rng.choice(cells3) for _ in range(9))) for _ in range(2000)]
+    maps.append(canonical_correspondence(trivial_bimagma(3)))
+    kinds = set()
+    for r in maps:
+        v = check_rmap_law(r, RMapLaw.BLS)
+        w = v.witness
+        got = None if v.holds else (w.kind, w.inputs, w.lhs, w.rhs)
+        assert got == _bls_oracle(r), r
+        kinds.add(got and got[0])
+    assert kinds == {None, "bls:commutative", "bls:cocommutative", "bls:long"}
+
+
 # ---------------------------------------------------------------------------
 # magma laws
 

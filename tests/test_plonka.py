@@ -12,6 +12,8 @@ from ybmag import (CayleyTable, FiniteFunction, MagmaLaw, NotPlonkaError,
                    lyubashenko_rmap, magma_from_function,
                    canonical_correspondence, plonka_partition, rebuild,
                    structured_iso, trivial_bimagma)
+from ybmag import plonka
+from ybmag.core import VERDICT_OK, CrossCheckFailed
 from ybmag.ideals import IdealKind, is_simple
 
 from conftest import random_bi_partition, self_maps
@@ -262,3 +264,32 @@ def test_bijectivize_universal_property_exhaustive():
                                for v in range(res.target.n)):
                             factorisations.append(phi)
                     assert len(factorisations) == 1, (f, g2, theta)
+
+
+# ---------------------------------------------------------------------------
+# internal invariants raise the typed CrossCheckFailed
+
+
+def test_partition_closure_failure_is_typed(monkeypatch):
+    # a non-Plonka table let through: its singleton blocks are not closed
+    monkeypatch.setattr(plonka, "check_magma_law", lambda m, law: VERDICT_OK)
+    with pytest.raises(CrossCheckFailed, match="congruence class not closed"):
+        plonka_partition(CayleyTable(2, ((0, 1), (0, 1))), "coarsest")
+
+
+def test_structured_iso_assembly_failure_is_typed(monkeypatch):
+    # block-local matches that do not intertwine: the reversal of each block
+    monkeypatch.setattr(plonka, "_block_intertwiners",
+                        lambda size, fams_a, fams_b: iter([tuple(range(size))[::-1]]))
+    a = magma_from_function(FiniteFunction(2, (0, 0)))
+    with pytest.raises(CrossCheckFailed, match="not an isomorphism"):
+        structured_iso(a, a)
+
+
+def test_bijectivize_unit_failure_is_typed(monkeypatch):
+    # a result whose target is the identity, which the unit cannot intertwine
+    real = plonka.BijectivizationResult
+    monkeypatch.setattr(plonka, "BijectivizationResult", lambda target, unit: real(
+        FiniteFunction(target.n, tuple(range(target.n))), unit))
+    with pytest.raises(CrossCheckFailed, match="unit does not intertwine"):
+        bijectivize(FiniteFunction(3, (1, 2, 0)))
