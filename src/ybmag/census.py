@@ -6,7 +6,14 @@ equals column y, so partial assignments prune hard.  The search runs on
 indices into the column pool: each chosen column carries a commute mask, a
 Python-int bitset over the pool that numpy builds the first time the
 column is chosen, and the candidates for the next column are the AND of
-the chosen columns' masks.  Isomorph rejection expands the full relabelling
+the chosen columns' masks.  An order-dividing pool (involutory or k-cyclic
+columns) is cut from the n! permutation rows, since col^k = id forces a
+permutation.  The laws the search guarantees (right Plonka, band from a
+static mask, the column order from the pool) are verified in bulk, one
+numpy pass over each batch of up to 1024 tables, and a table that fails
+them raises CrossCheckFailed; a CayleyTable is built, and a law checked
+table by table, only for the query's other laws and predicates.
+Isomorph rejection expands the full relabelling
 orbit of each newly seen table once, as byte strings; the canonical
 representative of a class is the lexicographically minimal flattened
 table in its orbit.  Every census runs in the calling process: a split of
@@ -34,8 +41,8 @@ import numpy as np
 from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits,
                    DEFAULT_LIMITS, FiniteFunction, canonical_correspondence)
 from .families import FunctionFamily, OdometerTriple, _partitions, is_incompressible
-from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, check_bimagma_law,
-                   check_magma_law, check_rmap_law)
+from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, _power_is_identity, check_bimagma_law,
+                   check_magma_law, check_magma_laws_batch, check_rmap_law)
 from .plonka import UnionFind
 
 
@@ -99,18 +106,16 @@ def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[in
 
 
 def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bool):
-    if permutations_only:
-        pool = [tuple(p) for p in itertools.permutations(range(n))]
-    else:
-        pool = [tuple(c) for c in itertools.product(range(n), repeat=n)]
+    """The candidate columns in lexicographic order: every self-map of
+    0..n-1, or only the permutations, or only the maps whose
+    ``orders_dividing``-th power is the identity.  Those maps are
+    permutations, so they are filtered from the n! permutation rows."""
+    if orders_dividing is None and not permutations_only:
+        return list(itertools.product(range(n), repeat=n))
+    perms = _permutation_array(n)
     if orders_dividing is not None:
-        def power_is_identity(col: tuple[int, ...], k: int) -> bool:
-            result = list(range(n))
-            for _ in range(k):
-                result = [col[v] for v in result]
-            return result == list(range(n))
-        pool = [c for c in pool if power_is_identity(c, orders_dividing)]
-    return pool
+        perms = perms[_power_is_identity(perms, orders_dividing)]
+    return [tuple(row) for row in perms.tolist()]
 
 
 def _bitset(flags: np.ndarray) -> int:
@@ -225,6 +230,11 @@ class CensusQuery:
         for p in self.predicates:
             if p not in ("right_simple",):
                 raise ValueError(f"unknown predicate {p!r}")
+        if MagmaLaw.K_CYCLIC in self.magma_laws:
+            if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+                raise ValueError(f"k_cyclic needs an integer k >= 1, got {self.k!r}")
+        elif self.k is not None:
+            raise ValueError("k only applies to the k_cyclic law")
 
     def label(self) -> str:
         parts = [law.value for law in self.magma_laws]
@@ -277,10 +287,29 @@ def _known_counts() -> dict[tuple[str, int], int]:
 KNOWN_COUNTS = _known_counts()
 
 
+_BATCH = 1024  # tables per bulk law check; uint8 keeps its (1024, n, n, n) temporaries small
+
+
+def _checked(stream: Iterator[tuple[int, ...]], n: int, laws: Sequence[MagmaLaw],
+             k: Optional[int]) -> Iterator[tuple[int, ...]]:
+    """Pass a column search's tables through in order, checking in batches
+    that each satisfies the laws the search guarantees."""
+    while batch := list(itertools.islice(stream, _BATCH)):
+        stack = np.frombuffer(b"".join(map(bytes, batch)), dtype=np.uint8)
+        ok = check_magma_laws_batch(stack.reshape(len(batch), n, n), laws, k)
+        if not ok.all():
+            raise CrossCheckFailed(
+                f"column search produced table {batch[int(ok.argmin())]} on n={n} "
+                f"that fails {'+'.join(law.value for law in laws)}")
+        yield from batch
+
+
 def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
     """The flattened tables that satisfy a magma query, in search order.
     Left Plonka laws are searched on the transpose, read as right ones; a
-    query that implies no right Plonka law needs the generic table sweep."""
+    query that implies no right Plonka law needs the generic table sweep.
+    The laws the column search guarantees are checked in bulk; only the
+    other laws and predicates are checked table by table."""
     n = query.n
     laws = set(query.magma_laws)
     transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
@@ -289,31 +318,48 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
         if MagmaLaw.LEFT_INVOLUTORY in laws:
             laws.discard(MagmaLaw.LEFT_INVOLUTORY)
             laws.add(MagmaLaw.RIGHT_INVOLUTORY)
+    guaranteed: set[MagmaLaw] = set()
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
             raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
         orders = None
         if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
             orders = 2
-        elif MagmaLaw.K_CYCLIC in laws and query.k is not None:
+        elif MagmaLaw.K_CYCLIC in laws:
             orders = query.k
         band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
         pool = _function_pool(n, orders, "right_simple" in query.predicates)
-        stream = _iter_plonka_tables(n, pool, band)
+        searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
+            + [MagmaLaw.K_CYCLIC] * (orders is not None)
+        stream = _checked(_iter_plonka_tables(n, pool, band), n, searched, orders)
+        # the query's laws that the searched ones imply when present; on the
+        # transpose the searched columns are the query's rows
+        if transpose:
+            guaranteed = {MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND, MagmaLaw.LEFT_INVOLUTORY}
+        else:
+            guaranteed = {MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.RIGHT_INVOLUTORY,
+                          MagmaLaw.TWO_CYCLIC}
+            if orders == query.k:   # the pool was cut by k itself
+                guaranteed.add(MagmaLaw.K_CYCLIC)
     else:
         if n > 3:
             raise GuardExceeded("generic table sweep limited to n <= 3; "
                                 "add right_plonka for the pruned search")
         stream = (flat for flat in itertools.product(range(n), repeat=n * n))
 
+    residual = [law for law in query.magma_laws if law not in guaranteed]
+    simple = "right_simple" in query.predicates
+    if not (residual or simple):
+        yield from ((_transpose_flat(flat, n) for flat in stream) if transpose else stream)
+        return
     for flat in stream:
         table = CayleyTable.from_flat(n, flat)
         source = table.opposite() if transpose else table
         ok = all(check_magma_law(source, law, query.k if law is MagmaLaw.K_CYCLIC else None)
-                 for law in query.magma_laws)
+                 for law in residual)
         if not ok:
             continue
-        if "right_simple" in query.predicates and not _right_simple(source):
+        if simple and not _right_simple(source):
             continue
         yield source.flat()
 
@@ -329,8 +375,9 @@ def _right_simple(m: CayleyTable) -> bool:
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
                          workers: int = 1) -> CensusResult:
     """Run a census query: count isomorphism classes (and list canonical
-    representatives when asked).  The search, the per-table recheck and the
-    orbit dedupe all run in the calling process; no process is started.
+    representatives when asked).  The search, the bulk check of the laws it
+    guarantees, the per-table check of the other laws and the orbit dedupe
+    all run in the calling process; no process is started.
     ``workers`` is kept for compatibility: a value below 1 raises
     ``ValueError``, and any other value changes nothing."""
     if workers < 1:

@@ -117,6 +117,114 @@ def test_column_backtracker_is_sound_at_n4(band, count):
     assert len(keys) == count
 
 
+def _product_filter_pool(n, orders, permutations_only):
+    # the column pool as every self-map (or permutation) in product order,
+    # kept when its orders-th power, taken step by step, is the identity
+    maps = itertools.permutations(range(n)) if permutations_only \
+        else itertools.product(range(n), repeat=n)
+
+    def power_is_identity(col, k):
+        result = list(range(n))
+        for _ in range(k):
+            result = [col[v] for v in result]
+        return result == list(range(n))
+    return [tuple(c) for c in maps if orders is None or power_is_identity(c, orders)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_function_pool_matches_product_filter(n):
+    for orders in (None, 1, 2, 3, 4):
+        for permutations_only in (False, True):
+            assert _function_pool(n, orders, permutations_only) == \
+                _product_filter_pool(n, orders, permutations_only), (orders, permutations_only)
+
+
+def _recheck_route(query):
+    """The raw stream by the per-table route: the column search on the
+    product-filter pool, every table rebuilt as a CayleyTable and every law
+    of the query checked on it, then the right_simple predicate."""
+    n = query.n
+    laws = set(query.magma_laws)
+    transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
+    if transpose:
+        laws = {MagmaLaw.RIGHT_PLONKA if law is MagmaLaw.LEFT_PLONKA else law for law in laws}
+        if MagmaLaw.LEFT_INVOLUTORY in laws:
+            laws.discard(MagmaLaw.LEFT_INVOLUTORY)
+            laws.add(MagmaLaw.RIGHT_INVOLUTORY)
+    orders = None
+    if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
+        orders = 2
+    elif MagmaLaw.K_CYCLIC in laws:
+        orders = query.k
+    band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
+    simple = "right_simple" in query.predicates
+    pool = _product_filter_pool(n, orders, simple)
+    for flat in _iter_plonka_tables(n, pool, band):
+        table = CayleyTable.from_flat(n, flat)
+        source = table.opposite() if transpose else table
+        if all(check_magma_law(source, law, query.k if law is MagmaLaw.K_CYCLIC else None)
+               for law in query.magma_laws) and (not simple or census._right_simple(source)):
+            yield source.flat()
+
+
+_STREAM_CASES = [
+    ((MagmaLaw.RIGHT_PLONKA,), None, ()),
+    ((MagmaLaw.LEFT_PLONKA,), None, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.LEFT_INVOLUTORY), None, ()),
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC), 3, ()),
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC), 4, ()),
+    ((MagmaLaw.TWO_CYCLIC,), None, ()),
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND), None, ()),
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.ASSOCIATIVE), None, ()),
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.BAND), None, ()),
+    ((MagmaLaw.RIGHT_PLONKA,), None, ("right_simple",)),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND, MagmaLaw.COMMUTATIVE), None, ()),
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.LEFT_PLONKA), None, ()),
+    # the pool is cut by one order and the other is checked per table
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.K_CYCLIC), 3, ()),
+    # on the transpose the pool cuts the rows, so k-cyclic is checked per table
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.K_CYCLIC), 1, ()),
+]
+
+
+@pytest.mark.parametrize("laws, k, predicates", _STREAM_CASES)
+def test_raw_stream_matches_per_table_recheck(laws, k, predicates):
+    for n in (0, 1, 2, 3, 4):
+        query = CensusQuery(n, laws, k=k, predicates=predicates)
+        assert list(_magma_raw_stream(query, DEFAULT_LIMITS)) == list(_recheck_route(query)), n
+
+
+def test_involutory_raw_stream_matches_per_table_recheck_n5():
+    query = CensusQuery(5, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))
+    stream = list(_magma_raw_stream(query, DEFAULT_LIMITS))
+    assert stream == list(_recheck_route(query))
+    assert len(stream) > 0
+
+
+@pytest.mark.parametrize("laws, table", [
+    # the columns commute, but column 0.0 = 1 is not column 0
+    ((MagmaLaw.RIGHT_PLONKA,), (1, 0, 0, 1)),
+    # right Plonka (every column is the 3-cycle) but no column is an involution
+    ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY), (1, 1, 1, 2, 2, 2, 0, 0, 0)),
+])
+def test_column_search_table_failing_its_laws_is_typed(monkeypatch, laws, table):
+    n = 2 if len(table) == 4 else 3
+    assert not all(check_magma_law(CayleyTable.from_flat(n, table), law).holds for law in laws)
+    monkeypatch.setattr(census, "_iter_plonka_tables", lambda n, pool, band: iter([table]))
+    with pytest.raises(CrossCheckFailed, match="column search produced"):
+        enumerate_structures(CensusQuery(n, laws))
+
+
+def test_k_is_validated_up_front():
+    for k in (None, 0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="k_cyclic needs"):
+            CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC), k=k)
+    with pytest.raises(ValueError, match="k only applies"):
+        CensusQuery(3, (MagmaLaw.RIGHT_PLONKA,), k=2)
+    with pytest.raises(ValueError, match="k only applies"):
+        CensusQuery(3, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,), k=2)
+
+
 def test_isomorph_rejection_matches_pairwise_oracle():
     # canonical-form class counting vs the brute-force pairwise oracle
     for n in (1, 2, 3):

@@ -286,6 +286,33 @@ def test_census_cross_check_failure_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_census_k_without_k_cyclic_is_usage_error(capsys):
+    code, out, err = run(capsys, "census", "--n", "3", "--laws", "right-plonka", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: k only applies to the k_cyclic law")
+
+
+def test_census_k_below_one_is_usage_error(capsys):
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, "census", "--n", "3", "--laws", "right-plonka,k-cyclic",
+                             "--k", k)
+        assert code == 2 and out == ""
+        assert err.startswith("error: k_cyclic needs an integer k >= 1")
+
+
+@pytest.mark.parametrize("laws, table", [
+    ("right-plonka", (1, 0, 0, 1)),                                      # not right Plonka
+    ("right-plonka,right-involutory", (1, 1, 1, 2, 2, 2, 0, 0, 0)),     # 3-cycle columns
+])
+def test_census_column_search_failure_exit_code(capsys, monkeypatch, laws, table):
+    monkeypatch.setattr(census, "_iter_plonka_tables", lambda n, pool, band: iter([table]))
+    n = "2" if len(table) == 4 else "3"
+    code, out, err = run(capsys, "census", "--n", n, "--laws", laws)
+    assert code == 4 and out == ""
+    assert err.startswith("error: column search produced table")
+    assert "Traceback" not in err
+
+
 def test_simple_bls_cross_check_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(census, "is_incompressible", lambda family: True)
     code, out, err = run(capsys, "census", "--simple-bls", "4")

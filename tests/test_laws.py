@@ -1,15 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, FiniteFunction, MagmaLaw,
                    RMap, RMapLaw, canonical_correspondence, check_bimagma_law,
                    check_magma_law, check_rmap_law, cyclic_group_table,
-                   flip_map, identity_rmap, left_zero_table, lyubashenko_rmap,
-                   magma_from_function, trivial_bimagma)
+                   flip_map, free_k_cyclic, identity_rmap, left_zero_table,
+                   lyubashenko_rmap, magma_from_function, trivial_bimagma)
 from ybmag.build import EssSolution, build_solution
+from ybmag.laws import check_magma_laws_batch
 
 from conftest import cayley_tables, rmaps
 
@@ -253,6 +255,71 @@ def test_numpy_path_matches_loop_path():
 
 # ---------------------------------------------------------------------------
 # bi-magma laws
+
+
+def _batch_corpus(n, rng):
+    """Seeded tables on n points: random ones, ones that satisfy the right
+    reduction law (columns constant on the blocks of a partition, each
+    mapping every block into itself), ones whose columns commute (powers of
+    one map), and ones whose columns are permutations of order 2 or 3."""
+    def table(columns):
+        return CayleyTable.from_columns(n, columns)
+    perms = list(itertools.permutations(range(n)))
+    order_dividing = {k: [p for p in perms if _power(p, k) == tuple(range(n))] for k in (2, 3)}
+    out = [CayleyTable.from_flat(n, [rng.randrange(n) for _ in range(n * n)])
+           for _ in range(300)]
+    for _ in range(150):
+        block = [rng.randrange(n) for _ in range(n)]
+        maps = [tuple(rng.choice([y for y in range(n) if block[y] == block[x]])
+                      for x in range(n)) for _ in range(n)]
+        out.append(table([maps[block[y]] for y in range(n)]))
+        f = tuple(rng.randrange(n) for _ in range(n))
+        out.append(table([_power(f, rng.randrange(4)) for _ in range(n)]))
+    for _ in range(100):
+        pool = order_dividing[rng.choice((2, 3))]
+        out.append(table([rng.choice(pool) for _ in range(n)]))
+    out += [left_zero_table(n), cyclic_group_table(n),
+            magma_from_function(FiniteFunction(n, tuple(rng.randrange(n) for _ in range(n))))]
+    return out
+
+
+def _power(f, k):
+    result = tuple(range(len(f)))
+    for _ in range(k):
+        result = tuple(f[v] for v in result)
+    return result
+
+
+def test_batch_check_matches_per_table_check():
+    rng = random.Random(20231)
+    corpora = {n: _batch_corpus(n, rng) for n in (1, 2, 3, 4)}
+    for generators, k in ((2, 2), (2, 3), (1, 3)):
+        built = free_k_cyclic(generators, k, generators > 1).table
+        corpora.setdefault(built.n, []).append(built)
+    cases = ((MagmaLaw.RIGHT_PLONKA, None), (MagmaLaw.BAND, None),
+             (MagmaLaw.K_CYCLIC, 2), (MagmaLaw.K_CYCLIC, 3))
+    seen = {case: set() for case in cases}
+    for n, tables in corpora.items():
+        stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(-1, n, n)
+        for law, k in cases:
+            expected = [check_magma_law(t, law, k).holds for t in tables]
+            assert check_magma_laws_batch(stack, (law,), k).tolist() == expected, (n, law, k)
+            seen[law, k].update(expected)
+        both = [check_magma_law(t, MagmaLaw.RIGHT_PLONKA).holds
+                and check_magma_law(t, MagmaLaw.K_CYCLIC, 2).holds for t in tables]
+        assert check_magma_laws_batch(
+            stack, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC), 2).tolist() == both
+    # every verdict is met on both sides
+    assert all(verdicts == {True, False} for verdicts in seen.values())
+
+
+def test_batch_check_rejects_what_it_does_not_cover():
+    stack = np.zeros((1, 2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        check_magma_laws_batch(stack, (MagmaLaw.ASSOCIATIVE,))
+    for k in (None, 0):
+        with pytest.raises(ValueError):
+            check_magma_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k)
 
 
 def test_trivial_bimagma_is_unitary_plonka():
