@@ -4,11 +4,13 @@
 Prints one TSV row per census (n, constraint, class_count, raw_count,
 elapsed_ms) followed by the simple-solution and conjugacy-class tables.
 The quick set runs the right involutory census for n = 1-6 (164 classes at
-n = 6, checked against the literature value); --full adds n = 7.
+n = 6, checked against the literature value) and the conjugacy classes of
+self-maps for n = 1-6; --full adds the involutory census at n = 7 and the
+conjugacy classes at n = 7 and 8 (343 / 125 and 951 / 329).
 
 Usage:
   python scripts/reproduce_counts.py            # the quick set, a few seconds
-  python scripts/reproduce_counts.py --full     # adds the n = 7 involutory run
+  python scripts/reproduce_counts.py --full     # adds the n = 7 and 8 runs
 """
 
 import argparse
@@ -23,7 +25,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--full", action="store_true",
                         help="include the slower n = 7 right involutory census "
-                             "(849 classes, about 20 s)")
+                             "(849 classes, about 20 s) and the conjugacy classes "
+                             "of self-maps at n = 7 and 8 (about 12 s)")
     args = parser.parse_args()
 
     print("# right Plonka magmas")
@@ -51,7 +54,7 @@ def main() -> int:
         print(f"{t}\tsimple[{route}]\t{res.count}")
 
     print("# conjugacy classes of self-maps (all / connected)")
-    for n in range(1, 7):
+    for n in range(1, 9 if args.full else 7):
         print(f"{n}\t{function_conjugacy_census(n)}\t"
               f"{function_conjugacy_census(n, connected_only=True)}")
     return 0

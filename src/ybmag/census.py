@@ -21,10 +21,11 @@ the column search over worker processes has to rebuild the pool and the
 commute masks in each worker and pickle every raw table back for the one
 dedupe, and measured slower than one process.
 
-The second routes of the cross-checks, the sweep of commuting permutation
-pairs and the orbit partition of all self-maps, run on numpy arrays of
-permutation rows: one array operation gives a whole conjugation orbit, and a
-boolean mask keyed by each row's base-n code marks what has been seen.
+The sweeps of commuting permutation pairs and of self-map conjugation
+orbits run on numpy arrays of permutation rows: one array operation gives a
+whole conjugation orbit, and a boolean mask keyed by each row's base-n code
+marks what has been seen.  The orbit count is checked against a Polya count
+of mapping patterns, cycles of rooted trees and their Euler transform.
 """
 
 from __future__ import annotations
@@ -202,6 +203,11 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
 # queries
 
 
+def _require_carrier(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"carrier size n must be an integer >= 0, got n = {n!r}")
+
+
 @dataclass(frozen=True)
 class CensusQuery:
     """A conjunction of law tags plus optional structural predicates.
@@ -220,6 +226,7 @@ class CensusQuery:
     mode: str = "count"
 
     def __post_init__(self) -> None:
+        _require_carrier(self.n)
         if not (self.magma_laws or self.bimagma_laws or self.rmap_laws or self.predicates):
             raise ValueError("constraint must be non-empty")
         if self.mode not in ("count", "representatives"):
@@ -264,12 +271,16 @@ class CensusResult:
     representatives: tuple = ()
 
 
-def _euler_partition_numbers(limit: int) -> list[int]:
-    p = [1] + [0] * limit
-    for part in range(1, limit + 1):
-        for total in range(part, limit + 1):
-            p[total] += p[total - part]
-    return p
+def _euler_transform(a: Sequence[int], limit: int) -> list[int]:
+    """Coefficients 0..limit of prod_{k >= 1} (1 - x^k)^(-a[k]): the
+    multisets of total weight n drawn from a[k] kinds of weight k (a[0] is
+    not read).  Divisor-sum recurrence: n b_n = sum_{k=1..n} c_k b_{n-k}
+    with c_k = sum_{d | k} d a_d."""
+    c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(limit + 1)]
+    b = [1] + [0] * limit
+    for m in range(1, limit + 1):
+        b[m] = sum(c[k] * b[m - k] for k in range(1, m + 1)) // m
+    return b
 
 
 def _known_counts() -> dict[tuple[str, int], int]:
@@ -278,7 +289,7 @@ def _known_counts() -> dict[tuple[str, int], int]:
         known[("right_plonka", n)] = v
     for n, v in enumerate([1, 2, 4, 12, 37, 164, 849, 6081, 56164, 698921], start=1):
         known[("right_plonka+right_involutory", n)] = v
-    parts = _euler_partition_numbers(12)
+    parts = _euler_transform([1] * 13, 12)   # partition numbers
     for n in range(1, 13):
         known[("right_plonka+associative", n)] = parts[n]
     return known
@@ -345,7 +356,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
         if n > 3:
             raise GuardExceeded("generic table sweep limited to n <= 3; "
                                 "add right_plonka for the pruned search")
-        stream = (flat for flat in itertools.product(range(n), repeat=n * n))
+        stream = itertools.product(range(n), repeat=n * n)
 
     residual = [law for law in query.magma_laws if law not in guaranteed]
     simple = "right_simple" in query.predicates
@@ -414,7 +425,7 @@ def _bimagma_census(query: CensusQuery, limits: Limits):
     if not wants_plonka:
         if n > 2:
             raise GuardExceeded("generic bi-magma sweep limited to n <= 2")
-        dots = [flat for flat in itertools.product(range(n), repeat=n * n)]
+        dots = list(itertools.product(range(n), repeat=n * n))
         stars = dots
     else:
         if n > limits.census_carrier:
@@ -423,11 +434,13 @@ def _bimagma_census(query: CensusQuery, limits: Limits):
         dots = list(_magma_raw_stream(base, limits))
         stars = [_transpose_flat(d, n) for d in dots]
 
+    dot_tables = [CayleyTable.from_flat(n, d) for d in dots]
+    star_tables = [CayleyTable.from_flat(n, s) for s in stars]
+
     def accepted():
-        for d in dots:
-            dt = CayleyTable.from_flat(n, d)
-            for s in stars:
-                b = BiMagma(dt, CayleyTable.from_flat(n, s))
+        for d, dt in zip(dots, dot_tables):
+            for s, st in zip(stars, star_tables):
+                b = BiMagma(dt, st)
                 if all(check_bimagma_law(b, law) for law in query.bimagma_laws) and \
                    all(check_rmap_law(canonical_correspondence(b), law)
                        for law in query.rmap_laws):
@@ -553,50 +566,31 @@ def census_simple_bls(t: int, limits: Limits = DEFAULT_LIMITS) -> SimpleSolution
 
 
 # ---------------------------------------------------------------------------
-# conjugacy classes of self-maps: orbits over numpy arrays vs graph codes
+# conjugacy classes of self-maps: orbits over numpy arrays vs a Polya count
 
 
-def _functional_graph_code(f: tuple[int, ...], n: int):
-    """Canonical conjugacy invariant of a self-map: for every cycle, the
-    minimal rotation of the tuple of hanging-tree codes; the multiset of
-    those cycle codes is the class key."""
-    children: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        children[f[x]].append(x)
-    on_cycle = [False] * n
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        x = start
-        while state[x] == 0:
-            state[x] = 1
-            path.append(x)
-            x = f[x]
-        if state[x] == 1:
-            idx = path.index(x)
-            for node in path[idx:]:
-                on_cycle[node] = True
-        for node in path:
-            state[node] = 2
-
-    def tree_code(x: int):
-        return tuple(sorted(tree_code(c) for c in children[x] if not on_cycle[c]))
-
-    cycle_codes = []
-    seen = [False] * n
-    for x in range(n):
-        if on_cycle[x] and not seen[x]:
-            cycle = []
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                cycle.append(tree_code(y))
-                y = f[y]
-            rotations = [tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))]
-            cycle_codes.append(min(rotations))
-    return tuple(sorted(cycle_codes))
+def _connected_mapping_patterns(limit: int) -> list[int]:
+    """Conjugacy classes of connected self-maps on n points, n = 0..limit.
+    A connected map is a cycle of rooted trees, so the series is the sum
+    over cycle lengths k of the cycle index of the cyclic group C_k at the
+    rooted-tree series R: (1/k) sum_{d | k} phi(d) R(x^d)^(k/d).  Each
+    k-term counts cycles of k trees, so the division by k is exact."""
+    trees = [0, 1]     # rooted trees: r_{m+1} = Euler(r)_m
+    while len(trees) <= limit:
+        trees.append(_euler_transform(trees, len(trees) - 1)[-1])
+    connected = np.zeros(limit + 1, dtype=object)   # Python ints, no overflow
+    for k in range(1, limit + 1):
+        term = np.zeros(limit + 1, dtype=object)
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            phi = sum(math.gcd(i, d) == 1 for i in range(1, d + 1))
+            spread = np.zeros(limit + 1, dtype=object)   # R(x^d)
+            spread[::d] = trees[:limit // d + 1]
+            power = np.ones(1, dtype=object)
+            for _ in range(k // d):
+                power = np.convolve(power, spread)[:limit + 1]
+            term += phi * power
+        connected += term // k
+    return connected.tolist()
 
 
 def _is_connected_map(f: tuple[int, ...], n: int) -> bool:
@@ -608,9 +602,13 @@ def _is_connected_map(f: tuple[int, ...], n: int) -> bool:
 
 def function_conjugacy_census(n: int, connected_only: bool = False,
                               limits: Limits = DEFAULT_LIMITS) -> int:
-    """Conjugacy classes of self-maps on n points, by two independent
-    methods whose agreement is asserted: explicit orbit partitioning under
-    relabelling, and canonical functional-graph codes."""
+    """Conjugacy classes of self-maps on n points (n = 0 counts the empty
+    map, connected or not), by two independent methods whose agreement is
+    asserted: an orbit sweep of all n^n maps under relabelling, and a Polya
+    count, connected mapping patterns from rooted trees
+    (``_connected_mapping_patterns``) and all patterns as their Euler
+    transform (Read 1961; Harary-Palmer, Graphical Enumeration, 1973)."""
+    _require_carrier(n)
     if n > limits.conjugacy_census:
         raise GuardExceeded(f"conjugacy census limited to n <= {limits.conjugacy_census}")
     if n == 0:
@@ -627,12 +625,10 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
         # the images p f p^-1 under every relabelling p
         unseen[_codes(np.take_along_axis(perms, f[inverses], 1), n)] = False
 
-    codes = set()
-    for f in itertools.product(range(n), repeat=n):
-        if connected_only and not _is_connected_map(f, n):
-            continue
-        codes.add(_functional_graph_code(f, n))
-    if orbit_count != len(codes):
+    connected = _connected_mapping_patterns(n)
+    expected = connected[n] if connected_only else _euler_transform(connected, n)[n]
+    if orbit_count != expected:
         raise CrossCheckFailed(
-            f"conjugacy census methods disagree at n={n}: {orbit_count} vs {len(codes)}")
+            f"conjugacy census methods disagree at n={n}: "
+            f"{orbit_count} orbits vs {expected} by the Polya count")
     return orbit_count

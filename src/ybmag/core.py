@@ -33,7 +33,9 @@ class Limits:
     # exhaustive route of the simple-solution census; measured on a 2-vCPU
     # VM: t = 9 takes 3.9 s and 65 MB max RSS, t = 10 takes 76 s and 420 MB
     simple_bls_brute: int = 9
-    conjugacy_census: int = 8    # self-map conjugacy class counting
+    # orbit sweep of the self-map conjugacy census, all n**n maps; measured
+    # on a 2-vCPU VM: n = 8 takes 4.5-6.6 s per call and 48 MB max RSS
+    conjugacy_census: int = 8
     census_carrier: int = 7      # table backtracking searches
     family_enum: int = 10**6     # generator-tuple enumeration, t**k
 

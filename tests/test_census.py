@@ -225,6 +225,14 @@ def test_k_is_validated_up_front():
         CensusQuery(3, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,), k=2)
 
 
+def test_carrier_is_validated_up_front():
+    for n in (-1, -7, 2.0, True):
+        with pytest.raises(ValueError, match=rf"carrier size n must be an integer >= 0, got n = {n!r}"):
+            CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,))
+        with pytest.raises(ValueError, match=rf"got n = {n!r}"):
+            function_conjugacy_census(n)
+
+
 def test_isomorph_rejection_matches_pairwise_oracle():
     # canonical-form class counting vs the brute-force pairwise oracle
     for n in (1, 2, 3):
@@ -472,11 +480,38 @@ def _orbit_partition_oracle(n, connected_only):
     return count
 
 
+# OEIS A001372 (all mapping patterns, n = 0..12) and A002861 (connected
+# ones, n = 1..12)
+MAPPING_PATTERNS = [1, 1, 3, 7, 19, 47, 130, 343, 951, 2615, 7318, 20491, 57903]
+CONNECTED_PATTERNS = [1, 2, 4, 9, 20, 51, 125, 329, 862, 2311, 6217, 16949]
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_conjugacy_orbit_route_matches_python_partition(n):
     for connected_only in (False, True):
         assert function_conjugacy_census(n, connected_only) == \
             _orbit_partition_oracle(n, connected_only)
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_conjugacy_orbit_route_matches_oeis(n):
+    # the orbit sweep beyond the pure-Python oracle's reach; the Polya
+    # count is asserted inside the call
+    assert function_conjugacy_census(n) == MAPPING_PATTERNS[n]
+    assert function_conjugacy_census(n, connected_only=True) == CONNECTED_PATTERNS[n - 1]
+
+
+def test_polya_count_matches_oeis():
+    connected = census._connected_mapping_patterns(12)
+    assert connected[1:] == CONNECTED_PATTERNS
+    assert census._euler_transform(connected, 12) == MAPPING_PATTERNS
+
+
+def test_euler_transform_of_ones_is_partition_numbers():
+    partitions = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert census._euler_transform([1] * 13, 12) == partitions
+    known = [census.KNOWN_COUNTS[("right_plonka+associative", n)] for n in range(1, 13)]
+    assert known == partitions[1:]
 
 
 def test_conjugacy_census_values():
@@ -491,10 +526,12 @@ def test_conjugacy_census_values():
 
 
 def test_conjugacy_census_failure_is_typed(monkeypatch):
-    # a code route that merges every class must disagree with the orbits
-    monkeypatch.setattr(census, "_functional_graph_code", lambda f, n: ())
+    # a Polya count that finds no connected pattern must disagree with the orbits
+    monkeypatch.setattr(census, "_connected_mapping_patterns", lambda limit: [0] * (limit + 1))
     with pytest.raises(CrossCheckFailed, match="conjugacy census methods disagree at n=4"):
         function_conjugacy_census(4)
+    with pytest.raises(CrossCheckFailed, match="conjugacy census methods disagree at n=4"):
+        function_conjugacy_census(4, connected_only=True)
 
 
 def test_conjugacy_census_guard():

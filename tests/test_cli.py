@@ -335,6 +335,14 @@ def test_census_function_classes_command(capsys):
     assert out.split("\t")[2] == "9"
 
 
+@pytest.mark.parametrize("argv", [("--function-classes", "-1"),
+                                  ("--n", "-1", "--laws", "right-plonka")])
+def test_census_negative_carrier_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "census", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: carrier size n must be an integer >= 0, got n = -1\n"
+
+
 def test_bijectivize_command(capsys):
     code, out, _ = run(capsys, "bijectivize", str(GOLDEN / "collapse_3.txt"))
     assert code == 0
