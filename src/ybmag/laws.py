@@ -4,18 +4,29 @@ Each law is a dedicated loop over pairs or triples; no generic term
 rewriting.  A failing check returns the lexicographically first violating
 input together with both evaluated sides, so a failure message is
 self-contained and reproducible.
+
+On carriers of ``_NUMPY_CUTOFF`` = 24 points or more, the right and left
+Plonka laws and the R-map triple laws (Yang-Baxter, braid, Long,
+commutative, cocommutative and BLS) find the first failing triple with numpy
+and re-run the loop there, so both paths give the same witness.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import BiMagma, CayleyTable, RMap, Verdict, Witness, VERDICT_OK
+from .core import (BiMagma, CayleyTable, CrossCheckFailed, RMap, Verdict, Witness,
+                   VERDICT_OK)
 
-_NUMPY_CUTOFF = 24  # triple loops switch to vectorised evaluation above this
+# From this carrier size the Plonka and R-map triple laws run vectorised; below
+# it the loop is faster, since a failing input usually exits at its first
+# triple.
+_NUMPY_CUTOFF = 24
+_SLAB_TRIPLES = 1 << 13  # triples per vectorised slab, which bounds its memory
 
 
 class RMapLaw(enum.Enum):
@@ -61,37 +72,47 @@ def _verdict(witness: Optional[Witness]) -> Verdict:
     return VERDICT_OK if witness is None else Verdict(False, witness)
 
 
+def _vectorised_witness(n: int, slab_mask, loop_at) -> Optional[Witness]:
+    """The loop path's witness, found vectorised.  ``slab_mask(lo, hi)`` is
+    the failure mask, indexed [x - lo, y, z], of the triples with lo <= x <
+    hi.  Slabs of about ``_SLAB_TRIPLES`` triples are walked in
+    lexicographic order up to the first with a failure; ``loop_at(triple)``
+    then re-runs the loop at the first failing triple, so the witness, its
+    kind and its plain-int values are the loop's."""
+    step = max(1, _SLAB_TRIPLES // (n * n))
+    for lo in range(0, n, step):
+        bad = slab_mask(lo, min(n, lo + step)).reshape(-1)
+        if bad.any():
+            i = int(bad.argmax())
+            triple = (lo + i // (n * n), i // n % n, i % n)
+            w = loop_at(triple)
+            if w is None or w.inputs != triple:
+                raise CrossCheckFailed(f"vectorised and loop checks disagree at {triple}")
+            return w
+    return None
+
+
 # ---------------------------------------------------------------------------
 # magma laws
 
 
-def _right_plonka_numpy(t: np.ndarray) -> Optional[Witness]:
-    n = t.shape[0]
-    step = max(1, (1 << 23) // (n * n))
-    for lo in range(0, n, step):
-        chunk = t[lo:lo + step]
-        lhs = t[chunk, :]                      # (x.y).z over the chunk
-        bad = lhs != lhs.transpose(0, 2, 1)    # compare with (x.z).y
-        if bad.any():
-            x, y, z = np.argwhere(bad)[0]
-            xx = int(x) + lo
-            return Witness("right_commutation", (xx, int(y), int(z)),
-                           int(t[t[xx, y], z]), int(t[t[xx, z], y]))
-        red = chunk[:, t]                      # x.(y.z)
-        bad = red != chunk[:, :, None]
-        if bad.any():
-            x, y, z = np.argwhere(bad)[0]
-            xx = int(x) + lo
-            return Witness("right_reduction", (xx, int(y), int(z)),
-                           int(t[xx][t[y, z]]), int(t[xx][y]))
-    return None
-
-
 def _right_plonka(t) -> Optional[Witness]:
     n = len(t)
-    if n >= _NUMPY_CUTOFF:
-        return _right_plonka_numpy(np.asarray(t, dtype=np.int32))
-    for x in range(n):
+    if n < _NUMPY_CUTOFF:
+        return _right_plonka_rows(t, range(n))
+    a = np.asarray(t, dtype=np.int32)
+
+    def mask(lo, hi):                             # (x.y).z = (x.z).y, x.(y.z) = x.y
+        xs = a[lo:hi]
+        assoc = a[xs]
+        return (assoc != assoc.transpose(0, 2, 1)) | (xs[:, a] != xs[:, :, None])
+    # the loop over the first failing row stops at the first failing triple
+    return _vectorised_witness(n, mask, lambda triple: _right_plonka_rows(t, triple[:1]))
+
+
+def _right_plonka_rows(t, rows) -> Optional[Witness]:
+    n = len(t)
+    for x in rows:
         tx = t[x]
         for y in range(n):
             xy = tx[y]
@@ -105,17 +126,19 @@ def _right_plonka(t) -> Optional[Witness]:
 
 def _left_plonka(t) -> Optional[Witness]:
     n = len(t)
-    if n >= _NUMPY_CUTOFF:
-        a = np.asarray(t, dtype=np.int32)
-        w = _right_plonka_numpy(a.T.copy())
-        if w is None:
-            return None
-        # a violation of the opposite table at (x, y, z) is one of the
-        # original left law at (z, y, x)
-        x, y, z = w.inputs
-        kind = "left_commutation" if w.kind == "right_commutation" else "left_reduction"
-        return Witness(kind, (z, y, x), w.lhs, w.rhs)
-    for x in range(n):
+    if n < _NUMPY_CUTOFF:
+        return _left_plonka_rows(t, range(n))
+    a = np.asarray(t, dtype=np.int32)
+
+    def mask(lo, hi):                             # x.(y.z) = y.(x.z), (x.y).z = y.z
+        xs = a[lo:hi]
+        return (xs[:, a] != a[:, xs].transpose(1, 0, 2)) | (a[xs] != a)
+    return _vectorised_witness(n, mask, lambda triple: _left_plonka_rows(t, triple[:1]))
+
+
+def _left_plonka_rows(t, rows) -> Optional[Witness]:
+    n = len(t)
+    for x in rows:
         tx = t[x]
         for y in range(n):
             ty = t[y]
@@ -303,53 +326,76 @@ def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> V
 # ---------------------------------------------------------------------------
 # R-map laws
 #
-# The triple lifts act on (a, b, c) by applying R to the named pair of slots;
-# products of lifts compose right to left.
+# A lift applies R to two slots of a triple (a, b, c) and is named by that
+# slot pair; a chain applies its lifts in the order listed.
 
-
-def _lift12(out, n, a, b, c):
-    u, v = out[a * n + b]
-    return (u, v, c)
-
-
-def _lift23(out, n, a, b, c):
-    u, v = out[b * n + c]
-    return (a, u, v)
-
-
-def _lift13(out, n, a, b, c):
-    u, v = out[a * n + c]
-    return (u, b, v)
-
+_R12, _R23, _R13 = (0, 1), (1, 2), (0, 2)
 
 _TRIPLE_LAWS = {
-    RMapLaw.YANG_BAXTER: ((_lift23, _lift13, _lift12), (_lift12, _lift13, _lift23)),
-    RMapLaw.BRAID: ((_lift12, _lift23, _lift12), (_lift23, _lift12, _lift23)),
-    RMapLaw.LONG: ((_lift23, _lift12), (_lift12, _lift23)),
-    RMapLaw.COMMUTATIVE: ((_lift13, _lift12), (_lift12, _lift13)),
-    RMapLaw.COCOMMUTATIVE: ((_lift23, _lift13), (_lift13, _lift23)),
+    RMapLaw.YANG_BAXTER: ((_R23, _R13, _R12), (_R12, _R13, _R23)),
+    RMapLaw.BRAID: ((_R12, _R23, _R12), (_R23, _R12, _R23)),
+    RMapLaw.LONG: ((_R23, _R12), (_R12, _R23)),
+    RMapLaw.COMMUTATIVE: ((_R13, _R12), (_R12, _R13)),
+    RMapLaw.COCOMMUTATIVE: ((_R23, _R13), (_R13, _R23)),
 }
 
 
 def _run_chain(chain, out, n, triple):
-    for step in chain:
-        triple = step(out, n, *triple)
-    return triple
+    t = list(triple)
+    for p, q in chain:
+        t[p], t[q] = out[t[p] * n + t[q]]
+    return tuple(t)
+
+
+def _piece_witness(pieces, out, n, triple) -> Optional[Witness]:
+    """The first of the ``(kind, lhs_chain, rhs_chain)`` pieces that fails
+    at ``triple``, as a witness."""
+    for kind, lhs_chain, rhs_chain in pieces:
+        lhs = _run_chain(lhs_chain, out, n, triple)
+        rhs = _run_chain(rhs_chain, out, n, triple)
+        if lhs != rhs:
+            return Witness(kind, triple, lhs, rhs)
+    return None
 
 
 def _triple_law(r: RMap, pieces) -> Optional[Witness]:
-    """Check the ``(kind, lhs_chain, rhs_chain)`` pieces in order at each
-    triple; the first failing piece gives the witness."""
+    """Check the pieces in order at each triple; the first failing piece at
+    the first failing triple gives the witness."""
     n, out = r.n, r.out
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for kind, lhs_chain, rhs_chain in pieces:
-                    lhs = _run_chain(lhs_chain, out, n, (x, y, z))
-                    rhs = _run_chain(rhs_chain, out, n, (x, y, z))
-                    if lhs != rhs:
-                        return Witness(kind, (x, y, z), lhs, rhs)
+    if n >= _NUMPY_CUTOFF:
+        return _vectorised_witness(n, _pieces_slab_mask(r, pieces),
+                                   lambda triple: _piece_witness(pieces, out, n, triple))
+    for triple in itertools.product(range(n), repeat=3):
+        w = _piece_witness(pieces, out, n, triple)
+        if w is not None:
+            return w
     return None
+
+
+def _pieces_slab_mask(r: RMap, pieces):
+    """The failure mask of all pieces at once, by slab (see
+    ``_vectorised_witness``); a chain step is two gathers on the
+    coordinate arrays, which broadcast over (x, y, z)."""
+    n = r.n
+    u, v = np.array(r.out, dtype=np.int32).T.copy()
+    ys = np.arange(n, dtype=np.int32)[None, :, None]
+    zs = np.arange(n, dtype=np.int32)[None, None, :]
+
+    def run(chain, t):
+        t = list(t)
+        for p, q in chain:
+            k = t[p] * n + t[q]
+            t[p], t[q] = u[k], v[k]
+        return t
+
+    def mask(lo, hi):
+        triple = (np.arange(lo, hi, dtype=np.int32)[:, None, None], ys, zs)
+        bad = np.zeros((hi - lo, n, n), dtype=bool)
+        for _, lhs_chain, rhs_chain in pieces:
+            for lhs, rhs in zip(run(lhs_chain, triple), run(rhs_chain, triple)):
+                bad |= lhs != rhs
+        return bad
+    return mask
 
 
 # the BLS law is the commutative, cocommutative and long laws together

@@ -6,9 +6,9 @@ from hypothesis import given
 
 from ybmag import (CayleyTable, FiniteFunction, FunctionFamily,
                    bi_plonka_partition, canonical_correspondence, flip_map,
-                   lyubashenko_rmap, parse_structure, serialize, serialize_json,
+                   identity_rmap, lyubashenko_rmap, parse_structure, serialize, serialize_json,
                    trivial_bimagma)
-from ybmag import census, plonka
+from ybmag import RMap, census, laws, plonka
 from ybmag.cli import main
 from ybmag.formats import ParseError
 from ybmag.laws import MagmaLaw
@@ -101,6 +101,21 @@ def test_check_fails_with_witness_line(capsys):
     assert lines[1].startswith("WITNESS ")
     parts = lines[1].split(" ")
     assert len(parts) == 6  # WITNESS x y z lhs rhs
+
+
+def test_check_vectorised_witness_line_matches_loop(capsys, tmp_path, monkeypatch):
+    # a failing R-map above the vectorisation cutoff: the identity on 24
+    # points with one planted cell in its last row
+    out = list(identity_rmap(24).out)
+    out[23 * 24 + 5] = (0, 0)
+    path = tmp_path / "planted.txt"
+    path.write_text(serialize(RMap(24, tuple(out))), encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "_NUMPY_CUTOFF", 10**9)
+        loop = run(capsys, "check", "--law", "yang-baxter", str(path))
+    code, text, _ = run(capsys, "check", "--law", "yang-baxter", str(path))
+    assert (code, text) == loop[:2]
+    assert code == 1 and text.splitlines()[1].startswith("WITNESS ")
 
 
 def test_check_rmap_law_on_bimagma_file(capsys):

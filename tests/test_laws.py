@@ -10,7 +10,10 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, FiniteFunction, MagmaLaw,
                    check_magma_law, check_rmap_law, cyclic_group_table,
                    flip_map, free_k_cyclic, identity_rmap, left_zero_table,
                    lyubashenko_rmap, magma_from_function, trivial_bimagma)
-from ybmag.build import EssSolution, build_solution
+from ybmag import laws
+from ybmag.build import (EssSolution, OdometerSolution, RightPlonkaOppositeSolution,
+                         build_solution)
+from ybmag.families import OdometerTriple
 from ybmag.laws import check_magma_laws_batch
 
 from conftest import cayley_tables, rmaps
@@ -85,9 +88,10 @@ def test_witness_iff_failing(r):
         assert v.holds == (v.witness is None)
 
 
-def _bls_oracle(r):
-    """The BLS check as a loop of its own: at each triple, the commutative,
-    cocommutative and long pieces in turn; lifts apply R to two slots."""
+def _bls_failures(r, triple):
+    """The BLS pieces that fail at one triple, as a loop of its own: the
+    commutative, cocommutative and long pieces in turn; lifts apply R to two
+    slots."""
     n, out = r.n, r.out
 
     def lift12(a, b, c):
@@ -105,17 +109,24 @@ def _bls_oracle(r):
     pieces = [("commutative", (lift13, lift12), (lift12, lift13)),
               ("cocommutative", (lift23, lift13), (lift13, lift23)),
               ("long", (lift23, lift12), (lift12, lift23))]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for kind, lhs_chain, rhs_chain in pieces:
-                    lhs = rhs = (x, y, z)
-                    for step in lhs_chain:
-                        lhs = step(*lhs)
-                    for step in rhs_chain:
-                        rhs = step(*rhs)
-                    if lhs != rhs:
-                        return (f"bls:{kind}", (x, y, z), lhs, rhs)
+    failures = []
+    for kind, lhs_chain, rhs_chain in pieces:
+        lhs = rhs = triple
+        for step in lhs_chain:
+            lhs = step(*lhs)
+        for step in rhs_chain:
+            rhs = step(*rhs)
+        if lhs != rhs:
+            failures.append((f"bls:{kind}", triple, lhs, rhs))
+    return failures
+
+
+def _bls_oracle(r):
+    """The first failing BLS piece at the first failing triple, or None."""
+    for triple in itertools.product(range(r.n), repeat=3):
+        failures = _bls_failures(r, triple)
+        if failures:
+            return failures[0]
     return None
 
 
@@ -136,6 +147,62 @@ def test_bls_witness_matches_loop_oracle():
         assert got == _bls_oracle(r), r
         kinds.add(got and got[0])
     assert kinds == {None, "bls:commutative", "bls:cocommutative", "bls:long"}
+
+
+TRIPLE_LAWS = (RMapLaw.YANG_BAXTER, RMapLaw.BRAID, RMapLaw.LONG, RMapLaw.COMMUTATIVE,
+               RMapLaw.COCOMMUTATIVE, RMapLaw.BLS)
+
+
+def _loop_and_vectorised(monkeypatch, check):
+    """``check()`` on the loop path (the cutoff raised out of reach) and on
+    the vectorised path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "_NUMPY_CUTOFF", 10**9)
+        loop = check()
+    return loop, check()
+
+
+def _plant(r, rng):
+    """``r`` with one cell of its last row replaced by another pair."""
+    n, out = r.n, list(r.out)
+    cell = (n - 1) * n + rng.randrange(n)
+    out[cell] = rng.choice([(u, v) for u in range(n) for v in range(n) if (u, v) != out[cell]])
+    return RMap(n, tuple(out))
+
+
+def test_rmap_vectorised_witnesses_match_loop(monkeypatch):
+    # lawful builder maps (Yang-Baxter and BLS hold on each), the same maps
+    # with one planted cell, and seeded random maps, on both sides of the
+    # slab boundaries
+    rng = random.Random(8)
+    lawful = [build_solution(RightPlonkaOppositeSolution(free_k_cyclic(3, 2, False).table)),
+              build_solution(RightPlonkaOppositeSolution(free_k_cyclic(3, 3, True).table)),
+              build_solution(OdometerSolution(OdometerTriple(4, 6, 3))),
+              build_solution(OdometerSolution(OdometerTriple(5, 5, 2))),
+              build_solution(OdometerSolution(OdometerTriple(5, 6, 4)))]
+    lawful += [identity_rmap(n) for n in (24, 25, 30)]
+    assert all(check_rmap_law(r, law).holds
+               for r in lawful for law in (RMapLaw.YANG_BAXTER, RMapLaw.BLS))
+    maps = lawful + [_plant(r, rng) for r in lawful]
+    maps += [RMap(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n * n)))
+             for n in (24, 25, 30)]
+    late, shared = set(), 0
+    for r in maps:
+        for law in TRIPLE_LAWS:
+            loop, vectorised = _loop_and_vectorised(monkeypatch, lambda: check_rmap_law(r, law))
+            assert vectorised == loop, (r.n, law)
+            w = vectorised.witness
+            if w is None:
+                continue
+            if w.inputs[0] >= laws._SLAB_TRIPLES // (r.n * r.n):
+                late.add(r.n)
+            if law is RMapLaw.BLS:
+                failures = _bls_failures(r, w.inputs)
+                assert failures[0] == (w.kind, w.inputs, w.lhs, w.rhs)
+                shared += len(failures) > 1
+    # on every tested carrier some first failure lies beyond the first slab,
+    # and some BLS witnesses fail more than one piece
+    assert late >= {24, 25, 30} and shared
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +291,29 @@ def test_vectorised_witnesses_reevaluate():
             else:
                 assert (tab[tab[x][y]][z], tab[y][z]) == (v.witness.lhs, v.witness.rhs)
             assert v.witness.lhs != v.witness.rhs
+
+
+def test_plonka_vectorised_witnesses_match_loop(monkeypatch):
+    # random tables, and lawful ones (x.y = f(x) and its opposite) with one
+    # planted cell, at 26 points
+    rng = random.Random(9)
+    n = 26
+    tables = [CayleyTable.from_flat(n, [rng.randrange(n) for _ in range(n * n)])
+              for _ in range(20)]
+    for _ in range(20):
+        right = magma_from_function(FiniteFunction(n, tuple(rng.randrange(n) for _ in range(n))))
+        for lawful in (right, right.opposite()):
+            cells = list(lawful.flat())
+            cells[rng.randrange(n * n)] = rng.randrange(n)
+            tables.append(CayleyTable.from_flat(n, cells))
+    kinds = set()
+    for t in tables:
+        for law in (MagmaLaw.RIGHT_PLONKA, MagmaLaw.LEFT_PLONKA):
+            loop, vectorised = _loop_and_vectorised(monkeypatch, lambda: check_magma_law(t, law))
+            assert vectorised == loop, law
+            kinds.add(vectorised.witness and vectorised.witness.kind)
+    assert kinds == {None, "right_commutation", "right_reduction",
+                     "left_commutation", "left_reduction"}
 
 
 def test_numpy_path_matches_loop_path():
