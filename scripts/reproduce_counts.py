@@ -4,9 +4,13 @@
 Prints one TSV row per census (n, constraint, class_count, raw_count,
 elapsed_ms) followed by the simple-solution and conjugacy-class tables.
 The quick set runs the right involutory census for n = 1-6 (164 classes at
-n = 6, checked against the literature value) and the conjugacy classes of
-self-maps for n = 1-6; --full adds the involutory census at n = 7 and the
-conjugacy classes at n = 7 and 8 (343 / 125 and 951 / 329).
+n = 6, checked against the literature value), the Plonka bi-magma and BLS
+censuses for n = 1-3 and the conjugacy classes of self-maps for n = 1-6;
+--full adds the involutory census at n = 7, the bi-magma censuses at n = 4
+(1048 classes) and the conjugacy classes at n = 7 and 8 (343 / 125 and
+951 / 329).  Exits 1 if the Plonka bi-magma and BLS censuses differ in a
+count or a representative: every BLS solution is a Plonka bi-magma and
+conversely.
 
 Usage:
   python scripts/reproduce_counts.py            # the quick set, a few seconds
@@ -16,7 +20,7 @@ Usage:
 import argparse
 import sys
 
-from ybmag import (CensusQuery, MagmaLaw, census_simple_bls,
+from ybmag import (BiMagmaLaw, CensusQuery, MagmaLaw, RMapLaw, census_simple_bls,
                    enumerate_structures, function_conjugacy_census)
 
 
@@ -25,8 +29,9 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--full", action="store_true",
                         help="include the slower n = 7 right involutory census "
-                             "(849 classes, about 20 s) and the conjugacy classes "
-                             "of self-maps at n = 7 and 8 (about 12 s)")
+                             "(849 classes, about 20 s), the bi-magma censuses at "
+                             "n = 4 (about 4 s) and the conjugacy classes of "
+                             "self-maps at n = 7 and 8 (about 12 s)")
     args = parser.parse_args()
 
     print("# right Plonka magmas")
@@ -47,6 +52,19 @@ def main() -> int:
             CensusQuery(n, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.ASSOCIATIVE))).row
         print(row.tsv())
 
+    print("# Plonka bi-magmas and BLS solutions (the same classes)")
+    agree = True
+    for n in range(1, 5 if args.full else 4):
+        results = [enumerate_structures(CensusQuery(n, mode="representatives", **laws))
+                   for laws in ({"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,)},
+                                {"rmap_laws": (RMapLaw.BLS,)})]
+        for result in results:
+            print(result.row.tsv())
+        plonka, bls = ((r.row.class_count, r.row.raw_count, r.representatives) for r in results)
+        if plonka != bls:
+            print(f"error: plonka_bimagma and bls censuses differ at n = {n}", file=sys.stderr)
+            agree = False
+
     print("# simple solutions on t points (two routes)")
     for t in range(1, 9):
         res = census_simple_bls(t)
@@ -57,7 +75,7 @@ def main() -> int:
     for n in range(1, 9 if args.full else 7):
         print(f"{n}\t{function_conjugacy_census(n)}\t"
               f"{function_conjugacy_census(n, connected_only=True)}")
-    return 0
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

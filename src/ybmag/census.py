@@ -2,24 +2,24 @@
 
 The magma engine backtracks over table columns: the two right Plonka laws
 say precisely that the columns pairwise commute and that column r_z(y)
-equals column y, so partial assignments prune hard.  The search runs on
-indices into the column pool: each chosen column carries a commute mask, a
-Python-int bitset over the pool that numpy builds the first time the
-column is chosen, and the candidates for the next column are the AND of
-the chosen columns' masks.  An order-dividing pool (involutory or k-cyclic
-columns) is cut from the n! permutation rows, since col^k = id forces a
-permutation.  The laws the search guarantees (right Plonka, band from a
-static mask, the column order from the pool) are verified in bulk, one
-numpy pass over each batch of up to 1024 tables, and a table that fails
-them raises CrossCheckFailed; a CayleyTable is built, and a law checked
-table by table, only for the query's other laws and predicates.
-Isomorph rejection expands the full relabelling
+equals column y, so partial assignments prune hard.  A Plonka bi-magma is
+the two-grid case, column y joining dot column y and star row y.  The
+search runs on indices into the column pool: each chosen column carries a
+commute mask, a Python-int bitset over the pool that numpy builds the first
+time the column is chosen, and the candidates for the next column are the
+AND of the chosen columns' masks.  An order-dividing pool (involutory or
+k-cyclic columns) is cut from the n! permutation rows, since col^k = id
+forces a permutation.  The laws a one-grid search guarantees (right Plonka,
+band from a static mask, the column order from the pool) are verified in
+bulk, one numpy pass over each batch of up to 1024 tables, and a table
+that fails them raises CrossCheckFailed; a CayleyTable is built, and a law
+checked table by table, only for every bi-magma and for the query's other
+laws and predicates.  Isomorph rejection expands the full relabelling
 orbit of each newly seen table once, as byte strings; the canonical
 representative of a class is the lexicographically minimal flattened
-table in its orbit.  Every census runs in the calling process: a split of
-the column search over worker processes has to rebuild the pool and the
-commute masks in each worker and pickle every raw table back for the one
-dedupe, and measured slower than one process.
+table in its orbit.  Every census runs in the calling process: a split
+over worker processes, each rebuilding the pool and the masks, measured
+slower.
 
 The sweeps of commuting permutation pairs and of self-map conjugation
 orbits run on numpy arrays of permutation rows: one array operation gives a
@@ -42,6 +42,7 @@ import numpy as np
 from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits,
                    DEFAULT_LIMITS, FiniteFunction, canonical_correspondence)
 from .families import FunctionFamily, OdometerTriple, _partitions, is_incompressible
+from .ideals import IdealKind, is_simple
 from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, _power_is_identity, check_bimagma_law,
                    check_magma_law, check_magma_laws_batch, check_rmap_law)
 from .plonka import UnionFind
@@ -126,25 +127,32 @@ def _bitset(flags: np.ndarray) -> int:
 
 def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
                         band: bool) -> Iterator[tuple[int, ...]]:
-    """All tables whose columns pairwise commute and satisfy the coherence
-    rule column[column_z(y)] = column[y]; exactly the right Plonka tables
-    drawn from the given pool of distinct columns, in pool order."""
-    columns: list[tuple[int, ...]] = []   # the chosen columns 0..y-1
+    """All right Plonka tables on a pool of distinct columns, in pool order:
+    columns that commute, with column[column_z(y)] = column[y].  An entry of
+    k maps (k = len(entry) // n) is a column of k grids; a cell lists k entries."""
+    k = len(pool[0]) // max(n, 1)
+    columns: list[tuple[int, ...]] = []   # the maps of the chosen columns 0..y-1
     chosen: list[int] = []                # and their pool indices
     forced: dict[int, int] = {}           # a later column's required pool index
-    grid = np.array(pool, dtype=np.intp).reshape(len(pool), n)
+    grid = np.array(pool, dtype=np.intp).reshape(len(pool), k, n)
+    maps = [tuple(map(tuple, entry)) for entry in grid.tolist()]
+    # each entry's images point by point, m_0(a) .. m_k-1(a), and their points a
+    images = list(map(tuple, grid.transpose(0, 2, 1).reshape(len(pool), k * n).tolist()))
+    points = [[a for a in range(y + 1) for _ in range(k)] for y in range(n)]
     commute_masks: dict[int, int] = {}
 
     def commute_mask(i: int) -> int:
         mask = commute_masks.get(i)
         if mask is None:
-            c = grid[i]
-            mask = commute_masks[i] = _bitset((c[grid] == grid[:, c]).all(1))
+            mask = everything
+            for c in grid[i]:
+                mask &= _bitset((c[grid] == grid[..., c]).all((1, 2)))
+            commute_masks[i] = mask
         return mask
 
     everything = (1 << len(pool)) - 1
     # per-position masks that no choice changes: the band law
-    static = [_bitset(grid[:, y] == y) if band else everything for y in range(n)]
+    static = [_bitset((grid[..., y] == y).all(1)) if band else everything for y in range(n)]
 
     def coherent(y: int, later: list[int]) -> Optional[dict[int, int]]:
         """Check the coherence rule on the pairs (a, y) for the column just
@@ -153,7 +161,7 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
         forced beyond y (those in ``later`` to column y itself), or None."""
         i = chosen[y]
         new_forced = dict.fromkeys(later, i)
-        for a, target in zip(range(y + 1), columns[y]):
+        for a, target in zip(points[y], images[i]):
             need = chosen[a]
             if target <= y:
                 if chosen[target] != need:
@@ -172,8 +180,8 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
             yield tuple(itertools.chain.from_iterable(zip(*columns)))
             return
         candidates = commuting & static[y]
-        # the pairs (y, b): column y*b = columns[b][y] must equal column y;
-        # and column y itself may be forced by an earlier depth
+        # the pairs (y, b): column col(y) must equal column y for every chosen
+        # map col; and column y itself may be forced by an earlier depth
         later = []
         for target in {col[y] for col in columns} | {y}:
             required = chosen[target] if target < y else forced.get(target)
@@ -185,7 +193,7 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
             low = candidates & -candidates
             candidates ^= low
             i = low.bit_length() - 1
-            columns.append(pool[i])
+            columns.extend(maps[i])
             chosen.append(i)
             new_forced = coherent(y, later)
             if new_forced is not None:
@@ -193,7 +201,7 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
                 yield from rec(y + 1, commuting & commute_mask(i))
                 for t in new_forced:
                     del forced[t]
-            columns.pop()
+            del columns[-k:]
             chosen.pop()
 
     yield from rec(0, everything)
@@ -212,9 +220,9 @@ def _require_carrier(n: int) -> None:
 class CensusQuery:
     """A conjunction of law tags plus optional structural predicates.
 
-    Magma queries must include ``right_plonka`` (or ``left_plonka``) unless
-    n is small enough for the generic sweep; bi-magma queries must include
-    ``plonka_bimagma``.  ``predicates`` may contain ``right_simple``.
+    Magma queries sweep every table (n <= 3) without ``right_plonka``, ``left_plonka``
+    or ``two_cyclic``, bi-magma and R-map queries (n <= 2) without ``plonka_bimagma``,
+    ``unitary_plonka_bimagma`` or ``bls`` (searched to n = 4); predicates are for magmas.
     """
 
     n: int
@@ -234,6 +242,8 @@ class CensusQuery:
         if self.bimagma_laws or self.rmap_laws:
             if self.magma_laws:
                 raise ValueError("mixing magma and bi-magma law tags is not supported")
+            if self.predicates:
+                raise ValueError("predicates apply to magma queries only")
         for p in self.predicates:
             if p not in ("right_simple",):
                 raise ValueError(f"unknown predicate {p!r}")
@@ -299,6 +309,10 @@ KNOWN_COUNTS = _known_counts()
 
 
 _BATCH = 1024  # tables per bulk law check; uint8 keeps its (1024, n, n, n) temporaries small
+# carrier limits of the sweeps of every table and of the two-grid search (71 565 pairs at n = 5)
+_GENERIC_MAGMA_SWEEP = 3
+_GENERIC_BIMAGMA_SWEEP = 2
+_TWO_GRID_SEARCH = 4
 
 
 def _checked(stream: Iterator[tuple[int, ...]], n: int, laws: Sequence[MagmaLaw],
@@ -353,8 +367,8 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
             if orders == query.k:   # the pool was cut by k itself
                 guaranteed.add(MagmaLaw.K_CYCLIC)
     else:
-        if n > 3:
-            raise GuardExceeded("generic table sweep limited to n <= 3; "
+        if n > _GENERIC_MAGMA_SWEEP:
+            raise GuardExceeded(f"generic table sweep limited to n <= {_GENERIC_MAGMA_SWEEP}; "
                                 "add right_plonka for the pruned search")
         stream = itertools.product(range(n), repeat=n * n)
 
@@ -370,17 +384,39 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
                  for law in residual)
         if not ok:
             continue
-        if simple and not _right_simple(source):
+        if simple and not is_simple(source, IdealKind.MAGMA_RIGHT):
             continue
         yield source.flat()
 
 
-def _right_simple(m: CayleyTable) -> bool:
-    # right ideals are the subsets invariant under every column
-    if m.n == 0:
-        return True
-    cols = FunctionFamily(m.n, tuple(FiniteFunction(m.n, m.column(y)) for y in range(m.n)))
-    return is_incompressible(cols)
+def _bimagma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
+    """The flattened dot + star tables that satisfy a bi-magma or R-map
+    query, in search order.  Plonka bi-magmas (every BLS solution is one)
+    come from the two-grid search and are checked, other laws per table."""
+    n = query.n
+    searched = bool({BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA}
+                    & set(query.bimagma_laws)) or RMapLaw.BLS in query.rmap_laws
+    if searched:
+        limit = min(limits.census_carrier, _TWO_GRID_SEARCH)
+        if n > limit:
+            raise GuardExceeded(f"Plonka bi-magma search limited to n <= {limit}")
+        maps = list(itertools.product(range(n), repeat=n))
+        pool = [f + g for f in maps for g in maps if all(f[g[x]] == g[f[x]] for x in range(n))]
+        stream = (flat[0::2] + _transpose_flat(flat[1::2], n)
+                  for flat in _iter_plonka_tables(n, pool, False))
+    else:
+        if n > _GENERIC_BIMAGMA_SWEEP:
+            raise GuardExceeded(f"generic bi-magma sweep limited to n <= {_GENERIC_BIMAGMA_SWEEP}")
+        stream = itertools.product(range(n), repeat=2 * n * n)
+    for flat in stream:
+        b = BiMagma(CayleyTable.from_flat(n, flat[:n * n]), CayleyTable.from_flat(n, flat[n * n:]))
+        if searched and not check_bimagma_law(b, BiMagmaLaw.PLONKA_BIMAGMA):
+            raise CrossCheckFailed(f"column search produced bi-magma {flat} on n={n} "
+                                   "that fails plonka_bimagma")
+        if all(check_bimagma_law(b, law) for law in query.bimagma_laws
+               if law is not BiMagmaLaw.PLONKA_BIMAGMA) and \
+           all(check_rmap_law(canonical_correspondence(b), law) for law in query.rmap_laws):
+            yield flat
 
 
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
@@ -395,13 +431,11 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
         raise ValueError("workers must be at least 1")
     start = time.perf_counter()
     n = query.n
-    if query.bimagma_laws or query.rmap_laws:
-        classes, raw_count = _bimagma_census(query, limits)
-        reps = tuple(BiMagma(CayleyTable.from_flat(n, f[:n * n]),
-                             CayleyTable.from_flat(n, f[n * n:])) for f in classes)
-    else:
-        classes, raw_count = _orbit_dedupe(n, _magma_raw_stream(query, limits))
-        reps = tuple(CayleyTable.from_flat(n, f) for f in classes)
+    bimagma = bool(query.bimagma_laws or query.rmap_laws)
+    stream = _bimagma_raw_stream(query, limits) if bimagma else _magma_raw_stream(query, limits)
+    classes, raw_count = _orbit_dedupe(n, stream)
+    reps = tuple(BiMagma(CayleyTable.from_flat(n, f[:n * n]), CayleyTable.from_flat(n, f[n * n:]))
+                 if bimagma else CayleyTable.from_flat(n, f) for f in classes)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     label = query.label()
     if (label, n) in KNOWN_COUNTS:
@@ -413,40 +447,6 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
         label += " [unverified]"
     row = CensusRow(n, label, len(classes), raw_count, elapsed_ms)
     return CensusResult(row, reps if query.mode == "representatives" else ())
-
-
-def _bimagma_census(query: CensusQuery, limits: Limits):
-    """Bi-magma classes: dots from the right-Plonka engine, stars from its
-    transpose, pairs filtered by every requested checker."""
-    n = query.n
-    laws = set(query.bimagma_laws)
-    wants_plonka = bool(laws & {BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA}) \
-        or RMapLaw.BLS in set(query.rmap_laws)
-    if not wants_plonka:
-        if n > 2:
-            raise GuardExceeded("generic bi-magma sweep limited to n <= 2")
-        dots = list(itertools.product(range(n), repeat=n * n))
-        stars = dots
-    else:
-        if n > limits.census_carrier:
-            raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
-        base = CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,))
-        dots = list(_magma_raw_stream(base, limits))
-        stars = [_transpose_flat(d, n) for d in dots]
-
-    dot_tables = [CayleyTable.from_flat(n, d) for d in dots]
-    star_tables = [CayleyTable.from_flat(n, s) for s in stars]
-
-    def accepted():
-        for d, dt in zip(dots, dot_tables):
-            for s, st in zip(stars, star_tables):
-                b = BiMagma(dt, st)
-                if all(check_bimagma_law(b, law) for law in query.bimagma_laws) and \
-                   all(check_rmap_law(canonical_correspondence(b), law)
-                       for law in query.rmap_laws):
-                    yield d + s
-
-    return _orbit_dedupe(n, accepted())
 
 
 def _transpose_flat(flat: tuple[int, ...], n: int) -> tuple[int, ...]:

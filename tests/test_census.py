@@ -5,14 +5,16 @@ import os
 import pytest
 
 from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction,
-                   Limits, MagmaLaw, RMapLaw, SetPartition, are_isomorphic,
-                   census_simple_bls, check_bimagma_law, check_magma_law,
+                   FunctionFamily, Limits, MagmaLaw, RMapLaw, SetPartition, are_isomorphic,
+                   canonical_correspondence, census_simple_bls, check_bimagma_law,
+                   check_magma_law, check_rmap_law, is_incompressible,
                    commuting_permutation_pairs_up_to_conjugacy,
                    enumerate_structures, function_conjugacy_census,
                    minimal_image, rebuild, structured_iso)
 from ybmag import census
-from ybmag.census import (_function_pool, _is_connected_map, _iter_plonka_tables,
-                          _magma_raw_stream, _perm_from_cycle_type)
+from ybmag.census import (_bimagma_raw_stream, _function_pool, _is_connected_map,
+                          _iter_plonka_tables, _magma_raw_stream, _orbit_dedupe,
+                          _perm_from_cycle_type, _transpose_flat)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
 from ybmag.families import _partitions
 from ybmag.plonka import BiPlonkaPartition
@@ -139,6 +141,13 @@ def test_function_pool_matches_product_filter(n):
                 _product_filter_pool(n, orders, permutations_only), (orders, permutations_only)
 
 
+def _columns_incompressible(m):
+    """right_simple by the family route: no proper subset is invariant under
+    every column."""
+    return m.n == 0 or is_incompressible(
+        FunctionFamily(m.n, tuple(FiniteFunction(m.n, m.column(y)) for y in range(m.n))))
+
+
 def _recheck_route(query):
     """The raw stream by the per-table route: the column search on the
     product-filter pool, every table rebuilt as a CayleyTable and every law
@@ -163,7 +172,7 @@ def _recheck_route(query):
         table = CayleyTable.from_flat(n, flat)
         source = table.opposite() if transpose else table
         if all(check_magma_law(source, law, query.k if law is MagmaLaw.K_CYCLIC else None)
-               for law in query.magma_laws) and (not simple or census._right_simple(source)):
+               for law in query.magma_laws) and (not simple or _columns_incompressible(source)):
             yield source.flat()
 
 
@@ -366,13 +375,77 @@ def test_bls_structural_route(n):
     assert checker_route.row.class_count == len(reps), n
 
 
+def _bimagma(n, flat):
+    return BiMagma(CayleyTable.from_flat(n, flat[:n * n]), CayleyTable.from_flat(n, flat[n * n:]))
+
+
 def test_bls_rmap_filter_agrees_exhaustively_n2():
     # the truly raw route at n = 2: all 256 bi-magmas through the R-map
-    # BLS checker
-    res = enumerate_structures(CensusQuery(2, rmap_laws=(RMapLaw.BLS,)))
-    res2 = enumerate_structures(CensusQuery(2, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,)))
-    assert res.row.class_count == res2.row.class_count
-    assert res.row.raw_count == res2.row.raw_count
+    # BLS checker, against the census, which searches Plonka bi-magmas only
+    solutions = (flat for flat in itertools.product(range(2), repeat=8)
+                 if check_rmap_law(canonical_correspondence(_bimagma(2, flat)), RMapLaw.BLS).holds)
+    classes, raw_count = _orbit_dedupe(2, solutions)
+    assert (len(classes), raw_count) == (7, 10)
+    res = enumerate_structures(CensusQuery(2, rmap_laws=(RMapLaw.BLS,), mode="representatives"))
+    assert (res.row.class_count, res.row.raw_count) == (7, 10)
+    assert res.representatives == tuple(_bimagma(2, flat) for flat in classes)
+
+
+def _dot_star_route(query):
+    """The raw bi-magmas by the pair route: every right Plonka dot with every
+    left Plonka star, the pair kept when it passes every law of the query."""
+    n = query.n
+    dots = list(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
+    for d in dots:
+        for s in map(_transpose_flat, dots, itertools.repeat(n)):
+            b = _bimagma(n, d + s)
+            if all(check_bimagma_law(b, law).holds for law in query.bimagma_laws) and \
+               all(check_rmap_law(canonical_correspondence(b), law).holds
+                   for law in query.rmap_laws):
+                yield d + s
+
+
+@pytest.mark.parametrize("laws", [{"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,)},
+                                  {"rmap_laws": (RMapLaw.BLS,)}])
+def test_two_grid_search_matches_dot_star_pairs(laws):
+    for n in (0, 1, 2, 3):
+        query = CensusQuery(n, **laws)
+        stream = list(_bimagma_raw_stream(query, DEFAULT_LIMITS))
+        assert sorted(stream) == sorted(_dot_star_route(query)), n
+        assert len(stream) == {0: 1, 1: 1, 2: 10, 3: 249}[n]
+
+
+# not a Plonka bi-magma: dot (1, 0, 0, 1) fails the right Plonka laws, with
+# the zero star; each cell lists dot[x][y], then star[y][x]
+_NOT_PLONKA_BIMAGMA = (1, 0, 0, 0, 0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("laws", [{"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,)},
+                                  {"rmap_laws": (RMapLaw.BLS,)}])
+def test_two_grid_search_result_failing_plonka_is_typed(monkeypatch, laws):
+    b = _bimagma(2, (1, 0, 0, 1, 0, 0, 0, 0))
+    assert not check_bimagma_law(b, BiMagmaLaw.PLONKA_BIMAGMA).holds
+    monkeypatch.setattr(census, "_iter_plonka_tables",
+                        lambda n, pool, band: iter([_NOT_PLONKA_BIMAGMA]))
+    with pytest.raises(CrossCheckFailed, match="column search produced bi-magma"):
+        enumerate_structures(CensusQuery(2, **laws))
+
+
+def test_two_grid_search_guard():
+    for laws in ({"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,)}, {"rmap_laws": (RMapLaw.BLS,)},
+                 {"bimagma_laws": (BiMagmaLaw.UNITARY_PLONKA_BIMAGMA,)}):
+        with pytest.raises(GuardExceeded, match="limited to n <= 4"):
+            enumerate_structures(CensusQuery(5, **laws))
+        with pytest.raises(GuardExceeded, match="limited to n <= 3"):
+            enumerate_structures(CensusQuery(4, **laws), Limits(census_carrier=3))
+    with pytest.raises(GuardExceeded, match="generic bi-magma sweep"):
+        enumerate_structures(CensusQuery(3, bimagma_laws=(BiMagmaLaw.YANG_BAXTER_BIMAGMA,)))
+
+
+def test_predicates_on_bimagma_queries_rejected():
+    for laws in ({"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,)}, {"rmap_laws": (RMapLaw.BLS,)}):
+        with pytest.raises(ValueError, match="predicates apply to magma queries only"):
+            CensusQuery(2, predicates=("right_simple",), **laws)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,31 @@ def test_census_column_search_failure_exit_code(capsys, monkeypatch, laws, table
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("laws", ["plonka-bimagma", "bls"])
+def test_census_two_grid_search_failure_exit_code(capsys, monkeypatch, laws):
+    # dot (1, 0, 0, 1) is not right Plonka; each cell lists dot, then star transposed
+    monkeypatch.setattr(census, "_iter_plonka_tables",
+                        lambda n, pool, band: iter([(1, 0, 0, 0, 0, 0, 1, 0)]))
+    code, out, err = run(capsys, "census", "--n", "2", "--laws", laws)
+    assert code == 4 and out == ""
+    assert err.startswith("error: column search produced bi-magma")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("laws", ["plonka-bimagma", "bls"])
+def test_census_two_grid_search_guard_exit_code(capsys, laws):
+    code, out, err = run(capsys, "census", "--n", "5", "--laws", laws)
+    assert code == 3 and out == ""
+    assert "limited to n <= 4" in err
+
+
+def test_census_predicates_on_bimagma_query_is_usage_error(capsys):
+    code, out, err = run(capsys, "census", "--n", "2", "--laws", "plonka-bimagma",
+                         "--predicates", "right-simple")
+    assert code == 2 and out == ""
+    assert err.startswith("error: predicates apply to magma queries only")
+
+
 def test_simple_bls_cross_check_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(census, "is_incompressible", lambda family: True)
     code, out, err = run(capsys, "census", "--simple-bls", "4")
