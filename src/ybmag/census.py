@@ -14,12 +14,12 @@ band from a static mask, the column order from the pool) are verified in
 bulk, one numpy pass over each batch of up to 1024 tables, and a table
 that fails them raises CrossCheckFailed; a CayleyTable is built, and a law
 checked table by table, only for every bi-magma and for the query's other
-laws and predicates.  Isomorph rejection expands the full relabelling
-orbit of each newly seen table once, as byte strings; the canonical
-representative of a class is the lexicographically minimal flattened
-table in its orbit.  Every census runs in the calling process: a split
-over worker processes, each rebuilding the pool and the masks, measured
-slower.
+laws and predicates.  Isomorph rejection expands the relabelling orbit
+of each newly seen table once, in one numpy gather, as byte strings; the
+orbits must hold exactly the raw tables, and a class's canonical
+representative is the lexicographically minimal table in its orbit.  Every
+census runs in the calling process: a split over worker processes, each
+rebuilding the pool and the masks, measured slower.
 
 The sweeps of commuting permutation pairs and of self-map conjugation
 orbits run on numpy arrays of permutation rows: one array operation gives a
@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,23 +51,26 @@ from .plonka import UnionFind
 # canonical forms and orbit bookkeeping
 
 
-def _relabellings(n: int, length: int) -> list[tuple[Callable, bytes]]:
-    """For each permutation sigma of 0..n-1, the relabelling x -> sigma(x)
-    of ``length`` cells, one flattened table or several concatenated on the
-    same carrier, as a cell picker and a byte translation: image j is
-    sigma[flat[src[j]]], so ``bytes(pick(flat)).translate(table)``."""
-    out = []
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for x, s in enumerate(sigma):
-            inv[s] = x
-        cells = [inv[x] * n + inv[y] for x in range(n) for y in range(n)]
-        src = [base + c for base in range(0, length, max(n * n, 1)) for c in cells]
-        # itemgetter of one index returns a bare value, not a 1-tuple
-        pick = operator.itemgetter(*src) if len(src) > 1 \
-            else (lambda flat, src=src: [flat[k] for k in src])
-        out.append((pick, bytes(sigma) + bytes(range(n, 256))))
-    return out
+def _relabelling_gather(n: int, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index arrays of ``_orbit`` that relabel ``length`` cells, one
+    flattened table or several concatenated on the same carrier, by each
+    permutation sigma in ``_permutation_array`` order: cell (x, y) of a block
+    of image p is sigma[cell (sigma^-1 x, sigma^-1 y) of that block]."""
+    perms = _permutation_array(n)
+    inv = np.argsort(perms, axis=1)
+    cells = inv[:, None, :, None] * n + inv[:, None, None, :]   # [p, 1, x, y]
+    src = (cells + np.arange(0, length, max(n * n, 1))[:, None, None]).reshape(len(perms), length)
+    return perms.ravel(), src, np.arange(len(perms))[:, None] * n
+
+
+def _orbit(key: bytes, gather: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[bytes]:
+    """The images of a flattened table under every relabelling of
+    ``gather``, in its order: one numpy gather, rows read out as bytes."""
+    sigmas, src, offsets = gather
+    if not key:   # the empty table; a void view needs a width
+        return [key] * len(src)
+    images = sigmas.take(np.frombuffer(key, dtype=np.uint8).take(src) + offsets)
+    return images.view(np.dtype((np.void, len(key)))).ravel().tolist()
 
 
 def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
@@ -76,29 +78,32 @@ def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[
     n = table.n
     if n > limits.sn_sweep:
         raise GuardExceeded(f"minimal image sweep refused for n = {n}")
-    flat = table.flat()
-    return tuple(min(bytes(pick(flat)).translate(sigma)
-                     for pick, sigma in _relabellings(n, n * n)))
+    return tuple(min(_orbit(bytes(table.flat()), _relabelling_gather(n, n * n))))
 
 
 def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
     """Split raw flattened tables (or equal-length concatenations of them,
     such as dot + star of a bi-magma) into relabelling classes; returns the
     sorted canonical representatives and the raw count.  Images are byte
-    strings, which order like the int tuples they encode."""
-    relabellings = None
+    strings, ordered like the int tuples they encode.  The laws are invariant
+    under relabelling, so the orbits must hold exactly the raw tables."""
+    gather = None
     seen: set[bytes] = set()
     classes: list[bytes] = []
     raw_count = 0
     for flat in raw:
         raw_count += 1
-        if bytes(flat) in seen:
+        key = bytes(flat)
+        if key in seen:
             continue
-        if relabellings is None:
-            relabellings = _relabellings(n, len(flat))
-        images = [bytes(pick(flat)).translate(sigma) for pick, sigma in relabellings]
+        if gather is None:
+            gather = _relabelling_gather(n, len(key))
+        images = _orbit(key, gather)
         seen.update(images)
         classes.append(min(images))
+    if len(seen) != raw_count:
+        raise CrossCheckFailed(f"orbit dedupe on n={n} saw {raw_count} raw tables, but their "
+                               f"orbits hold {len(seen)}: a table repeats or an orbit is partial")
     classes.sort()
     return [tuple(c) for c in classes], raw_count
 

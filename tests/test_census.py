@@ -1,6 +1,8 @@
 import itertools
 import multiprocessing
+import operator
 import os
+import random
 
 import pytest
 
@@ -13,8 +15,8 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    minimal_image, rebuild, structured_iso)
 from ybmag import census
 from ybmag.census import (_bimagma_raw_stream, _function_pool, _is_connected_map,
-                          _iter_plonka_tables, _magma_raw_stream, _orbit_dedupe,
-                          _perm_from_cycle_type, _transpose_flat)
+                          _iter_plonka_tables, _magma_raw_stream, _orbit, _orbit_dedupe,
+                          _perm_from_cycle_type, _relabelling_gather, _transpose_flat)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
 from ybmag.families import _partitions
 from ybmag.plonka import BiPlonkaPartition
@@ -73,7 +75,7 @@ def test_associative_right_plonka_is_partition_numbers():
 
 
 def test_representatives_are_canonical_and_sorted():
-    # n = 1 relabels one cell, the single-index case of the cell picker
+    # n = 1 relabels one cell
     for n, count in ((1, 1), (3, 11)):
         res = enumerate_structures(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,),
                                                mode="representatives"))
@@ -255,6 +257,141 @@ def test_isomorph_rejection_matches_pairwise_oracle():
         res = enumerate_structures(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)))
         assert res.row.class_count == len(reps)
         assert res.row.raw_count == len(raw)
+
+
+def _reference_relabellings(n, length):
+    """For each permutation sigma of 0..n-1, in itertools order, the
+    relabelling x -> sigma(x) of ``length`` cells, one flattened table or
+    several concatenated on the same carrier, as a cell picker and a byte
+    translation: image j is sigma[flat[src[j]]], so
+    ``bytes(pick(flat)).translate(table)``.  The loop reference for the
+    census's numpy orbit gather."""
+    out = []
+    for sigma in itertools.permutations(range(n)):
+        inv = [0] * n
+        for x, s in enumerate(sigma):
+            inv[s] = x
+        cells = [inv[x] * n + inv[y] for x in range(n) for y in range(n)]
+        src = [base + c for base in range(0, length, max(n * n, 1)) for c in cells]
+        # itemgetter of one index returns a bare value, not a 1-tuple
+        pick = operator.itemgetter(*src) if len(src) > 1 \
+            else (lambda flat, src=src: [flat[k] for k in src])
+        out.append((pick, bytes(sigma) + bytes(range(n, 256))))
+    return out
+
+
+def _reference_images(relabellings, flat):
+    return [bytes(pick(flat)).translate(sigma) for pick, sigma in relabellings]
+
+
+def _reference_orbit_dedupe(n, raw):
+    """The census's orbit dedupe on the reference relabellings."""
+    relabellings = None
+    seen, classes, raw_count = set(), [], 0
+    for flat in raw:
+        raw_count += 1
+        if bytes(flat) in seen:
+            continue
+        if relabellings is None:
+            relabellings = _reference_relabellings(n, len(flat))
+        images = _reference_images(relabellings, flat)
+        seen.update(images)
+        classes.append(min(images))
+    return sorted(tuple(c) for c in classes), raw_count
+
+
+def _random_flats(n, length, count, seed):
+    rng = random.Random(seed)
+    flats = [tuple(rng.randrange(n) for _ in range(length)) for _ in range(count)] if n else []
+    # the constant tables and the empty one are fixed by more permutations
+    return flats + [(0,) * length, (max(n - 1, 0),) * length]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_orbit_gather_matches_reference_relabellings(n):
+    # one table and a dot + star concatenation; every image, in order
+    for blocks in (1, 2):
+        length = blocks * n * n
+        gather = _relabelling_gather(n, length)
+        relabellings = _reference_relabellings(n, length)
+        for flat in _random_flats(n, length, 4, seed=10 * n + blocks):
+            assert _orbit(bytes(flat), gather) == _reference_images(relabellings, flat), flat
+
+
+def _census_streams():
+    for laws, k, predicates in _STREAM_CASES:
+        for n in (0, 1, 2, 3, 4):
+            query = CensusQuery(n, laws, k=k, predicates=predicates)
+            yield n, list(_magma_raw_stream(query, DEFAULT_LIMITS))
+    query = CensusQuery(5, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))
+    yield 5, list(_magma_raw_stream(query, DEFAULT_LIMITS))
+    for n in (0, 1, 2, 3):
+        yield n, list(_magma_raw_stream(CensusQuery(n, (MagmaLaw.ASSOCIATIVE,)), DEFAULT_LIMITS))
+        query = CensusQuery(n, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,))
+        yield n, list(_bimagma_raw_stream(query, DEFAULT_LIMITS))
+
+
+def test_orbit_dedupe_and_minimal_image_match_reference_on_census_streams():
+    for n, stream in _census_streams():
+        assert _orbit_dedupe(n, stream) == _reference_orbit_dedupe(n, stream), n
+        if stream and len(stream[0]) == n * n:
+            relabellings = _reference_relabellings(n, n * n)
+            for flat in stream[:50]:
+                expected = tuple(min(_reference_images(relabellings, flat)))
+                assert minimal_image(CayleyTable.from_flat(n, flat)) == expected, flat
+
+
+def test_orbit_dedupe_and_minimal_image_match_reference_on_random_tables():
+    for n in range(6):
+        for blocks in (1, 2):
+            length = blocks * n * n
+            relabellings = _reference_relabellings(n, length)
+            flats = _random_flats(n, length, 3, seed=100 + 10 * n + blocks)
+            # a stream closed under relabelling: the union of the tables' orbits
+            stream = sorted({tuple(image) for flat in flats
+                             for image in _reference_images(relabellings, flat)})
+            random.Random(n).shuffle(stream)
+            assert _orbit_dedupe(n, stream) == _reference_orbit_dedupe(n, stream), (n, blocks)
+            if blocks == 1:
+                for flat in flats:
+                    expected = tuple(min(_reference_images(relabellings, flat)))
+                    assert minimal_image(CayleyTable.from_flat(n, flat)) == expected, flat
+
+
+def test_orbit_dedupe_requires_whole_orbits_once():
+    # x.y = 0 and x.y = 1 are one orbit on two points
+    assert _orbit_dedupe(2, [(0, 0, 0, 0), (1, 1, 1, 1)]) == ([(0, 0, 0, 0)], 2)
+    for stream in ([(0, 0, 0, 0)], [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 0)]):
+        with pytest.raises(CrossCheckFailed, match="orbit dedupe on n=2"):
+            _orbit_dedupe(2, stream)
+
+
+def test_census_partial_orbit_is_typed(monkeypatch):
+    # x.y = 0 is right Plonka, so it passes the bulk law check, but its
+    # orbit also holds x.y = 1, which the stream leaves out
+    monkeypatch.setattr(census, "_iter_plonka_tables",
+                        lambda n, pool, band: iter([(0, 0, 0, 0)]))
+    with pytest.raises(CrossCheckFailed, match="orbit dedupe on n=2 saw 1 raw tables"):
+        enumerate_structures(CensusQuery(2, (MagmaLaw.RIGHT_PLONKA,)))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_edge_carrier_censuses(n):
+    # one class of one raw table: the empty table, or the one-point table
+    table = CayleyTable.from_flat(n, (0,) * n)
+    cases = [
+        ({"magma_laws": (MagmaLaw.RIGHT_PLONKA,)},
+         "right_plonka" + " [unverified]" * (n == 0), table),
+        ({"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,)},
+         "plonka_bimagma [unverified]", BiMagma(table, table)),
+        ({"magma_laws": (MagmaLaw.ASSOCIATIVE,)}, "associative [unverified]", table),
+    ]
+    for laws, label, rep in cases:
+        res = enumerate_structures(CensusQuery(n, mode="representatives", **laws))
+        assert (res.row.n, res.row.label, res.row.class_count, res.row.raw_count) == \
+            (n, label, 1, 1)
+        assert res.representatives == (rep,)
+    assert minimal_image(table) == (0,) * n
 
 
 def test_determinism_and_workers(monkeypatch):

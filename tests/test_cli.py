@@ -339,6 +339,15 @@ def test_census_two_grid_search_failure_exit_code(capsys, monkeypatch, laws):
     assert "Traceback" not in err
 
 
+def test_census_partial_orbit_exit_code(capsys, monkeypatch):
+    # x.y = 0 is right Plonka, but the stream leaves out x.y = 1 of its orbit
+    monkeypatch.setattr(census, "_iter_plonka_tables", lambda n, pool, band: iter([(0, 0, 0, 0)]))
+    code, out, err = run(capsys, "census", "--n", "2", "--laws", "right-plonka")
+    assert code == 4 and out == ""
+    assert err.startswith("error: orbit dedupe on n=2 saw 1 raw tables")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("laws", ["plonka-bimagma", "bls"])
 def test_census_two_grid_search_guard_exit_code(capsys, laws):
     code, out, err = run(capsys, "census", "--n", "5", "--laws", laws)
