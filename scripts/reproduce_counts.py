@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--full", action="store_true",
                         help="include the slower n = 7 right involutory census "
                              "(849 classes, 6-14 s by host load), the bi-magma censuses at "
-                             "n = 4 (about 4 s) and the conjugacy classes of "
+                             "n = 4 (about 3 s for both) and the conjugacy classes of "
                              "self-maps at n = 7 and 8 (about 12 s)")
     args = parser.parse_args()
 

@@ -4,28 +4,21 @@ The magma engine backtracks over table columns: the two right Plonka laws
 say precisely that the columns pairwise commute and that column r_z(y)
 equals column y, so partial assignments prune hard.  A Plonka bi-magma is
 the two-grid case, column y joining dot column y and star row y.  The
-search runs on indices into the column pool: each chosen column carries a
-commute mask, a Python-int bitset over the pool that numpy builds the first
-time the column is chosen, and the candidates for the next column are the
-AND of the chosen columns' masks.  An order-dividing pool (involutory or
-k-cyclic columns) is cut from the n! permutation rows, since col^k = id
-forces a permutation.  The laws a one-grid search guarantees (right Plonka,
-band from a static mask, the column order from the pool) are verified in
-bulk, one numpy pass over each batch of up to 1024 tables, and a table
-that fails them raises CrossCheckFailed; a CayleyTable is built, and a law
-checked table by table, only for every bi-magma and for the query's other
-laws and predicates.  Isomorph rejection expands the relabelling orbit
-of each newly seen table once, in one numpy gather, as byte strings; the
-orbits must hold exactly the raw tables, and a class's canonical
-representative is the lexicographically minimal table in its orbit.  Every
-census runs in the calling process: a split over worker processes, each
-rebuilding the pool and the masks, measured slower.
+candidates for the next column are the AND of the chosen columns' commute
+masks, Python-int bitsets over the column pool.  Every raw table is checked
+in numpy, in uint8 stacks of up to 1024: a table failing a law the search
+guarantees (right Plonka, band, the column order; Plonka bi-magma and, by
+the structure theorem, BLS) raises CrossCheckFailed, the query's other laws
+with a batch kernel filter, and objects are built only for the rest and for
+representatives.  Isomorph rejection gathers each new table's relabelling
+orbit in one numpy operation, as byte strings; the orbits must hold exactly
+the raw tables, and a class's representative is the lexicographically
+minimal table in its orbit.
 
 The sweeps of commuting permutation pairs and of self-map conjugation
-orbits run on numpy arrays of permutation rows: one array operation gives a
-whole conjugation orbit, and a boolean mask keyed by each row's base-n code
-marks what has been seen.  The orbit count is checked against a Polya count
-of mapping patterns, cycles of rooted trees and their Euler transform.
+orbits run on numpy arrays of permutation rows, one array operation per
+conjugation orbit; the orbit count is checked against a Polya count of
+mapping patterns, cycles of rooted trees and their Euler transform.
 """
 
 from __future__ import annotations
@@ -42,7 +35,8 @@ from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits
                    DEFAULT_LIMITS, FiniteFunction, canonical_correspondence)
 from .families import FunctionFamily, OdometerTriple, _partitions, is_incompressible
 from .ideals import IdealKind, is_simple
-from .laws import (BiMagmaLaw, MagmaLaw, RMapLaw, _power_is_identity, check_bimagma_law,
+from .laws import (BIMAGMA_BATCH_LAWS, MAGMA_BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw,
+                   _power_is_identity, check_bimagma_law, check_bimagma_laws_batch,
                    check_magma_law, check_magma_laws_batch, check_rmap_law)
 from .plonka import UnionFind
 
@@ -313,57 +307,81 @@ def _known_counts() -> dict[tuple[str, int], int]:
 KNOWN_COUNTS = _known_counts()
 
 
-_BATCH = 1024  # tables per bulk law check; uint8 keeps its (1024, n, n, n) temporaries small
+_BATCH = 1024  # tables per batch law check; uint8 keeps its (1024, n, n, n) temporaries small
 # carrier limits of the sweeps of every table and of the two-grid search (71 565 pairs at n = 5)
 _GENERIC_MAGMA_SWEEP = 3
 _GENERIC_BIMAGMA_SWEEP = 2
 _TWO_GRID_SEARCH = 4
 
 
-def _checked(stream: Iterator[tuple[int, ...]], n: int, laws: Sequence[MagmaLaw],
-             k: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """Pass a column search's tables through in order, checking in batches
-    that each satisfies the laws the search guarantees."""
-    while batch := list(itertools.islice(stream, _BATCH)):
-        stack = np.frombuffer(b"".join(map(bytes, batch)), dtype=np.uint8)
-        ok = check_magma_laws_batch(stack.reshape(len(batch), n, n), laws, k)
-        if not ok.all():
-            raise CrossCheckFailed(
-                f"column search produced table {batch[int(ok.argmin())]} on n={n} "
-                f"that fails {'+'.join(law.value for law in laws)}")
+def _survivors(query: CensusQuery, tables: Iterator[tuple[int, ...]], shape: tuple[int, ...],
+               checks, guaranteed, to_query=None) -> Iterator[tuple[int, ...]]:
+    """The raw tables that satisfy the query, in order, checked in uint8
+    stacks of tables of per-table ``shape`` that ``to_query`` puts in the
+    query's layout.  A table outside a mask of ``checks`` (noun, laws, mask)
+    raises; the query's laws not ``guaranteed`` are checked in the batch
+    where a kernel covers them, else on an object built per table."""
+    n, bimagma = query.n, bool(query.bimagma_laws or query.rmap_laws)
+    residual = [law for law in query.magma_laws + query.bimagma_laws + query.rmap_laws
+                if law not in guaranteed]
+    batched = [law for law in residual if law in MAGMA_BATCH_LAWS | BIMAGMA_BATCH_LAWS]
+    others = [law for law in residual if law not in batched]
+    while batch := list(itertools.islice(tables, _BATCH)):
+        stack = np.frombuffer(b"".join(map(bytes, batch)), np.uint8).reshape(len(batch), *shape)
+        stack = stack if to_query is None else to_query(stack)
+        for noun, laws, mask in checks:
+            if not (passed := mask(stack)).all():
+                table = tuple(stack[int(passed.argmin())].ravel().tolist())
+                raise CrossCheckFailed(f"column search produced {noun} {table} on n={n} "
+                                       f"that fails {laws}")
+        ok = check_bimagma_laws_batch(stack, batched) if bimagma else \
+            check_magma_laws_batch(stack, batched, query.k)
+        batch = itertools.compress(batch, ok.tolist()) if to_query is None else \
+            map(tuple, stack[ok].reshape(int(ok.sum()), stack[0].size).tolist())
+        if others or query.predicates:
+            batch = (flat for flat in batch if _object_holds(query, flat, others))
         yield from batch
+
+
+def _object_holds(query: CensusQuery, flat: tuple[int, ...], laws) -> bool:
+    """Whether a flattened table of the query's kind satisfies ``laws`` and
+    the query's predicates, checked on a CayleyTable or BiMagma."""
+    if query.bimagma_laws or query.rmap_laws:
+        b = BiMagma.from_flat(query.n, flat)
+        return all(check_rmap_law(canonical_correspondence(b), law) if isinstance(law, RMapLaw)
+                   else check_bimagma_law(b, law) for law in laws)
+    table = CayleyTable.from_flat(query.n, flat)
+    return all(check_magma_law(table, law, query.k if law is MagmaLaw.K_CYCLIC else None)
+               for law in laws) and ("right_simple" not in query.predicates
+                                     or is_simple(table, IdealKind.MAGMA_RIGHT))
 
 
 def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
     """The flattened tables that satisfy a magma query, in search order.
     Left Plonka laws are searched on the transpose, read as right ones; a
-    query that implies no right Plonka law needs the generic table sweep.
-    The laws the column search guarantees are checked in bulk; only the
-    other laws and predicates are checked table by table."""
+    query that implies no right Plonka law needs the generic table sweep."""
     n = query.n
     laws = set(query.magma_laws)
     transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
     if transpose:
-        laws = {MagmaLaw.RIGHT_PLONKA if law is MagmaLaw.LEFT_PLONKA else law for law in laws}
-        if MagmaLaw.LEFT_INVOLUTORY in laws:
-            laws.discard(MagmaLaw.LEFT_INVOLUTORY)
-            laws.add(MagmaLaw.RIGHT_INVOLUTORY)
-    guaranteed: set[MagmaLaw] = set()
+        mirror = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA,
+                  MagmaLaw.LEFT_INVOLUTORY: MagmaLaw.RIGHT_INVOLUTORY}
+        laws = {mirror.get(law, law) for law in laws}
+    # on the transpose the searched columns are the query's rows
+    flip = (lambda stack: stack.transpose(0, 2, 1)) if transpose else None
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
             raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
-        orders = None
-        if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
-            orders = 2
-        elif MagmaLaw.K_CYCLIC in laws:
-            orders = query.k
+        orders = (2 if laws & {MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.TWO_CYCLIC}
+                  else query.k if MagmaLaw.K_CYCLIC in laws else None)
         band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
         pool = _function_pool(n, orders, "right_simple" in query.predicates)
+        tables = _iter_plonka_tables(n, pool, band)
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
-        stream = _checked(_iter_plonka_tables(n, pool, band), n, searched, orders)
-        # the query's laws that the searched ones imply when present; on the
-        # transpose the searched columns are the query's rows
+        checks = [("table", "+".join(law.value for law in searched), lambda stack:
+                   check_magma_laws_batch(flip(stack) if flip else stack, searched, orders))]
+        # the query's laws that the searched ones imply when present
         if transpose:
             guaranteed = {MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND, MagmaLaw.LEFT_INVOLUTORY}
         else:
@@ -375,63 +393,48 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
         if n > _GENERIC_MAGMA_SWEEP:
             raise GuardExceeded(f"generic table sweep limited to n <= {_GENERIC_MAGMA_SWEEP}; "
                                 "add right_plonka for the pruned search")
-        stream = itertools.product(range(n), repeat=n * n)
-
-    residual = [law for law in query.magma_laws if law not in guaranteed]
-    simple = "right_simple" in query.predicates
-    if not (residual or simple):
-        yield from ((_transpose_flat(flat, n) for flat in stream) if transpose else stream)
-        return
-    for flat in stream:
-        table = CayleyTable.from_flat(n, flat)
-        source = table.opposite() if transpose else table
-        ok = all(check_magma_law(source, law, query.k if law is MagmaLaw.K_CYCLIC else None)
-                 for law in residual)
-        if not ok:
-            continue
-        if simple and not is_simple(source, IdealKind.MAGMA_RIGHT):
-            continue
-        yield source.flat()
+        tables, checks, guaranteed = itertools.product(range(n), repeat=n * n), [], set()
+    yield from _survivors(query, tables, (n, n), checks, guaranteed, flip)
 
 
 def _bimagma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
     """The flattened dot + star tables that satisfy a bi-magma or R-map
-    query, in search order.  Plonka bi-magmas (every BLS solution is one)
-    come from the two-grid search and are checked, other laws per table."""
+    query, in search order.  The two-grid search yields Plonka bi-magmas,
+    which by the structure theorem are the BLS solutions: a searched table
+    that fails either raises CrossCheckFailed."""
     n = query.n
-    searched = bool({BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA}
-                    & set(query.bimagma_laws)) or RMapLaw.BLS in query.rmap_laws
-    if searched:
+    if RMapLaw.BLS in query.rmap_laws or \
+       {BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA} & set(query.bimagma_laws):
         limit = min(limits.census_carrier, _TWO_GRID_SEARCH)
         if n > limit:
             raise GuardExceeded(f"Plonka bi-magma search limited to n <= {limit}")
-        maps = list(itertools.product(range(n), repeat=n))
-        pool = [f + g for f in maps for g in maps if all(f[g[x]] == g[f[x]] for x in range(n))]
-        stream = (flat[0::2] + _transpose_flat(flat[1::2], n)
-                  for flat in _iter_plonka_tables(n, pool, False))
+        # the pairs (f, g) of commuting self-maps, f then g in lexicographic order
+        maps = np.array(_function_pool(n, None, False), dtype=np.uint8).reshape(n ** n, n)
+        after = np.take_along_axis(maps[:, None], maps[None], 2)   # [f, g, x] is f(g(x))
+        f, g = np.nonzero((after == after.transpose(1, 0, 2)).all(2))
+        tables = _iter_plonka_tables(n, np.concatenate((maps[f], maps[g]), 1), False)
+        shape = (n, n, 2)
+        guaranteed = [BiMagmaLaw.PLONKA_BIMAGMA] + [RMapLaw.BLS] * (RMapLaw.BLS in query.rmap_laws)
+        checks = [("Plonka bi-magma" if law is RMapLaw.BLS else "bi-magma", law.value,
+                   lambda stack, law=law: check_bimagma_laws_batch(stack, (law,)))
+                  for law in guaranteed]
+
+        def split(stack: np.ndarray) -> np.ndarray:   # cell (x, y) is dot[x][y], star[y][x]
+            return np.stack((stack[..., 0], stack[..., 1].transpose(0, 2, 1)), 1)
     else:
         if n > _GENERIC_BIMAGMA_SWEEP:
             raise GuardExceeded(f"generic bi-magma sweep limited to n <= {_GENERIC_BIMAGMA_SWEEP}")
-        stream = itertools.product(range(n), repeat=2 * n * n)
-    for flat in stream:
-        b = BiMagma(CayleyTable.from_flat(n, flat[:n * n]), CayleyTable.from_flat(n, flat[n * n:]))
-        if searched and not check_bimagma_law(b, BiMagmaLaw.PLONKA_BIMAGMA):
-            raise CrossCheckFailed(f"column search produced bi-magma {flat} on n={n} "
-                                   "that fails plonka_bimagma")
-        if all(check_bimagma_law(b, law) for law in query.bimagma_laws
-               if law is not BiMagmaLaw.PLONKA_BIMAGMA) and \
-           all(check_rmap_law(canonical_correspondence(b), law) for law in query.rmap_laws):
-            yield flat
+        tables, shape, split = itertools.product(range(n), repeat=2 * n * n), (2, n, n), None
+        checks, guaranteed = [], []
+    yield from _survivors(query, tables, shape, checks, guaranteed, split)
 
 
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
                          workers: int = 1) -> CensusResult:
-    """Run a census query: count isomorphism classes (and list canonical
-    representatives when asked).  The search, the bulk check of the laws it
-    guarantees, the per-table check of the other laws and the orbit dedupe
-    all run in the calling process; no process is started.
-    ``workers`` is kept for compatibility: a value below 1 raises
-    ``ValueError``, and any other value changes nothing."""
+    """Run a census query in the calling process: count isomorphism classes
+    (and list canonical representatives when asked).  ``workers`` is kept
+    for compatibility: a value below 1 raises ``ValueError``, and any other
+    value changes nothing."""
     if workers < 1:
         raise ValueError("workers must be at least 1")
     start = time.perf_counter()
@@ -439,8 +442,8 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     bimagma = bool(query.bimagma_laws or query.rmap_laws)
     stream = _bimagma_raw_stream(query, limits) if bimagma else _magma_raw_stream(query, limits)
     classes, raw_count = _orbit_dedupe(n, stream)
-    reps = tuple(BiMagma(CayleyTable.from_flat(n, f[:n * n]), CayleyTable.from_flat(n, f[n * n:]))
-                 if bimagma else CayleyTable.from_flat(n, f) for f in classes)
+    reps = tuple((BiMagma if bimagma else CayleyTable).from_flat(n, f) for f in classes) \
+        if query.mode == "representatives" else ()
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     label = query.label()
     if (label, n) in KNOWN_COUNTS:
@@ -451,11 +454,7 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     else:
         label += " [unverified]"
     row = CensusRow(n, label, len(classes), raw_count, elapsed_ms)
-    return CensusResult(row, reps if query.mode == "representatives" else ())
-
-
-def _transpose_flat(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(flat[y * n + x] for x in range(n) for y in range(n))
+    return CensusResult(row, reps)
 
 
 # ---------------------------------------------------------------------------

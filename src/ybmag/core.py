@@ -104,10 +104,6 @@ def identity_function(n: int) -> FiniteFunction:
     return FiniteFunction(n, tuple(range(n)))
 
 
-def constant_function(n: int, value: int) -> FiniteFunction:
-    return FiniteFunction(n, (value,) * n)
-
-
 @dataclass(frozen=True)
 class Permutation(FiniteFunction):
     def __post_init__(self) -> None:
@@ -178,10 +174,6 @@ class CayleyTable:
         return tuple(v for row in self.table for v in row)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "CayleyTable":
-        return CayleyTable(len(rows), tuple(tuple(r) for r in rows))
-
-    @staticmethod
     def from_columns(n: int, columns: Sequence[Sequence[int]]) -> "CayleyTable":
         return CayleyTable(n, tuple(tuple(columns[y][x] for y in range(n)) for x in range(n)))
 
@@ -208,6 +200,13 @@ class BiMagma:
 
     def relabel(self, sigma: Sequence[int]) -> "BiMagma":
         return BiMagma(self.dot.relabel(sigma), self.star.relabel(sigma))
+
+    @staticmethod
+    def from_flat(n: int, flat: Sequence[int]) -> "BiMagma":
+        """The bi-magma whose flattened dot table followed by its flattened
+        star table is ``flat``."""
+        return BiMagma(CayleyTable.from_flat(n, flat[:n * n]),
+                       CayleyTable.from_flat(n, flat[n * n:]))
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ def _power_is_identity(maps: np.ndarray, k: int) -> np.ndarray:
 
 def _right_plonka_bulk(columns: np.ndarray) -> np.ndarray:
     """Right Plonka on a stack of tables given by columns: ``columns[b, y, x]``
-    is x.y in table b."""
+    is x.y in table b.  Given rows instead, it checks left Plonka."""
     tables, n = columns.shape[:2]
     # column y after column z at [b, y, z, x], that is (x.z).y; the
     # commutation law swaps y and z
@@ -264,13 +264,40 @@ def _right_plonka_bulk(columns: np.ndarray) -> np.ndarray:
     return commutes & reduces
 
 
+def _products(grid: np.ndarray):
+    """A stack of tables, ``grid[b, x, y]`` = x.y in table b, as a function
+    ``at(x, y)`` of uint8 coordinate arrays that broadcast against one
+    another: ``at(x, y)[b, ...]`` is x.y in table b, read by one ``take``
+    on int32 cell indices."""
+    tables, n = grid.shape[:2]
+    flat = np.ascontiguousarray(grid).reshape(-1)
+    start = (np.arange(tables, dtype=np.int32) * (n * n)).reshape(-1, 1, 1, 1)
+    return lambda x, y: flat.take(np.multiply(x, n, dtype=np.int32) + y + start)
+
+
+def _holds(equal: np.ndarray) -> np.ndarray:
+    """Per table (the first axis), whether every entry of ``equal`` is true."""
+    return equal.all(tuple(range(1, equal.ndim)))
+
+
+def _coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and z over 0..n-1 as uint8 arrays that broadcast to (n, n, n)."""
+    points = np.arange(n, dtype=np.uint8)
+    return points[:, None, None], points[:, None], points
+
+
+# the laws the batch checkers cover
+MAGMA_BATCH_LAWS = frozenset({MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.K_CYCLIC,
+                              MagmaLaw.ASSOCIATIVE})
+
+
 def check_magma_laws_batch(stack: np.ndarray, laws: Iterable[MagmaLaw],
                            k: Optional[int] = None) -> np.ndarray:
     """Evaluate magma laws on a stack of tables at once: ``stack[b, x, y]``
     is x.y in table b.  Returns a boolean per table, true where every law in
     ``laws`` holds; each law's verdict agrees with ``check_magma_law``.
-    Covers the laws a column search guarantees: right Plonka, band and
-    k-cyclic (which needs ``k``)."""
+    Covers ``MAGMA_BATCH_LAWS``: right Plonka, band, k-cyclic (which needs
+    ``k``) and associative."""
     ok = np.ones(len(stack), dtype=bool)
     diagonal = np.arange(stack.shape[1])
     columns = np.ascontiguousarray(stack.transpose(0, 2, 1))
@@ -283,6 +310,10 @@ def check_magma_laws_batch(stack: np.ndarray, laws: Iterable[MagmaLaw],
             ok &= _right_plonka_bulk(columns)
         elif law is MagmaLaw.BAND:
             ok &= (stack[:, diagonal, diagonal] == diagonal).all(1)
+        elif law is MagmaLaw.ASSOCIATIVE:
+            t = _products(stack)
+            x, y, z = _coordinates(stack.shape[1])
+            ok &= _holds(t(t(x, y), z) == t(x, t(y, z)))
         else:
             raise ValueError(f"no batch check for {law!r}")
     return ok
@@ -372,6 +403,15 @@ def _triple_law(r: RMap, pieces) -> Optional[Witness]:
     return None
 
 
+def _run_chain_arrays(chain, triple, r):
+    """``_run_chain`` on coordinate arrays: ``r(a, b)`` gives both
+    components of R at the broadcast arrays a and b."""
+    t = list(triple)
+    for p, q in chain:
+        t[p], t[q] = r(t[p], t[q])
+    return t
+
+
 def _pieces_slab_mask(r: RMap, pieces):
     """The failure mask of all pieces at once, by slab (see
     ``_vectorised_witness``); a chain step is two gathers on the
@@ -381,19 +421,17 @@ def _pieces_slab_mask(r: RMap, pieces):
     ys = np.arange(n, dtype=np.int32)[None, :, None]
     zs = np.arange(n, dtype=np.int32)[None, None, :]
 
-    def run(chain, t):
-        t = list(t)
-        for p, q in chain:
-            k = t[p] * n + t[q]
-            t[p], t[q] = u[k], v[k]
-        return t
+    def apply(a, b):
+        k = a * n + b
+        return u[k], v[k]
 
     def mask(lo, hi):
         triple = (np.arange(lo, hi, dtype=np.int32)[:, None, None], ys, zs)
         bad = np.zeros((hi - lo, n, n), dtype=bool)
         for _, lhs_chain, rhs_chain in pieces:
-            for lhs, rhs in zip(run(lhs_chain, triple), run(rhs_chain, triple)):
-                bad |= lhs != rhs
+            lhs = _run_chain_arrays(lhs_chain, triple, apply)
+            for left, right in zip(lhs, _run_chain_arrays(rhs_chain, triple, apply)):
+                bad |= left != right
         return bad
     return mask
 
@@ -616,6 +654,44 @@ def _lyubashenko_form(d, s) -> Optional[Witness]:
         if f[g[x]] != g[f[x]]:
             return Witness("pair_not_commuting", (x,), f[g[x]], g[f[x]])
     return None
+
+
+BIMAGMA_BATCH_LAWS = frozenset({BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA,
+                                RMapLaw.BLS})
+
+
+def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
+    """Evaluate bi-magma laws, and the BLS law of R(x, y) = (x.y, x*y), on a
+    stack of bi-magmas at once: ``stack[b, 0, x, y]`` is x.y and
+    ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
+    bi-magma, true where every law in ``laws`` holds; each verdict agrees
+    with ``check_bimagma_law`` or ``check_rmap_law``.  Covers
+    ``BIMAGMA_BATCH_LAWS``; each law's pieces are checked in turn."""
+    ok = np.ones(len(stack), dtype=bool)
+    dot, star = stack[:, 0], stack[:, 1]
+    d, s = _products(dot), _products(star)
+    x, y, z = _coordinates(stack.shape[-1])
+    for law in laws:
+        if law in (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA):
+            # right Plonka for the dot, left Plonka for the star (right
+            # Plonka of its opposite, whose columns are the star's rows)
+            ok &= _right_plonka_bulk(np.ascontiguousarray(dot.transpose(0, 2, 1)))
+            ok &= _right_plonka_bulk(np.ascontiguousarray(star))
+            ok &= _holds(s(x, d(y, z)) == d(s(x, y), z))   # mixed_star_dot
+            ok &= _holds(s(d(x, z), y) == s(x, y))         # mixed_dot_in_star
+            ok &= _holds(d(x, s(y, z)) == d(x, z))         # mixed_star_in_dot
+            if law is BiMagmaLaw.UNITARY_PLONKA_BIMAGMA:   # unitary_pairing, at (y, z)
+                ok &= _holds(d(s(y, z), y) == z)
+        elif law is RMapLaw.BLS:
+            def apply(a, b):
+                return d(a, b), s(a, b)
+            for _, lhs_chain, rhs_chain in _BLS_PIECES:
+                lhs = _run_chain_arrays(lhs_chain, (x, y, z), apply)
+                for left, right in zip(lhs, _run_chain_arrays(rhs_chain, (x, y, z), apply)):
+                    ok &= _holds(left == right)
+        else:
+            raise ValueError(f"no batch check for {law!r}")
+    return ok
 
 
 def check_bimagma_law(b: BiMagma, law: BiMagmaLaw) -> Verdict:

@@ -16,7 +16,7 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
 from ybmag import census
 from ybmag.census import (_bimagma_raw_stream, _function_pool, _is_connected_map,
                           _iter_plonka_tables, _magma_raw_stream, _orbit, _orbit_dedupe,
-                          _perm_from_cycle_type, _relabelling_gather, _transpose_flat)
+                          _perm_from_cycle_type, _relabelling_gather)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
 from ybmag.families import _partitions
 from ybmag.plonka import BiPlonkaPartition
@@ -528,6 +528,10 @@ def test_bls_rmap_filter_agrees_exhaustively_n2():
     assert res.representatives == tuple(_bimagma(2, flat) for flat in classes)
 
 
+def _transpose_flat(flat, n):
+    return tuple(flat[y * n + x] for x in range(n) for y in range(n))
+
+
 def _dot_star_route(query):
     """The raw bi-magmas by the pair route: every right Plonka dot with every
     left Plonka star, the pair kept when it passes every law of the query."""
@@ -566,6 +570,36 @@ def test_two_grid_search_result_failing_plonka_is_typed(monkeypatch, laws):
                         lambda n, pool, band: iter([_NOT_PLONKA_BIMAGMA]))
     with pytest.raises(CrossCheckFailed, match="column search produced bi-magma"):
         enumerate_structures(CensusQuery(2, **laws))
+
+
+def test_two_grid_search_result_failing_bls_is_typed(monkeypatch):
+    # no Plonka bi-magma fails BLS, so the Plonka check is made to pass a
+    # bi-magma that fails both
+    b = _bimagma(2, (1, 0, 0, 1, 0, 0, 0, 0))
+    assert not check_rmap_law(canonical_correspondence(b), RMapLaw.BLS).holds
+    real = census.check_bimagma_laws_batch
+    monkeypatch.setattr(census, "check_bimagma_laws_batch", lambda stack, laws: real(
+        stack, [law for law in laws if law is not BiMagmaLaw.PLONKA_BIMAGMA]))
+    monkeypatch.setattr(census, "_iter_plonka_tables",
+                        lambda n, pool, band: iter([_NOT_PLONKA_BIMAGMA]))
+    with pytest.raises(CrossCheckFailed, match="Plonka bi-magma .* that fails bls"):
+        enumerate_structures(CensusQuery(2, rmap_laws=(RMapLaw.BLS,)))
+    # without bls in the query the table is not checked for it
+    query = CensusQuery(2, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,))
+    assert list(_bimagma_raw_stream(query, DEFAULT_LIMITS)) == [(1, 0, 0, 1, 0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("laws", [{"rmap_laws": (RMapLaw.BLS, RMapLaw.UNITARY)},
+                                  {"rmap_laws": (RMapLaw.BLS, RMapLaw.INVOLUTIVE)},
+                                  {"bimagma_laws": (BiMagmaLaw.UNITARY_PLONKA_BIMAGMA,)},
+                                  {"bimagma_laws": (BiMagmaLaw.PLONKA_BIMAGMA,
+                                                    BiMagmaLaw.LYUBASHENKO_FORM)}])
+def test_two_grid_search_filters_the_other_laws(laws):
+    for n in (0, 1, 2, 3):
+        query = CensusQuery(n, **laws)
+        stream = list(_bimagma_raw_stream(query, DEFAULT_LIMITS))
+        assert sorted(stream) == sorted(_dot_star_route(query)), n
+        assert n < 2 or 0 < len(stream) < 249
 
 
 def test_two_grid_search_guard():

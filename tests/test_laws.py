@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, FiniteFunction, MagmaLaw,
+from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction, MagmaLaw,
                    RMap, RMapLaw, canonical_correspondence, check_bimagma_law,
                    check_magma_law, check_rmap_law, cyclic_group_table,
                    flip_map, free_k_cyclic, identity_rmap, left_zero_table,
@@ -14,7 +14,9 @@ from ybmag import laws
 from ybmag.build import (EssSolution, OdometerSolution, RightPlonkaOppositeSolution,
                          build_solution)
 from ybmag.families import OdometerTriple
-from ybmag.laws import check_magma_laws_batch
+from ybmag.census import _magma_raw_stream
+from ybmag.core import DEFAULT_LIMITS
+from ybmag.laws import check_bimagma_laws_batch, check_magma_laws_batch
 
 from conftest import cayley_tables, rmaps
 
@@ -383,14 +385,15 @@ def _power(f, k):
 def test_batch_check_matches_per_table_check():
     rng = random.Random(20231)
     corpora = {n: _batch_corpus(n, rng) for n in (1, 2, 3, 4)}
+    corpora[0] = [CayleyTable(0, ())]
     for generators, k in ((2, 2), (2, 3), (1, 3)):
         built = free_k_cyclic(generators, k, generators > 1).table
         corpora.setdefault(built.n, []).append(built)
     cases = ((MagmaLaw.RIGHT_PLONKA, None), (MagmaLaw.BAND, None),
-             (MagmaLaw.K_CYCLIC, 2), (MagmaLaw.K_CYCLIC, 3))
+             (MagmaLaw.K_CYCLIC, 2), (MagmaLaw.K_CYCLIC, 3), (MagmaLaw.ASSOCIATIVE, None))
     seen = {case: set() for case in cases}
     for n, tables in corpora.items():
-        stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(-1, n, n)
+        stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(len(tables), n, n)
         for law, k in cases:
             expected = [check_magma_law(t, law, k).holds for t in tables]
             assert check_magma_laws_batch(stack, (law,), k).tolist() == expected, (n, law, k)
@@ -406,10 +409,51 @@ def test_batch_check_matches_per_table_check():
 def test_batch_check_rejects_what_it_does_not_cover():
     stack = np.zeros((1, 2, 2), dtype=np.uint8)
     with pytest.raises(ValueError):
-        check_magma_laws_batch(stack, (MagmaLaw.ASSOCIATIVE,))
+        check_magma_laws_batch(stack, (MagmaLaw.COMMUTATIVE,))
     for k in (None, 0):
         with pytest.raises(ValueError):
             check_magma_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k)
+    for law in (BiMagmaLaw.YANG_BAXTER_BIMAGMA, RMapLaw.UNITARY, MagmaLaw.RIGHT_PLONKA):
+        with pytest.raises(ValueError):
+            check_bimagma_laws_batch(np.zeros((1, 2, 2, 2), dtype=np.uint8), (law,))
+
+
+def _bimagma_batch_corpus(n, rng):
+    """Seeded bi-magmas on n points as flattened dot + star tables: random
+    ones, and pairs of a right Plonka dot with a left Plonka star (the
+    transpose of a right Plonka table), every such pair up to n = 3 and a
+    sample at n = 4.  Some pairs are Plonka bi-magmas, unitary or not."""
+    def transpose(flat):
+        return tuple(flat[y * n + x] for x in range(n) for y in range(n))
+    dots = list(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
+    if n <= 3:
+        out = [d + transpose(s) for d in dots for s in dots]
+    else:
+        out = [rng.choice(dots) + transpose(rng.choice(dots)) for _ in range(1000)]
+    return out + [tuple(rng.randrange(n) for _ in range(2 * n * n)) for _ in range(200 * (n > 0))]
+
+
+def test_bimagma_batch_check_matches_per_object_checks():
+    rng = random.Random(20232)
+    laws = (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA, RMapLaw.BLS)
+    seen = {law: set() for law in laws}
+    for n in (0, 1, 2, 3, 4):
+        corpus = _bimagma_batch_corpus(n, rng)
+        stack = np.array(corpus, dtype=np.uint8).reshape(len(corpus), 2, n, n)
+        bimagmas = [BiMagma.from_flat(n, flat) for flat in corpus]
+        for law in laws:
+            expected = [(check_rmap_law(canonical_correspondence(b), law)
+                         if isinstance(law, RMapLaw) else check_bimagma_law(b, law)).holds
+                        for b in bimagmas]
+            assert check_bimagma_laws_batch(stack, (law,)).tolist() == expected, (n, law)
+            seen[law].update(expected)
+        both = [check_bimagma_law(b, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA).holds
+                and check_rmap_law(canonical_correspondence(b), RMapLaw.BLS).holds
+                for b in bimagmas]
+        assert check_bimagma_laws_batch(
+            stack, (BiMagmaLaw.UNITARY_PLONKA_BIMAGMA, RMapLaw.BLS)).tolist() == both
+    # every verdict is met on both sides
+    assert all(verdicts == {True, False} for verdicts in seen.values())
 
 
 def test_trivial_bimagma_is_unitary_plonka():
