@@ -7,10 +7,10 @@ The quick set runs the right involutory census for n = 1-6 (164 classes at
 n = 6, checked against the literature value), the Plonka bi-magma and BLS
 censuses for n = 1-3 and the conjugacy classes of self-maps for n = 1-6;
 --full adds the involutory census at n = 7, the bi-magma censuses at n = 4
-(1048 classes) and the conjugacy classes at n = 7 and 8 (343 / 125 and
-951 / 329).  Exits 1 if the Plonka bi-magma and BLS censuses differ in a
-count or a representative: every BLS solution is a Plonka bi-magma and
-conversely.
+(1048 classes), the simple solutions on t = 9 points (13 by both routes)
+and the conjugacy classes at n = 7 and 8 (343 / 125 and 951 / 329).  Exits
+1 if the Plonka bi-magma and BLS censuses differ in a count or a
+representative: every BLS solution is a Plonka bi-magma and conversely.
 
 Usage:
   python scripts/reproduce_counts.py            # the quick set, a few seconds
@@ -30,8 +30,9 @@ def main() -> int:
     parser.add_argument("--full", action="store_true",
                         help="include the slower n = 7 right involutory census "
                              "(849 classes, 6-14 s by host load), the bi-magma censuses at "
-                             "n = 4 (about 3 s for both) and the conjugacy classes of "
-                             "self-maps at n = 7 and 8 (about 12 s)")
+                             "n = 4 (about 3 s for both), the simple solutions on 9 points "
+                             "(under 1 s) and the conjugacy classes of self-maps at n = 7 and 8 "
+                             "(about 12 s)")
     args = parser.parse_args()
 
     print("# right Plonka magmas")
@@ -66,7 +67,7 @@ def main() -> int:
             agree = False
 
     print("# simple solutions on t points (two routes)")
-    for t in range(1, 9):
+    for t in range(1, 10 if args.full else 9):
         res = census_simple_bls(t)
         route = "single" if res.single_route else "dual"
         print(f"{t}\tsimple[{route}]\t{res.count}")

@@ -15,9 +15,13 @@ orbit in one numpy operation, as byte strings; the orbits must hold exactly
 the raw tables, and a class's representative is the lexicographically
 minimal table in its orbit.
 
-The sweeps of commuting permutation pairs and of self-map conjugation
-orbits run on numpy arrays of permutation rows, one array operation per
-conjugation orbit; the orbit count is checked against a Polya count of
+The sweep of commuting permutation pairs builds each centralizer as a
+wreath product of cyclic and symmetric groups, turns each of its generators
+into an index permutation of the centralizer's rows and labels the
+conjugation orbits by min-label propagation; its class count is checked
+against the Euler transform of the divisor sums.  The sweep of self-map
+conjugation orbits runs on numpy arrays of permutation rows, one array
+operation per orbit; its orbit count is checked against a Polya count of
 mapping patterns, cycles of rooted trees and their Euler transform.
 """
 
@@ -33,7 +37,8 @@ import numpy as np
 
 from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits,
                    DEFAULT_LIMITS, FiniteFunction, canonical_correspondence)
-from .families import FunctionFamily, OdometerTriple, _partitions, is_incompressible
+from .families import (FunctionFamily, OdometerTriple, _partitions, count_incompressible,
+                       is_incompressible)
 from .ideals import IdealKind, is_simple
 from .laws import (BIMAGMA_BATCH_LAWS, MAGMA_BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw,
                    _power_is_identity, check_bimagma_law, check_bimagma_laws_batch,
@@ -358,16 +363,19 @@ def _object_holds(query: CensusQuery, flat: tuple[int, ...], laws) -> bool:
 
 def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
     """The flattened tables that satisfy a magma query, in search order.
-    Left Plonka laws are searched on the transpose, read as right ones; a
-    query that implies no right Plonka law needs the generic table sweep."""
+    A query with left Plonka but neither right Plonka nor two_cyclic (which
+    implies it) is searched on the transpose, its left laws read as right
+    ones; a query that implies no Plonka law needs the generic table sweep."""
     n = query.n
     laws = set(query.magma_laws)
-    transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
+    transpose = MagmaLaw.LEFT_PLONKA in laws and \
+        not laws & {MagmaLaw.RIGHT_PLONKA, MagmaLaw.TWO_CYCLIC}
     if transpose:
-        mirror = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA,
+        # the searched columns are the query's rows, so only its left laws (and
+        # band) may cut them; its right laws and right_simple are residual
+        mirror = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND: MagmaLaw.BAND,
                   MagmaLaw.LEFT_INVOLUTORY: MagmaLaw.RIGHT_INVOLUTORY}
-        laws = {mirror.get(law, law) for law in laws}
-    # on the transpose the searched columns are the query's rows
+        laws = {mirror[law] for law in laws if law in mirror}
     flip = (lambda stack: stack.transpose(0, 2, 1)) if transpose else None
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
@@ -375,7 +383,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
         orders = (2 if laws & {MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.TWO_CYCLIC}
                   else query.k if MagmaLaw.K_CYCLIC in laws else None)
         band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
-        pool = _function_pool(n, orders, "right_simple" in query.predicates)
+        pool = _function_pool(n, orders, "right_simple" in query.predicates and not transpose)
         tables = _iter_plonka_tables(n, pool, band)
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
@@ -474,11 +482,15 @@ def _perm_from_cycle_type(lengths: Sequence[int], n: int) -> tuple[int, ...]:
 
 def _permutation_array(n: int) -> np.ndarray:
     """Every permutation of 0..n-1 as a uint8 row, in ``itertools.permutations``
-    order, which is lexicographic (one empty row for n = 0)."""
-    count = math.factorial(n)
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                       dtype=np.uint8, count=count * n)
-    return flat.reshape(count, n)
+    order, which is lexicographic (one empty row for n = 0).  The rows on k
+    points are, for each first entry a in turn, a followed by the rows on
+    k - 1 points with every entry from a up raised by one."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k, dtype=np.uint8), len(rows))[:, None]
+        rest = np.tile(rows, (k, 1))
+        rows = np.concatenate((first, rest + (rest >= first)), 1)
+    return rows
 
 
 def _codes(rows: np.ndarray, n: int) -> np.ndarray:
@@ -506,26 +518,98 @@ def _unseen_indices(unseen: np.ndarray) -> Iterator[int]:
         i += 1
 
 
+def _cycle_blocks(cycle_type: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(first point, cycle length c, cycle count m) of each run of equal
+    lengths in a non-increasing cycle type, as ``_perm_from_cycle_type``
+    lays the cycles out."""
+    start = 0
+    for c, run in itertools.groupby(cycle_type):
+        m = len(list(run))
+        yield start, c, m
+        start += c * m
+
+
+def _centralizer(cycle_type: Sequence[int], n: int) -> np.ndarray:
+    """The centralizer of ``_perm_from_cycle_type(cycle_type, n)`` as uint8
+    permutation rows in lexicographic order: the product over cycle lengths
+    c of Z_c wr S_m, which permutes the m cycles of length c among
+    themselves and rotates each one."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for start, c, m in _cycle_blocks(cycle_type):
+        cycles = _permutation_array(m)                                  # [p, i]
+        shifts = np.indices((c,) * m, dtype=np.uint8).reshape(m, -1).T  # [r, i]
+        # point start + i c + j goes to start + p[i] c + (j + r[i]) mod c
+        block = (start + cycles[:, None, :, None] * c
+                 + (shifts[None, :, :, None] + np.arange(c, dtype=np.uint8)) % c)
+        block = block.reshape(len(cycles) * len(shifts), m * c)
+        rows = np.concatenate((np.repeat(rows, len(block), 0), np.tile(block, (len(rows), 1))), 1)
+    return rows[np.argsort(_codes(rows, n))]
+
+
+def _centralizer_generators(cycle_type: Sequence[int], n: int) -> list[np.ndarray]:
+    """Generators of the centralizer as uint8 rows, at most three per cycle
+    length: rotate the first cycle, swap the first two cycles, shift every
+    cycle to the next."""
+    generators = []
+    for start, c, m in _cycle_blocks(cycle_type):
+        points = np.arange(start, start + c * m).reshape(m, c)   # [cycle, position]
+        moves = []
+        if c > 1:
+            moves.append(np.concatenate((np.roll(points[:1], -1, 1), points[1:])))
+        if m > 1:
+            moves.append(points[[1, 0] + list(range(2, m))])
+        if m > 2:
+            moves.append(np.roll(points, -1, 0))
+        for images in moves:
+            h = np.arange(n, dtype=np.uint8)
+            h[points.ravel()] = images.ravel()
+            generators.append(h)
+    return generators
+
+
 def commuting_permutation_pairs_up_to_conjugacy(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """One representative per simultaneous-conjugacy class of commuting
     permutation pairs: the first component runs over cycle types, the second
-    over centralizer orbits within the centralizer, in lexicographic order.
-    The centralizer is a numpy array of permutation rows, and each orbit
-    sigma g sigma^-1 is computed in one array operation."""
-    perms = _permutation_array(n)
+    over the conjugation orbits of the centralizer on itself, each orbit's
+    lexicographically least element in lexicographic order.  Each generator
+    h of the centralizer acts on its rows as an index permutation g ->
+    h g h^-1; every row's orbit label is the least index reachable, found by
+    min-label propagation with pointer jumping.  The number of classes is
+    checked against the Euler transform of the divisor sums (OEIS A061256)."""
+    classes = 0
     for cycle_type in _partitions(n):
         f = _perm_from_cycle_type(cycle_type, n)
-        f_row = np.array(f, dtype=np.uint8)
-        centralizer = perms[(f_row[perms] == perms[:, f_row]).all(1)]
-        inverses = np.argsort(centralizer, axis=1).astype(np.uint8)
-        codes = _codes(centralizer, n)   # ascending: the rows are lexicographic
-        unseen = np.ones(len(centralizer), dtype=bool)
-        for i in _unseen_indices(unseen):
-            g = centralizer[i]
-            conjugates = np.take_along_axis(centralizer, g[inverses], 1)
-            unseen[np.searchsorted(codes, _codes(conjugates, n))] = False
-            # FiniteFunction takes Python ints only
-            yield f, tuple(g.tolist())
+        centralizer = _centralizer(cycle_type, n)
+        codes = _codes(centralizer, n)
+        steps = []
+        for h in _centralizer_generators(cycle_type, n):
+            if not (h[list(f)] == np.array(f)[h]).all():
+                raise CrossCheckFailed(f"centralizer generator {h.tolist()} does not commute "
+                                       f"with {f}")
+            conjugate_codes = _codes(h[centralizer[:, np.argsort(h)]], n)
+            step = np.searchsorted(codes, conjugate_codes)
+            if not (step < len(codes)).all() or (codes[step] != conjugate_codes).any():
+                raise CrossCheckFailed(f"a conjugate by {h.tolist()} misses the centralizer "
+                                       f"of {f}")
+            steps.append(step)
+        labels = np.arange(len(centralizer))
+        while True:
+            previous = labels
+            for step in steps:
+                labels = np.minimum(labels, labels[step])
+            labels = labels[labels]
+            if np.array_equal(labels, previous):
+                break
+        roots = centralizer[labels == np.arange(len(centralizer))]
+        classes += len(roots)
+        for g in roots.tolist():   # FiniteFunction takes Python ints only
+            yield f, tuple(g)
+    # a pair is a multiset of incompressible ones, sigma(k) classes on k points
+    sigma = [0] + [count_incompressible(k, 2) for k in range(1, n + 1)]
+    expected = _euler_transform(sigma, n)[n]
+    if classes != expected:
+        raise CrossCheckFailed(f"commuting-pair sweep at n={n} found {classes} classes, "
+                               f"the Euler transform of the divisor sums (A061256) says {expected}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class Limits:
     subset_listing: int = 16     # 2**n ideal listings
     two_part_split: int = 16     # 2**n bipartition searches
     # exhaustive route of the simple-solution census; measured on a 2-vCPU
-    # VM: t = 9 takes 3.9 s and 65 MB max RSS, t = 10 takes 76 s and 420 MB
+    # VM: t = 9 takes 0.25 s and 56 MB max RSS, t = 10 takes 2.8 s and 291 MB
     simple_bls_brute: int = 9
     # orbit sweep of the self-map conjugacy census, all n**n maps; measured
     # on a 2-vCPU VM: n = 8 takes 4.5-6.6 s per call and 48 MB max RSS

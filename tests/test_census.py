@@ -4,6 +4,7 @@ import operator
 import os
 import random
 
+import numpy as np
 import pytest
 
 from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction,
@@ -14,7 +15,8 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    enumerate_structures, function_conjugacy_census,
                    minimal_image, rebuild, structured_iso)
 from ybmag import census
-from ybmag.census import (_bimagma_raw_stream, _function_pool, _is_connected_map,
+from ybmag.census import (_bimagma_raw_stream, _centralizer, _centralizer_generators,
+                          _function_pool, _is_connected_map,
                           _iter_plonka_tables, _magma_raw_stream, _orbit, _orbit_dedupe,
                           _perm_from_cycle_type, _relabelling_gather)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
@@ -156,12 +158,16 @@ def _recheck_route(query):
     of the query checked on it, then the right_simple predicate."""
     n = query.n
     laws = set(query.magma_laws)
-    transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws
+    transpose = MagmaLaw.LEFT_PLONKA in laws and MagmaLaw.RIGHT_PLONKA not in laws \
+        and MagmaLaw.TWO_CYCLIC not in laws
     if transpose:
-        laws = {MagmaLaw.RIGHT_PLONKA if law is MagmaLaw.LEFT_PLONKA else law for law in laws}
+        # the pool cuts the query's rows: only the left laws and band may cut it
+        left = {MagmaLaw.RIGHT_PLONKA}
         if MagmaLaw.LEFT_INVOLUTORY in laws:
-            laws.discard(MagmaLaw.LEFT_INVOLUTORY)
-            laws.add(MagmaLaw.RIGHT_INVOLUTORY)
+            left.add(MagmaLaw.RIGHT_INVOLUTORY)
+        if MagmaLaw.BAND in laws:
+            left.add(MagmaLaw.BAND)
+        laws = left
     orders = None
     if MagmaLaw.RIGHT_INVOLUTORY in laws or MagmaLaw.TWO_CYCLIC in laws:
         orders = 2
@@ -169,7 +175,7 @@ def _recheck_route(query):
         orders = query.k
     band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
     simple = "right_simple" in query.predicates
-    pool = _product_filter_pool(n, orders, simple)
+    pool = _product_filter_pool(n, orders, simple and not transpose)
     for flat in _iter_plonka_tables(n, pool, band):
         table = CayleyTable.from_flat(n, flat)
         source = table.opposite() if transpose else table
@@ -193,8 +199,13 @@ _STREAM_CASES = [
     ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.LEFT_PLONKA), None, ()),
     # the pool is cut by one order and the other is checked per table
     ((MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.K_CYCLIC), 3, ()),
-    # on the transpose the pool cuts the rows, so k-cyclic is checked per table
+    # on the transpose the pool cuts the rows, so the right laws and
+    # right_simple are checked per table
     ((MagmaLaw.LEFT_PLONKA, MagmaLaw.K_CYCLIC), 1, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY), None, ()),
+    ((MagmaLaw.LEFT_PLONKA,), None, ("right_simple",)),
+    # two_cyclic implies right Plonka, so this is searched untransposed
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.TWO_CYCLIC), None, ()),
 ]
 
 
@@ -203,6 +214,40 @@ def test_raw_stream_matches_per_table_recheck(laws, k, predicates):
     for n in (0, 1, 2, 3, 4):
         query = CensusQuery(n, laws, k=k, predicates=predicates)
         assert list(_magma_raw_stream(query, DEFAULT_LIMITS)) == list(_recheck_route(query)), n
+
+
+@pytest.fixture(scope="module")
+def left_plonka_tables():
+    """Every left Plonka table on n <= 3 points, by a sweep of all n^(n^2) tables."""
+    tables = {}
+    for n in (0, 1, 2, 3):
+        every = map(CayleyTable.from_flat, itertools.repeat(n),
+                    itertools.product(range(n), repeat=n * n))
+        tables[n] = [t for t in every if check_magma_law(t, MagmaLaw.LEFT_PLONKA).holds]
+    return tables
+
+
+@pytest.mark.parametrize("laws, k, predicates", [
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY), None, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.LEFT_INVOLUTORY, MagmaLaw.RIGHT_INVOLUTORY), None, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.K_CYCLIC), 1, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.K_CYCLIC), 2, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.K_CYCLIC), 3, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.TWO_CYCLIC), None, ()),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.LEFT_INVOLUTORY), None, ()),
+    ((MagmaLaw.LEFT_PLONKA,), None, ("right_simple",)),
+    ((MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND), None, ("right_simple",)),
+])
+def test_left_plonka_queries_match_table_sweep(left_plonka_tables, laws, k, predicates):
+    # a right law or right_simple must not cut the transposed search's pool
+    for n, tables in left_plonka_tables.items():
+        query = CensusQuery(n, laws, k=k, predicates=predicates)
+        expected = sorted(
+            t.flat() for t in tables
+            if all(check_magma_law(t, law, k if law is MagmaLaw.K_CYCLIC else None).holds
+                   for law in laws)
+            and ("right_simple" not in predicates or _columns_incompressible(t)))
+        assert sorted(_magma_raw_stream(query, DEFAULT_LIMITS)) == expected, n
 
 
 def test_involutory_raw_stream_matches_per_table_recheck_n5():
@@ -666,7 +711,14 @@ def _pair_sweep_oracle(n):
                 yield f, g
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
+def test_permutation_array_is_itertools_order(n):
+    rows = census._permutation_array(n)
+    assert rows.dtype == np.uint8
+    assert list(map(tuple, rows.tolist())) == list(itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", range(8))
 def test_commuting_pairs_match_python_sweep(n):
     pairs = list(commuting_permutation_pairs_up_to_conjugacy(n))
     assert pairs == list(_pair_sweep_oracle(n))
@@ -695,6 +747,32 @@ def test_simple_bls_pair_route_failure_is_typed(monkeypatch):
     # a second route that accepts every pair must disagree with the triples
     monkeypatch.setattr(census, "is_incompressible", lambda family: True)
     with pytest.raises(CrossCheckFailed, match="simple-solution routes disagree at t=4"):
+        census_simple_bls(4)
+
+
+def _drop_first_generator(cycle_type, n):
+    return _centralizer_generators(cycle_type, n)[1:]
+
+
+def _transposition_generator(cycle_type, n):
+    return [np.array([1, 0] + list(range(2, n)), dtype=np.uint8)]
+
+
+def _drop_last_row(cycle_type, n):
+    return _centralizer(cycle_type, n)[:-1]
+
+
+@pytest.mark.parametrize("name, sabotage, message", [
+    # conjugation by a proper subgroup splits orbits: too many classes
+    ("_centralizer_generators", _drop_first_generator, "commuting-pair sweep at n=4 found"),
+    # the swap of points 0 and 1 does not commute with the 4-cycle
+    ("_centralizer_generators", _transposition_generator, "does not commute"),
+    # in Z_2 wr S_2, a conjugate of another row is the dropped last row
+    ("_centralizer", _drop_last_row, "misses the centralizer"),
+])
+def test_commuting_pair_sweep_failure_is_typed(monkeypatch, name, sabotage, message):
+    monkeypatch.setattr(census, name, sabotage)
+    with pytest.raises(CrossCheckFailed, match=message):
         census_simple_bls(4)
 
 
