@@ -30,7 +30,7 @@ from .build import (BlsFromPartitionSolution, EssSolution, FlipSolution,
                     build_solution, cyclic_group_table, free_k_cyclic,
                     left_zero_table, magma_from_function, right_zero_table,
                     symmetric_group_table, trivial_bimagma, trivial_brace)
-from .census import (CensusQuery, CensusResult, CensusRow,
+from .census import (CensusQuery, CensusResult, CensusRow, CensusStats,
                      SimpleSolutionCensus, census_simple_bls,
                      commuting_permutation_pairs_up_to_conjugacy,
                      enumerate_structures, function_conjugacy_census,

@@ -1,11 +1,16 @@
 """Symmetry-reduced exhaustive enumeration of constrained finite structures.
 
-The magma engine backtracks over table columns: the two right Plonka laws
+The magma engine searches over table columns: the two right Plonka laws
 say precisely that the columns pairwise commute and that column r_z(y)
 equals column y, so partial assignments prune hard.  A Plonka bi-magma is
 the two-grid case, column y joining dot column y and star row y.  The
-candidates for the next column are the AND of the chosen columns' commute
-masks, Python-int bitsets over the column pool.  Every raw table is checked
+search runs one column at a time over numpy frontiers of partial tables,
+each with its chosen and forced pool indices and the packed bit mask of
+the pool entries that commute with every chosen column; a forced column
+costs one bit test, and only the free states' masks are unpacked into
+candidates.  A one-grid pool is refused above 6**6 maps, and the raw count
+of right involutory Plonka magmas is checked against a closed labelled
+count.  Every raw table is checked
 in numpy, in uint8 stacks of up to 1024: a table failing a law the search
 guarantees (right Plonka, band, the column order; Plonka bi-magma and, by
 the structure theorem, BLS) raises CrossCheckFailed, the query's other laws
@@ -30,7 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -124,91 +130,133 @@ def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bo
     return [tuple(row) for row in perms.tolist()]
 
 
-def _bitset(flags: np.ndarray) -> int:
-    """A boolean vector over the pool as an int whose bit i is flags[i]."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+# bytes per frontier chunk, a state costing its packed commute mask and some
+# 32 bytes per cell of its column for its own and its children's index arrays;
+# composed map cells per batch of commute rows
+_FRONTIER_BYTES = 1 << 20
+_ROW_CELLS = 1 << 20
+
+
+def _commuting(maps: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """[i, j]: whether the uint8 self-maps maps[i] and others[j] commute.
+    Their points are a multiple of 8, so composites compare as uint64 words."""
+    a_of_b = np.take(maps, others, axis=1).view(np.uint64)                      # [i, j, word]
+    b_of_a = np.take(others, maps, axis=1).view(np.uint64).transpose(1, 0, 2)
+    return (a_of_b == b_of_a).all(2)
 
 
 def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
                         band: bool) -> Iterator[tuple[int, ...]]:
     """All right Plonka tables on a pool of distinct columns, in pool order:
     columns that commute, with column[column_z(y)] = column[y].  An entry of
-    k maps (k = len(entry) // n) is a column of k grids; a cell lists k entries."""
-    k = len(pool[0]) // max(n, 1)
-    columns: list[tuple[int, ...]] = []   # the maps of the chosen columns 0..y-1
-    chosen: list[int] = []                # and their pool indices
-    forced: dict[int, int] = {}           # a later column's required pool index
-    grid = np.array(pool, dtype=np.intp).reshape(len(pool), k, n)
-    maps = [tuple(map(tuple, entry)) for entry in grid.tolist()]
-    # each entry's images point by point, m_0(a) .. m_k-1(a), and their points a
-    images = list(map(tuple, grid.transpose(0, 2, 1).reshape(len(pool), k * n).tolist()))
-    points = [[a for a in range(y + 1) for _ in range(k)] for y in range(n)]
-    commute_masks: dict[int, int] = {}
+    k maps (k = len(entry) // n) is a column of k grids; a cell lists k entries.
 
-    def commute_mask(i: int) -> int:
-        mask = commute_masks.get(i)
-        if mask is None:
-            mask = everything
-            for c in grid[i]:
-                mask &= _bitset((c[grid] == grid[..., c]).all((1, 2)))
-            commute_masks[i] = mask
-        return mask
+    The search runs one depth at a time over frontier chunks.  A state holds
+    its pool indices, chosen for positions below its depth y and forced (or
+    -1) from y on, and the packed mask of the pool entries that commute with
+    every chosen column.  The (y, b) rule pins column y to the column at each
+    image b of y under a chosen map; the (a, y) rule is checked for the new
+    column on all children at once.  Children are pushed as chunks, last
+    first, so tables come out in lexicographic order of their pool indices.
+    Commute rows are built for an index the first time a state needs them.
+    Returns, as the generator's value, the number of states at each depth
+    0..n that passed every check."""
+    if n == 0:
+        yield ()
+        return [1]
+    grid = np.asarray(pool, dtype=np.uint8).reshape(len(pool), -1, n)   # [i, g, x]
+    size, k = grid.shape[:2]
+    # the distinct maps of all grids (entries commute when all their maps
+    # do), with fixed points added up to a multiple of 8 points
+    every = grid.reshape(size * k, n)
+    _, first, which = np.unique(_codes(every, n), return_index=True, return_inverse=True)
+    pad = np.arange(n, -(-n // 8) * 8, dtype=np.uint8)
+    maps = np.concatenate((every[first], np.broadcast_to(pad, (len(first), len(pad)))), 1)
+    which = which.reshape(size, k)
+    width = -(-size // 8)
+    rows = np.empty((size, width), dtype=np.uint8)   # commute rows, filled as needed
+    built = np.zeros(size, dtype=bool)
+    index = np.int16 if size < 1 << 15 else np.int32
+    fixes = (grid == np.arange(n, dtype=np.uint8)).all(1)   # [i, y]: the band law
+    band_rows = np.packbits(fixes.T, axis=1, bitorder="little")
+    per_chunk = max(1, _FRONTIER_BYTES // (width + 32 * n * k))
+    nodes = [1] + [0] * n
 
-    everything = (1 << len(pool)) - 1
-    # per-position masks that no choice changes: the band law
-    static = [_bitset((grid[..., y] == y).all(1)) if band else everything for y in range(n)]
+    def build(chosen: np.ndarray) -> None:
+        wanted = np.zeros(size, dtype=bool)
+        wanted[chosen] = True
+        fresh = np.flatnonzero(wanted & ~built)
+        step = max(1, _ROW_CELLS // (len(maps) * maps.shape[1] * k))
+        for s in range(0, len(fresh), step):
+            batch = fresh[s:s + step]
+            needed, position = np.unique(which[batch], return_inverse=True)
+            position = position.reshape(len(batch), k)
+            commute = _commuting(maps[needed], maps)
+            ok = np.ones((len(batch), size), dtype=bool)
+            for g in range(k):
+                for h in range(k):
+                    ok &= commute[position[:, g]][:, which[:, h]]
+            rows[batch] = np.packbits(ok, axis=1, bitorder="little")
+            built[batch] = True
 
-    def coherent(y: int, later: list[int]) -> Optional[dict[int, int]]:
-        """Check the coherence rule on the pairs (a, y) for the column just
-        chosen at y; the pairs (y, b) were settled before the candidate
-        loop and the rest at earlier depths.  Returns the columns newly
-        forced beyond y (those in ``later`` to column y itself), or None."""
-        i = chosen[y]
-        new_forced = dict.fromkeys(later, i)
-        for a, target in zip(points[y], images[i]):
-            need = chosen[a]
-            if target <= y:
-                if chosen[target] != need:
-                    return None
-            else:
-                prior = forced.get(target, new_forced.get(target))
-                if prior is None:
-                    new_forced[target] = need
-                elif prior != need:
-                    return None
-        return new_forced
+    def expand(y: int, cols: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children of the states ``cols`` at depth y that pass the
+        checks, with column y chosen, and the index of each one's parent."""
+        count = len(cols)
+        # the pairs (y, b): column b = column y for b = y and each image b of
+        # y under a chosen map, so a chosen or forced column b pins column y
+        targets = np.concatenate((grid[:, :, y][cols[:, :y]].reshape(count, y * k),
+                                  np.full((count, 1), y, dtype=np.uint8)), 1)
+        required = np.take_along_axis(cols, targets, 1)
+        top = required.max(1)
+        live = ((required == top[:, None]) | (required < 0)).all(1)
+        pinned = np.flatnonzero(live & (top >= 0))
+        pin = top[pinned]
+        keep = (masks[pinned, pin >> 3] >> (pin & 7)) & 1 == 1
+        if band:
+            keep &= fixes[pin, y]
+        pinned, pin = pinned[keep], pin[keep]
+        free = np.flatnonzero(live & (top < 0))
+        allowed = masks[free] & band_rows[y] if band else masks[free]
+        row, byte = np.nonzero(allowed)
+        bit_row, bit = np.nonzero(np.unpackbits(allowed[row, byte][:, None], axis=1,
+                                                 bitorder="little"))
+        parent = np.concatenate((pinned, free[row[bit_row]]))
+        choice = np.concatenate((pin, (byte[bit_row] * 8 + bit).astype(index)))
+        order = np.argsort(parent, kind="stable")
+        parent, choice = parent[order], choice[order]
+        children = cols[parent]
+        flat = children.reshape(-1)
+        offsets = np.arange(0, len(children) * n, n, dtype=np.int32)[:, None]
+        flat[offsets + targets[parent]] = choice[:, None]
+        # the pairs (a, y), a <= y: column[col_y(a)] = column[a].  A target
+        # beyond y still free takes the column of a; then every target must
+        # hold it, so two pairs forcing one target differently fail
+        cells = offsets[:, :, None] + grid[choice, :, :y + 1]
+        need = np.broadcast_to(children[:, None, :y + 1], cells.shape)
+        seen = flat[cells]
+        flat[cells] = np.where(seen < 0, need, seen)
+        good = (flat[cells] == need).all((1, 2))
+        return children[good], parent[good]
 
-    def rec(y: int, commuting: int) -> Iterator[tuple[int, ...]]:
-        # commuting: the pool indices that commute with every chosen column
-        if y == n:
-            yield tuple(itertools.chain.from_iterable(zip(*columns)))
-            return
-        candidates = commuting & static[y]
-        # the pairs (y, b): column col(y) must equal column y for every chosen
-        # map col; and column y itself may be forced by an earlier depth
-        later = []
-        for target in {col[y] for col in columns} | {y}:
-            required = chosen[target] if target < y else forced.get(target)
-            if required is not None:
-                candidates &= 1 << required
-            elif target > y:
-                later.append(target)
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            i = low.bit_length() - 1
-            columns.extend(maps[i])
-            chosen.append(i)
-            new_forced = coherent(y, later)
-            if new_forced is not None:
-                forced.update(new_forced)
-                yield from rec(y + 1, commuting & commute_mask(i))
-                for t in new_forced:
-                    del forced[t]
-            del columns[-k:]
-            chosen.pop()
-
-    yield from rec(0, everything)
+    root = np.packbits(np.ones(size, dtype=bool), bitorder="little")[None]
+    stack = [(0, np.full((1, n), -1, dtype=index), root, np.zeros(1, dtype=np.intp))]
+    while stack:
+        y, cols, parent_masks, parents = stack.pop()
+        masks = parent_masks[parents]
+        if y:
+            build(cols[:, y - 1])
+            masks &= rows[cols[:, y - 1]]
+        children, parent = expand(y, cols, masks)
+        nodes[y + 1] += len(children)
+        if y + 1 < n:
+            for s in reversed(range(0, len(children), per_chunk)):
+                stack.append((y + 1, children[s:s + per_chunk], masks, parent[s:s + per_chunk]))
+            continue
+        for s in range(0, len(children), _BATCH):
+            tables = grid[children[s:s + _BATCH]].transpose(0, 3, 1, 2)   # [table, x, y, g]
+            yield from map(tuple, tables.reshape(len(tables), n * n * k).tolist())
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +327,26 @@ class CensusRow:
         return f"{self.n}\t{self.label}\t{self.class_count}\t{self.raw_count}\t{self.elapsed_ms}"
 
 
+@dataclass
+class CensusStats:
+    """What a census did.  ``nodes[y]`` counts the column search's partial
+    tables of y columns that passed its checks (empty for the sweeps of every
+    table); ``raw_tables`` counts the tables the search or sweep produced, of
+    which the batch law kernels rejected ``batch_rejects`` and the per-object
+    checks ``object_rejects``: the row's raw count is what is left.
+    ``orbit_images`` counts the relabelled tables the orbit dedupe gathered."""
+    nodes: tuple[int, ...] = ()
+    raw_tables: int = 0
+    batch_rejects: int = 0
+    object_rejects: int = 0
+    orbit_images: int = 0
+
+
 @dataclass(frozen=True)
 class CensusResult:
     row: CensusRow
     representatives: tuple = ()
+    stats: CensusStats = field(default_factory=CensusStats)
 
 
 def _euler_transform(a: Sequence[int], limit: int) -> list[int]:
@@ -312,21 +376,78 @@ def _known_counts() -> dict[tuple[str, int], int]:
 KNOWN_COUNTS = _known_counts()
 
 
+@cache
+def _involutory_raw_count(n: int) -> int:
+    """The labelled right involutory Plonka magmas on n points, in integers:
+    R(n) = sum_m (1/m!) sum_k s(m, k) n! [x^n] (A_k(x) - 1)^m.  A table is m
+    blocks, the classes of y -> column y, each acted on by the m commuting
+    involutions that label them; the signed Stirling numbers s of the first
+    kind invert over which labels coincide (k distinct ones).  A_k is the
+    EGF, by size, of the (Z/2)^k-sets, exp(sum_r [k r]_2 x^(2^r) / 2^r): a
+    transitive one on 2^r points is the quotient by one of the [k r]_2
+    subgroups of index 2^r, the Gaussian binomial.  Series are kept as
+    labelled counts, j! [x^j], so products are binomial convolutions."""
+    def gaussian(k: int, r: int) -> int:   # r-dimensional subspaces of F_2^k
+        top = bottom = 1
+        for i in range(r):
+            top *= 2 ** k - 2 ** i
+            bottom *= 2 ** r - 2 ** i
+        return top // bottom
+
+    coefficient = []   # [k][m]: n! [x^n] (A_k - 1)^m
+    for k in range(n + 1):
+        # transitive sets on i = 2^r labelled points: (i - 1)! labellings of each quotient
+        transitive = [gaussian(k, i.bit_length() - 1) * math.factorial(i - 1)
+                      if i > 0 and i & (i - 1) == 0 else 0 for i in range(n + 1)]
+        sets = [1] + [0] * n
+        for j in range(1, n + 1):   # the orbit of the first point has i points
+            sets[j] = sum(math.comb(j - 1, i - 1) * transitive[i] * sets[j - i]
+                          for i in range(1, j + 1))
+        sets[0] = 0
+        power = [1] + [0] * n
+        coefficient.append([])
+        for m in range(n + 1):
+            coefficient[k].append(power[n])
+            power = [sum(math.comb(j, i) * power[i] * sets[j - i] for i in range(j + 1))
+                     for j in range(n + 1)]
+    total = 0
+    stirling = [1]   # s(m, k) for k = 0..m
+    for m in range(n + 1):
+        total += sum(s * coefficient[k][m] for k, s in enumerate(stirling)) // math.factorial(m)
+        stirling = [(stirling[k - 1] if k else 0) - (m * stirling[k] if k <= m else 0)
+                    for k in range(m + 2)]
+    return total
+
+
 _BATCH = 1024  # tables per batch law check; uint8 keeps its (1024, n, n, n) temporaries small
 # carrier limits of the sweeps of every table and of the two-grid search (71 565 pairs at n = 5)
 _GENERIC_MAGMA_SWEEP = 3
 _GENERIC_BIMAGMA_SWEEP = 2
 _TWO_GRID_SEARCH = 4
+# maps in a one-grid column pool: all 6**6 self-maps on 6 points pass, 7**7 =
+# 823 543 do not; measured on a 2-vCPU VM, right_plonka at n = 6 (1 897 296 raw
+# tables) takes 139 s and 533 MB max RSS, of which the commute rows are 272 MB
+_ONE_GRID_POOL = 6 ** 6
+
+
+def _recorded(tables: Iterator[tuple[int, ...]], stats: CensusStats) -> Iterator[tuple[int, ...]]:
+    """``tables``, keeping the column search's frontier sizes (its return
+    value) in ``stats``."""
+    stats.nodes = tuple((yield from tables) or ())
 
 
 def _survivors(query: CensusQuery, tables: Iterator[tuple[int, ...]], shape: tuple[int, ...],
-               checks, guaranteed, to_query=None) -> Iterator[tuple[int, ...]]:
+               checks, guaranteed, to_query,
+               stats: Optional[CensusStats]) -> Iterator[tuple[int, ...]]:
     """The raw tables that satisfy the query, in order, checked in uint8
-    stacks of tables of per-table ``shape`` that ``to_query`` puts in the
-    query's layout.  A table outside a mask of ``checks`` (noun, laws, mask)
-    raises; the query's laws not ``guaranteed`` are checked in the batch
-    where a kernel covers them, else on an object built per table."""
+    stacks of tables of per-table ``shape`` that ``to_query`` (if any) puts
+    in the query's layout, and counted in ``stats`` (if any).  A table
+    outside a mask of ``checks`` (noun, laws, mask) raises; the query's laws
+    not ``guaranteed`` are checked in the batch where a kernel covers them,
+    else on an object built per table."""
     n, bimagma = query.n, bool(query.bimagma_laws or query.rmap_laws)
+    stats = CensusStats() if stats is None else stats
+    tables = _recorded(tables, stats)
     residual = [law for law in query.magma_laws + query.bimagma_laws + query.rmap_laws
                 if law not in guaranteed]
     batched = [law for law in residual if law in MAGMA_BATCH_LAWS | BIMAGMA_BATCH_LAWS]
@@ -341,10 +462,14 @@ def _survivors(query: CensusQuery, tables: Iterator[tuple[int, ...]], shape: tup
                                        f"that fails {laws}")
         ok = check_bimagma_laws_batch(stack, batched) if bimagma else \
             check_magma_laws_batch(stack, batched, query.k)
+        passed = int(ok.sum())
+        stats.raw_tables += len(batch)
+        stats.batch_rejects += len(batch) - passed
         batch = itertools.compress(batch, ok.tolist()) if to_query is None else \
-            map(tuple, stack[ok].reshape(int(ok.sum()), stack[0].size).tolist())
+            map(tuple, stack[ok].reshape(passed, stack[0].size).tolist())
         if others or query.predicates:
-            batch = (flat for flat in batch if _object_holds(query, flat, others))
+            batch = [flat for flat in batch if _object_holds(query, flat, others)]
+            stats.object_rejects += passed - len(batch)
         yield from batch
 
 
@@ -361,11 +486,13 @@ def _object_holds(query: CensusQuery, flat: tuple[int, ...], laws) -> bool:
                                      or is_simple(table, IdealKind.MAGMA_RIGHT))
 
 
-def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
-    """The flattened tables that satisfy a magma query, in search order.
-    A query with left Plonka but neither right Plonka nor two_cyclic (which
-    implies it) is searched on the transpose, its left laws read as right
-    ones; a query that implies no Plonka law needs the generic table sweep."""
+def _magma_raw_stream(query: CensusQuery, limits: Limits,
+                      stats: Optional[CensusStats] = None) -> Iterator[tuple[int, ...]]:
+    """The flattened tables that satisfy a magma query, in search order,
+    counted in ``stats``.  A query with left Plonka but neither right Plonka
+    nor two_cyclic (which implies it) is searched on the transpose, its left
+    laws read as right ones; a query that implies no Plonka law needs the
+    generic table sweep."""
     n = query.n
     laws = set(query.magma_laws)
     transpose = MagmaLaw.LEFT_PLONKA in laws and \
@@ -383,7 +510,11 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
         orders = (2 if laws & {MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.TWO_CYCLIC}
                   else query.k if MagmaLaw.K_CYCLIC in laws else None)
         band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
-        pool = _function_pool(n, orders, "right_simple" in query.predicates and not transpose)
+        permutations = "right_simple" in query.predicates and not transpose
+        if orders is None and not permutations and n ** n > _ONE_GRID_POOL:
+            raise GuardExceeded(f"column search over all {n ** n} self-maps refused; "
+                                f"the pool limit is {_ONE_GRID_POOL} maps")
+        pool = _function_pool(n, orders, permutations)
         tables = _iter_plonka_tables(n, pool, band)
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
@@ -402,14 +533,15 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int,
             raise GuardExceeded(f"generic table sweep limited to n <= {_GENERIC_MAGMA_SWEEP}; "
                                 "add right_plonka for the pruned search")
         tables, checks, guaranteed = itertools.product(range(n), repeat=n * n), [], set()
-    yield from _survivors(query, tables, (n, n), checks, guaranteed, flip)
+    yield from _survivors(query, tables, (n, n), checks, guaranteed, flip, stats)
 
 
-def _bimagma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[int, ...]]:
+def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
+                        stats: Optional[CensusStats] = None) -> Iterator[tuple[int, ...]]:
     """The flattened dot + star tables that satisfy a bi-magma or R-map
-    query, in search order.  The two-grid search yields Plonka bi-magmas,
-    which by the structure theorem are the BLS solutions: a searched table
-    that fails either raises CrossCheckFailed."""
+    query, in search order, counted in ``stats``.  The two-grid search
+    yields Plonka bi-magmas, which by the structure theorem are the BLS
+    solutions: a searched table that fails either raises CrossCheckFailed."""
     n = query.n
     if RMapLaw.BLS in query.rmap_laws or \
        {BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA} & set(query.bimagma_laws):
@@ -434,7 +566,7 @@ def _bimagma_raw_stream(query: CensusQuery, limits: Limits) -> Iterator[tuple[in
             raise GuardExceeded(f"generic bi-magma sweep limited to n <= {_GENERIC_BIMAGMA_SWEEP}")
         tables, shape, split = itertools.product(range(n), repeat=2 * n * n), (2, n, n), None
         checks, guaranteed = [], []
-    yield from _survivors(query, tables, shape, checks, guaranteed, split)
+    yield from _survivors(query, tables, shape, checks, guaranteed, split, stats)
 
 
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
@@ -448,8 +580,10 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     start = time.perf_counter()
     n = query.n
     bimagma = bool(query.bimagma_laws or query.rmap_laws)
-    stream = _bimagma_raw_stream(query, limits) if bimagma else _magma_raw_stream(query, limits)
+    stats = CensusStats()
+    stream = (_bimagma_raw_stream if bimagma else _magma_raw_stream)(query, limits, stats)
     classes, raw_count = _orbit_dedupe(n, stream)
+    stats.orbit_images = len(classes) * math.factorial(n)   # one gather per class
     reps = tuple((BiMagma if bimagma else CayleyTable).from_flat(n, f) for f in classes) \
         if query.mode == "representatives" else ()
     elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -461,8 +595,12 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
                 f"census {label} at n={n} found {len(classes)} classes, literature says {expected}")
     else:
         label += " [unverified]"
+    if set(query.magma_laws) == {MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY} and \
+       not query.predicates and raw_count != _involutory_raw_count(n):
+        raise CrossCheckFailed(f"census {query.label()} at n={n} found {raw_count} raw tables, "
+                               f"the closed count says {_involutory_raw_count(n)}")
     row = CensusRow(n, label, len(classes), raw_count, elapsed_ms)
-    return CensusResult(row, reps)
+    return CensusResult(row, reps, stats)
 
 
 # ---------------------------------------------------------------------------

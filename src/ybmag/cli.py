@@ -10,6 +10,7 @@ disagrees, or a computed object fails its invariant).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -293,6 +294,8 @@ def _cmd_census(args) -> int:
     query = CensusQuery(args.n, tuple(magma_laws), tuple(bimagma_laws), tuple(rmap_laws),
                         args.k, predicates, args.mode)
     result = enumerate_structures(query, workers=args.workers)
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
     print(result.row.tsv())
     for rep in result.representatives:
         print()
@@ -396,6 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simple-bls", type=int, default=None)
     p.add_argument("--function-classes", type=int, default=None)
     p.add_argument("--connected-only", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the census counters (search frontier per depth, raw tables, "
+                        "rejects, orbit images) as one JSON line on stderr")
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("bijectivize", help="stabilised bijective quotient of a self-map")

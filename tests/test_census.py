@@ -1,8 +1,10 @@
 import itertools
+import math
 import multiprocessing
 import operator
 import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -103,6 +105,44 @@ def test_column_backtracker_matches_product_filter(n, orders, band):
         if all(check_magma_law(CayleyTable.from_flat(n, flat), law).holds for law in laws):
             expected.append(flat)
     assert list(_iter_plonka_tables(n, pool, band)) == expected
+
+
+def _pair_pool(n):
+    # the two-grid pool by product filter: the commuting pairs (f, g) of
+    # self-maps, f then g in product order, each entry f followed by g
+    maps = list(itertools.product(range(n), repeat=n))
+    return [f + g for f in maps for g in maps
+            if all(f[g[x]] == g[f[x]] for x in range(n))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_two_grid_column_search_matches_product_filter(n):
+    # oracle: every n-tuple of commuting pairs, in product order, kept when
+    # the bi-magma it spells (dot column y = f, star row y = g) is Plonka
+    pool = _pair_pool(n)
+    expected = []
+    for cols in itertools.product(pool, repeat=n):
+        dot = tuple(cols[y][x] for x in range(n) for y in range(n))
+        star = tuple(cols[y][n + x] for y in range(n) for x in range(n))
+        b = BiMagma(CayleyTable.from_flat(n, dot), CayleyTable.from_flat(n, star))
+        if check_bimagma_law(b, BiMagmaLaw.PLONKA_BIMAGMA).holds:
+            expected.append(tuple(cols[y][g * n + x] for x in range(n) for y in range(n)
+                                  for g in range(2)))
+    assert list(_iter_plonka_tables(n, pool, False)) == expected
+
+
+def test_frontier_chunks_keep_the_order(monkeypatch):
+    # one state per frontier chunk and one commute row per batch: the same
+    # tables in the same order as the default sizes
+    cases = [(n, _function_pool(n, orders, permutations_only), band)
+             for n in range(5) for orders in (None, 2, 3)
+             for permutations_only in (False, True) for band in (False, True)]
+    cases.append((3, _pair_pool(3), False))
+    expected = [list(_iter_plonka_tables(*case)) for case in cases]
+    monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
+    monkeypatch.setattr(census, "_ROW_CELLS", 1)
+    for case, tables in zip(cases, expected):
+        assert list(_iter_plonka_tables(*case)) == tables, case[0]
 
 
 @pytest.mark.parametrize("band, count", [(False, 964), (True, 150)])
@@ -645,6 +685,57 @@ def test_two_grid_search_filters_the_other_laws(laws):
         stream = list(_bimagma_raw_stream(query, DEFAULT_LIMITS))
         assert sorted(stream) == sorted(_dot_star_route(query)), n
         assert n < 2 or 0 < len(stream) < 249
+
+
+def test_one_grid_pool_guard_refuses_before_building():
+    # all 7**7 self-maps: refused at once, not after building the pool
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="823543 self-maps refused"):
+        enumerate_structures(CensusQuery(7, (MagmaLaw.RIGHT_PLONKA,)))
+    assert time.perf_counter() - start < 1
+    # all 6**6 maps pass, and so do the involutions on 7 points
+    for query in (CensusQuery(6, (MagmaLaw.RIGHT_PLONKA,)),
+                  CensusQuery(7, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))):
+        assert len(next(_magma_raw_stream(query, DEFAULT_LIMITS))) == query.n ** 2
+
+
+def test_involutory_raw_count_closed_form():
+    assert [census._involutory_raw_count(n) for n in range(1, 9)] == \
+        [1, 2, 10, 70, 916, 16636, 494824, 20486432]
+    for n in range(6):
+        query = CensusQuery(n, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))
+        assert enumerate_structures(query).row.raw_count == census._involutory_raw_count(n)
+
+
+def test_involutory_raw_count_mismatch_is_typed(monkeypatch):
+    monkeypatch.setattr(census, "_involutory_raw_count", lambda n: 71)
+    with pytest.raises(CrossCheckFailed, match="found 70 raw tables, the closed count says 71"):
+        enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.RIGHT_PLONKA)))
+    # other queries are not held to it
+    enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_PLONKA,)))
+
+
+@pytest.mark.parametrize("query", [
+    CensusQuery(4, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)),
+    CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.ASSOCIATIVE)),      # batch rejects
+    CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.COMMUTATIVE)),      # object rejects
+    CensusQuery(3, (MagmaLaw.RIGHT_PLONKA,), predicates=("right_simple",)),
+    CensusQuery(3, rmap_laws=(RMapLaw.BLS, RMapLaw.INVOLUTIVE)),
+    CensusQuery(2, (MagmaLaw.ASSOCIATIVE,)),                             # the generic sweep
+])
+def test_census_stats_add_up(query):
+    res = enumerate_structures(query)
+    stats, n = res.stats, query.n
+    assert stats.raw_tables - stats.batch_rejects - stats.object_rejects == res.row.raw_count
+    assert stats.orbit_images == res.row.class_count * math.factorial(n)
+    if query.magma_laws == (MagmaLaw.ASSOCIATIVE,):
+        assert stats.nodes == () and stats.raw_tables == n ** (n * n)
+    else:
+        assert len(stats.nodes) == n + 1 and stats.nodes[0] == 1
+        assert stats.nodes[-1] == stats.raw_tables
+    assert (stats.batch_rejects > 0) == (MagmaLaw.ASSOCIATIVE in query.magma_laws)
+    assert (stats.object_rejects > 0) == (MagmaLaw.COMMUTATIVE in query.magma_laws
+                                          or bool(query.predicates) or bool(query.rmap_laws))
 
 
 def test_two_grid_search_guard():

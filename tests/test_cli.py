@@ -1,5 +1,6 @@
 import json
 import pathlib
+import types
 
 import pytest
 from hypothesis import given
@@ -346,6 +347,26 @@ def test_census_partial_orbit_exit_code(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err.startswith("error: orbit dedupe on n=2 saw 1 raw tables")
     assert "Traceback" not in err
+
+
+def test_census_one_grid_pool_guard_exit_code(capsys):
+    code, out, err = run(capsys, "census", "--n", "7", "--laws", "right-plonka")
+    assert code == 3 and out == ""
+    assert "823543 self-maps refused" in err
+
+
+def test_census_stats_leave_stdout_alone(capsys, monkeypatch):
+    # a frozen clock, so the rows' elapsed_ms agree
+    monkeypatch.setattr(census, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    argv = ["census", "--n", "3", "--laws", "right-plonka,associative",
+            "--mode", "representatives"]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, "--stats")
+    assert code == 0 and out == plain
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"nodes": [1, 27, 43, 45], "raw_tables": 45, "batch_rejects": 35,
+                               "object_rejects": 0, "orbit_images": 18}
 
 
 @pytest.mark.parametrize("laws", ["plonka-bimagma", "bls"])
