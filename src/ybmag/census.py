@@ -10,15 +10,15 @@ the pool entries that commute with every chosen column; a forced column
 costs one bit test, and only the free states' masks are unpacked into
 candidates.  A one-grid pool is refused above 6**6 maps, and the raw count
 of right involutory Plonka magmas is checked against a closed labelled
-count.  Every raw table is checked
-in numpy, in uint8 stacks of up to 1024: a table failing a law the search
-guarantees (right Plonka, band, the column order; Plonka bi-magma and, by
-the structure theorem, BLS) raises CrossCheckFailed, the query's other laws
-with a batch kernel filter, and objects are built only for the rest and for
-representatives.  Isomorph rejection gathers each new table's relabelling
-orbit in one numpy operation, as byte strings; the orbits must hold exactly
-the raw tables, and a class's representative is the lexicographically
-minimal table in its orbit.
+count.  Tables travel as uint8 stacks from the search (up to 1024 a stack)
+or the sweep of every table (one stack) to the orbit dedupe.  A table
+failing a law the search guarantees (right Plonka, band, the column order;
+Plonka bi-magma and, by the structure theorem, BLS) raises CrossCheckFailed,
+the query's other laws with a batch kernel filter whole stacks, and objects
+are built only for the rest and for representatives.  Isomorph rejection
+reads a stack's rows as byte strings and gathers each new table's
+relabelling orbit in one numpy operation; the orbits must hold exactly the
+raw tables, and a class's representative is the least table of its orbit.
 
 The sweep of commuting permutation pairs builds each centralizer as a
 wreath product of cyclic and symmetric groups, turns each of its generators
@@ -68,14 +68,18 @@ def _relabelling_gather(n: int, length: int) -> tuple[np.ndarray, np.ndarray, np
     return perms.ravel(), src, np.arange(len(perms))[:, None] * n
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The rows of a uint8 stack as byte strings, ordered like the int tuples they encode."""
+    if not rows.shape[1]:   # zero-width rows (n = 0): a void view needs a width
+        return [b""] * len(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+
+
 def _orbit(key: bytes, gather: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[bytes]:
     """The images of a flattened table under every relabelling of
     ``gather``, in its order: one numpy gather, rows read out as bytes."""
     sigmas, src, offsets = gather
-    if not key:   # the empty table; a void view needs a width
-        return [key] * len(src)
-    images = sigmas.take(np.frombuffer(key, dtype=np.uint8).take(src) + offsets)
-    return images.view(np.dtype((np.void, len(key)))).ravel().tolist()
+    return _row_keys(sigmas.take(np.frombuffer(key, dtype=np.uint8).take(src) + offsets))
 
 
 def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[int, ...]:
@@ -86,26 +90,22 @@ def minimal_image(table: CayleyTable, limits: Limits = DEFAULT_LIMITS) -> tuple[
     return tuple(min(_orbit(bytes(table.flat()), _relabelling_gather(n, n * n))))
 
 
-def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
+def _orbit_dedupe(n: int, stacks: Iterable[np.ndarray]) -> tuple[list[tuple[int, ...]], int]:
     """Split raw flattened tables (or equal-length concatenations of them,
-    such as dot + star of a bi-magma) into relabelling classes; returns the
-    sorted canonical representatives and the raw count.  Images are byte
-    strings, ordered like the int tuples they encode.  The laws are invariant
-    under relabelling, so the orbits must hold exactly the raw tables."""
-    gather = None
+    such as dot + star of a bi-magma), the rows of uint8 stacks, into
+    relabelling classes; returns the sorted canonical representatives and
+    the raw count.  The laws are invariant under relabelling, so the orbits
+    must hold exactly the raw tables."""
     seen: set[bytes] = set()
-    classes: list[bytes] = []
-    raw_count = 0
-    for flat in raw:
-        raw_count += 1
-        key = bytes(flat)
-        if key in seen:
-            continue
-        if gather is None:
-            gather = _relabelling_gather(n, len(key))
-        images = _orbit(key, gather)
-        seen.update(images)
-        classes.append(min(images))
+    gather, classes, raw_count = None, [], 0
+    for stack in stacks:
+        raw_count += len(stack)
+        for key in _row_keys(stack):
+            if key not in seen:
+                gather = gather or _relabelling_gather(n, len(key))
+                images = _orbit(key, gather)
+                seen.update(images)
+                classes.append(min(images))
     if len(seen) != raw_count:
         raise CrossCheckFailed(f"orbit dedupe on n={n} saw {raw_count} raw tables, but their "
                                f"orbits hold {len(seen)}: a table repeats or an orbit is partial")
@@ -117,17 +117,21 @@ def _orbit_dedupe(n: int, raw: Iterable[tuple[int, ...]]) -> tuple[list[tuple[in
 # column backtracking for right-Plonka-style magma constraints
 
 
-def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bool):
-    """The candidate columns in lexicographic order: every self-map of
-    0..n-1, or only the permutations, or only the maps whose
+def _product_rows(n: int, length: int) -> np.ndarray:
+    """Every tuple of ``length`` points of 0..n-1 as a uint8 row, in
+    lexicographic order (one empty row for length 0)."""
+    return np.indices((n,) * length, dtype=np.uint8).reshape(length, n ** length).T
+
+
+def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bool) -> np.ndarray:
+    """The candidate columns as uint8 rows in lexicographic order: every
+    self-map of 0..n-1, or only the permutations, or only the maps whose
     ``orders_dividing``-th power is the identity.  Those maps are
     permutations, so they are filtered from the n! permutation rows."""
     if orders_dividing is None and not permutations_only:
-        return list(itertools.product(range(n), repeat=n))
+        return _product_rows(n, n)
     perms = _permutation_array(n)
-    if orders_dividing is not None:
-        perms = perms[_power_is_identity(perms, orders_dividing)]
-    return [tuple(row) for row in perms.tolist()]
+    return perms if orders_dividing is None else perms[_power_is_identity(perms, orders_dividing)]
 
 
 # bytes per frontier chunk, a state costing its packed commute mask and some
@@ -145,11 +149,11 @@ def _commuting(maps: np.ndarray, others: np.ndarray) -> np.ndarray:
     return (a_of_b == b_of_a).all(2)
 
 
-def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
-                        band: bool) -> Iterator[tuple[int, ...]]:
+def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
     """All right Plonka tables on a pool of distinct columns, in pool order:
     columns that commute, with column[column_z(y)] = column[y].  An entry of
     k maps (k = len(entry) // n) is a column of k grids; a cell lists k entries.
+    Yields uint8 stacks of at most ``_BATCH`` flattened tables, (T, n * n * k).
 
     The search runs one depth at a time over frontier chunks.  A state holds
     its pool indices, chosen for positions below its depth y and forced (or
@@ -162,7 +166,7 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
     Returns, as the generator's value, the number of states at each depth
     0..n that passed every check."""
     if n == 0:
-        yield ()
+        yield np.zeros((1, 0), dtype=np.uint8)
         return [1]
     grid = np.asarray(pool, dtype=np.uint8).reshape(len(pool), -1, n)   # [i, g, x]
     size, k = grid.shape[:2]
@@ -253,9 +257,8 @@ def _iter_plonka_tables(n: int, pool: Sequence[tuple[int, ...]],
             for s in reversed(range(0, len(children), per_chunk)):
                 stack.append((y + 1, children[s:s + per_chunk], masks, parent[s:s + per_chunk]))
             continue
-        for s in range(0, len(children), _BATCH):
-            tables = grid[children[s:s + _BATCH]].transpose(0, 3, 1, 2)   # [table, x, y, g]
-            yield from map(tuple, tables.reshape(len(tables), n * n * k).tolist())
+        for s in range(0, len(children), _BATCH):   # tables [t, x, y, g], flattened
+            yield grid[children[s:s + _BATCH]].transpose(0, 3, 1, 2).reshape(-1, n * n * k)
     return nodes
 
 
@@ -430,31 +433,27 @@ _TWO_GRID_SEARCH = 4
 _ONE_GRID_POOL = 6 ** 6
 
 
-def _recorded(tables: Iterator[tuple[int, ...]], stats: CensusStats) -> Iterator[tuple[int, ...]]:
-    """``tables``, keeping the column search's frontier sizes (its return
-    value) in ``stats``."""
-    stats.nodes = tuple((yield from tables) or ())
+def _recorded(stacks: Iterable[np.ndarray], stats: CensusStats) -> Iterator[np.ndarray]:
+    """``stacks``, keeping the column search's frontier sizes in ``stats``."""
+    stats.nodes = tuple((yield from stacks) or ())
 
 
-def _survivors(query: CensusQuery, tables: Iterator[tuple[int, ...]], shape: tuple[int, ...],
-               checks, guaranteed, to_query,
-               stats: Optional[CensusStats]) -> Iterator[tuple[int, ...]]:
-    """The raw tables that satisfy the query, in order, checked in uint8
-    stacks of tables of per-table ``shape`` that ``to_query`` (if any) puts
-    in the query's layout, and counted in ``stats`` (if any).  A table
-    outside a mask of ``checks`` (noun, laws, mask) raises; the query's laws
-    not ``guaranteed`` are checked in the batch where a kernel covers them,
-    else on an object built per table."""
+def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], shape: tuple[int, ...],
+               checks, guaranteed, to_query, stats: Optional[CensusStats]) -> Iterator[np.ndarray]:
+    """The raw tables that satisfy the query, in order, as uint8 stacks of
+    flattened tables, counted in ``stats`` (if any).  ``to_query`` puts the
+    tables of ``stacks``, of per-table ``shape``, in the query's layout.  A
+    table outside a mask of ``checks`` (noun, laws, mask) raises; the query's
+    laws not ``guaranteed`` are checked on the whole stack where a kernel
+    covers them, else on an object built per table."""
     n, bimagma = query.n, bool(query.bimagma_laws or query.rmap_laws)
     stats = CensusStats() if stats is None else stats
-    tables = _recorded(tables, stats)
     residual = [law for law in query.magma_laws + query.bimagma_laws + query.rmap_laws
                 if law not in guaranteed]
     batched = [law for law in residual if law in MAGMA_BATCH_LAWS | BIMAGMA_BATCH_LAWS]
     others = [law for law in residual if law not in batched]
-    while batch := list(itertools.islice(tables, _BATCH)):
-        stack = np.frombuffer(b"".join(map(bytes, batch)), np.uint8).reshape(len(batch), *shape)
-        stack = stack if to_query is None else to_query(stack)
+    for stack in _recorded(stacks, stats):
+        stack = to_query(stack.reshape(len(stack), *shape))
         for noun, laws, mask in checks:
             if not (passed := mask(stack)).all():
                 table = tuple(stack[int(passed.argmin())].ravel().tolist())
@@ -463,17 +462,17 @@ def _survivors(query: CensusQuery, tables: Iterator[tuple[int, ...]], shape: tup
         ok = check_bimagma_laws_batch(stack, batched) if bimagma else \
             check_magma_laws_batch(stack, batched, query.k)
         passed = int(ok.sum())
-        stats.raw_tables += len(batch)
-        stats.batch_rejects += len(batch) - passed
-        batch = itertools.compress(batch, ok.tolist()) if to_query is None else \
-            map(tuple, stack[ok].reshape(passed, stack[0].size).tolist())
+        stats.raw_tables += len(stack)
+        stats.batch_rejects += len(stack) - passed
+        stack = stack[ok].reshape(passed, math.prod(shape))
         if others or query.predicates:
-            batch = [flat for flat in batch if _object_holds(query, flat, others)]
-            stats.object_rejects += passed - len(batch)
-        yield from batch
+            keep = [_object_holds(query, flat, others) for flat in stack.tolist()]
+            stack = stack[np.array(keep, dtype=bool)]
+            stats.object_rejects += passed - len(stack)
+        yield stack
 
 
-def _object_holds(query: CensusQuery, flat: tuple[int, ...], laws) -> bool:
+def _object_holds(query: CensusQuery, flat: Sequence[int], laws) -> bool:
     """Whether a flattened table of the query's kind satisfies ``laws`` and
     the query's predicates, checked on a CayleyTable or BiMagma."""
     if query.bimagma_laws or query.rmap_laws:
@@ -487,12 +486,12 @@ def _object_holds(query: CensusQuery, flat: tuple[int, ...], laws) -> bool:
 
 
 def _magma_raw_stream(query: CensusQuery, limits: Limits,
-                      stats: Optional[CensusStats] = None) -> Iterator[tuple[int, ...]]:
-    """The flattened tables that satisfy a magma query, in search order,
-    counted in ``stats``.  A query with left Plonka but neither right Plonka
-    nor two_cyclic (which implies it) is searched on the transpose, its left
-    laws read as right ones; a query that implies no Plonka law needs the
-    generic table sweep."""
+                      stats: Optional[CensusStats] = None) -> Iterator[np.ndarray]:
+    """The flattened tables that satisfy a magma query, in search order, as
+    uint8 stacks counted in ``stats``.  A query with left Plonka but neither
+    right Plonka nor two_cyclic (which implies it) is searched on the
+    transpose, its left laws read as right ones; a query that implies no
+    Plonka law needs the generic table sweep."""
     n = query.n
     laws = set(query.magma_laws)
     transpose = MagmaLaw.LEFT_PLONKA in laws and \
@@ -503,7 +502,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
         mirror = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND: MagmaLaw.BAND,
                   MagmaLaw.LEFT_INVOLUTORY: MagmaLaw.RIGHT_INVOLUTORY}
         laws = {mirror[law] for law in laws if law in mirror}
-    flip = (lambda stack: stack.transpose(0, 2, 1)) if transpose else None
+    flip = (lambda stack: stack.transpose(0, 2, 1)) if transpose else np.asarray
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
             raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
@@ -519,7 +518,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
         checks = [("table", "+".join(law.value for law in searched), lambda stack:
-                   check_magma_laws_batch(flip(stack) if flip else stack, searched, orders))]
+                   check_magma_laws_batch(flip(stack), searched, orders))]
         # the query's laws that the searched ones imply when present
         if transpose:
             guaranteed = {MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND, MagmaLaw.LEFT_INVOLUTORY}
@@ -532,16 +531,16 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
         if n > _GENERIC_MAGMA_SWEEP:
             raise GuardExceeded(f"generic table sweep limited to n <= {_GENERIC_MAGMA_SWEEP}; "
                                 "add right_plonka for the pruned search")
-        tables, checks, guaranteed = itertools.product(range(n), repeat=n * n), [], set()
-    yield from _survivors(query, tables, (n, n), checks, guaranteed, flip, stats)
+        tables, checks, guaranteed = [_product_rows(n, n * n)], [], set()
+    return _survivors(query, tables, (n, n), checks, guaranteed, flip, stats)
 
 
 def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
-                        stats: Optional[CensusStats] = None) -> Iterator[tuple[int, ...]]:
+                        stats: Optional[CensusStats] = None) -> Iterator[np.ndarray]:
     """The flattened dot + star tables that satisfy a bi-magma or R-map
-    query, in search order, counted in ``stats``.  The two-grid search
-    yields Plonka bi-magmas, which by the structure theorem are the BLS
-    solutions: a searched table that fails either raises CrossCheckFailed."""
+    query, in search order, as uint8 stacks counted in ``stats``.  The two-grid
+    search yields Plonka bi-magmas, which by the structure theorem are the
+    BLS solutions: a searched table that fails either raises CrossCheckFailed."""
     n = query.n
     if RMapLaw.BLS in query.rmap_laws or \
        {BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA} & set(query.bimagma_laws):
@@ -549,7 +548,7 @@ def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
         if n > limit:
             raise GuardExceeded(f"Plonka bi-magma search limited to n <= {limit}")
         # the pairs (f, g) of commuting self-maps, f then g in lexicographic order
-        maps = np.array(_function_pool(n, None, False), dtype=np.uint8).reshape(n ** n, n)
+        maps = _function_pool(n, None, False)
         after = np.take_along_axis(maps[:, None], maps[None], 2)   # [f, g, x] is f(g(x))
         f, g = np.nonzero((after == after.transpose(1, 0, 2)).all(2))
         tables = _iter_plonka_tables(n, np.concatenate((maps[f], maps[g]), 1), False)
@@ -564,9 +563,9 @@ def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
     else:
         if n > _GENERIC_BIMAGMA_SWEEP:
             raise GuardExceeded(f"generic bi-magma sweep limited to n <= {_GENERIC_BIMAGMA_SWEEP}")
-        tables, shape, split = itertools.product(range(n), repeat=2 * n * n), (2, n, n), None
+        tables, shape, split = [_product_rows(n, 2 * n * n)], (2, n, n), np.asarray
         checks, guaranteed = [], []
-    yield from _survivors(query, tables, shape, checks, guaranteed, split, stats)
+    return _survivors(query, tables, shape, checks, guaranteed, split, stats)
 
 
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
@@ -633,8 +632,8 @@ def _permutation_array(n: int) -> np.ndarray:
 
 def _codes(rows: np.ndarray, n: int) -> np.ndarray:
     """Each row read as a base-n number, first entry most significant: the
-    index of the row in ``itertools.product(range(n), repeat=n)`` order, and
-    an order-preserving key for lexicographically sorted rows."""
+    index of the row in ``_product_rows(n, n)``, and an order-preserving key
+    for lexicographically sorted rows."""
     codes = np.zeros(len(rows), dtype=np.int64)
     for column in rows.T:
         codes *= n
@@ -772,6 +771,7 @@ def census_simple_bls(t: int, limits: Limits = DEFAULT_LIMITS) -> SimpleSolution
     image of a non-surjective member would be a proper invariant subset.
     The two counts must agree whenever the sweep runs.
     """
+    _require_carrier(t)
     if t < 1:
         raise ValueError("carrier must be non-empty")
     triples = tuple(OdometerTriple(m, t // m, d)
@@ -842,7 +842,7 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
 
     perms = _permutation_array(n)
     inverses = np.argsort(perms, axis=1).astype(np.uint8)
-    unseen = np.ones(n ** n, dtype=bool)   # by base-n code: itertools.product order
+    unseen = np.ones(n ** n, dtype=bool)   # by base-n code: lexicographic order
     orbit_count = 0
     for code in _unseen_indices(unseen):
         f = np.array(np.unravel_index(code, (n,) * n), dtype=np.uint8)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -56,6 +57,18 @@ def self_maps(draw, max_n: int = 6):
 def permutation_tuples(draw, max_n: int = 5):
     n = draw(st.integers(min_value=1, max_value=max_n))
     return tuple(draw(st.permutations(list(range(n)))))
+
+
+# ---------------------------------------------------------------------------
+# census table stacks
+
+
+def stack_rows(stacks) -> list[tuple[int, ...]]:
+    """The rows of uint8 table stacks, one 2-D array or an iterable of them
+    such as a census raw stream, as int tuples."""
+    if isinstance(stacks, np.ndarray):
+        stacks = [stacks]
+    return [tuple(row) for stack in stacks for row in stack.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
 from ybmag.build import EssSolution, SkewBraceSolution, build_solution
 from ybmag.laws import lyubashenko_pair
 
+from conftest import stack_rows
+
 
 def _report(number: int, label: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number:02d}: {label}", flush=True)
@@ -249,8 +251,8 @@ def test_criterion_11_oracle_soundness():
     for n in (1, 2, 3):
         tables_by_n[n] = [
             CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-            for flat in _magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
-                                          DEFAULT_LIMITS)]
+            for flat in stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
+                                                     DEFAULT_LIMITS))]
     for n, tables in tables_by_n.items():
         for a in tables:
             for b in tables:

@@ -2,6 +2,7 @@ import json
 import pathlib
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -321,7 +322,8 @@ def test_census_k_below_one_is_usage_error(capsys):
     ("right-plonka,right-involutory", (1, 1, 1, 2, 2, 2, 0, 0, 0)),     # 3-cycle columns
 ])
 def test_census_column_search_failure_exit_code(capsys, monkeypatch, laws, table):
-    monkeypatch.setattr(census, "_iter_plonka_tables", lambda n, pool, band: iter([table]))
+    monkeypatch.setattr(census, "_iter_plonka_tables",
+                        lambda n, pool, band: iter([np.array([table], dtype=np.uint8)]))
     n = "2" if len(table) == 4 else "3"
     code, out, err = run(capsys, "census", "--n", n, "--laws", laws)
     assert code == 4 and out == ""
@@ -333,7 +335,8 @@ def test_census_column_search_failure_exit_code(capsys, monkeypatch, laws, table
 def test_census_two_grid_search_failure_exit_code(capsys, monkeypatch, laws):
     # dot (1, 0, 0, 1) is not right Plonka; each cell lists dot, then star transposed
     monkeypatch.setattr(census, "_iter_plonka_tables",
-                        lambda n, pool, band: iter([(1, 0, 0, 0, 0, 0, 1, 0)]))
+                        lambda n, pool, band: iter([np.array([(1, 0, 0, 0, 0, 0, 1, 0)],
+                                                             dtype=np.uint8)]))
     code, out, err = run(capsys, "census", "--n", "2", "--laws", laws)
     assert code == 4 and out == ""
     assert err.startswith("error: column search produced bi-magma")
@@ -342,7 +345,8 @@ def test_census_two_grid_search_failure_exit_code(capsys, monkeypatch, laws):
 
 def test_census_partial_orbit_exit_code(capsys, monkeypatch):
     # x.y = 0 is right Plonka, but the stream leaves out x.y = 1 of its orbit
-    monkeypatch.setattr(census, "_iter_plonka_tables", lambda n, pool, band: iter([(0, 0, 0, 0)]))
+    monkeypatch.setattr(census, "_iter_plonka_tables",
+                        lambda n, pool, band: iter([np.zeros((1, 4), dtype=np.uint8)]))
     code, out, err = run(capsys, "census", "--n", "2", "--laws", "right-plonka")
     assert code == 4 and out == ""
     assert err.startswith("error: orbit dedupe on n=2 saw 1 raw tables")

@@ -13,7 +13,7 @@ from ybmag.core import GuardExceeded, Limits
 from ybmag.laws import MagmaLaw, check_magma_law
 from ybmag.plonka import bi_plonka_partition, connected_components
 
-from conftest import rmaps
+from conftest import rmaps, stack_rows
 
 
 def all_functions(n):
@@ -203,7 +203,7 @@ def test_right_simple_iff_full_cycle():
     from ybmag.core import DEFAULT_LIMITS
     for n in (1, 2, 3, 4):
         query = CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,))
-        for flat in _magma_raw_stream(query, DEFAULT_LIMITS):
+        for flat in stack_rows(_magma_raw_stream(query, DEFAULT_LIMITS)):
             m = CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
             right_simple = is_simple(m, IdealKind.MAGMA_RIGHT).holds
             cols = [FiniteFunction(n, m.column(y)) for y in range(n)]

@@ -18,7 +18,7 @@ from ybmag.census import _magma_raw_stream
 from ybmag.core import DEFAULT_LIMITS
 from ybmag.laws import check_bimagma_laws_batch, check_magma_laws_batch
 
-from conftest import cayley_tables, rmaps
+from conftest import cayley_tables, rmaps, stack_rows
 
 
 def all_tables(n):
@@ -425,7 +425,7 @@ def _bimagma_batch_corpus(n, rng):
     sample at n = 4.  Some pairs are Plonka bi-magmas, unitary or not."""
     def transpose(flat):
         return tuple(flat[y * n + x] for x in range(n) for y in range(n))
-    dots = list(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
+    dots = stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
     if n <= 3:
         out = [d + transpose(s) for d in dots for s in dots]
     else:
