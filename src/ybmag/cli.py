@@ -213,6 +213,17 @@ def _parse_bi_partition(path: str) -> "BiPlonkaPartition":
 
 
 def _cmd_build(args) -> int:
+    # the flags each variant needs; "a|b" is satisfied by either flag
+    required = {"identity": "size", "flip": "size", "lyubashenko": "f g",
+                "opposite": "input", "ess": "prime h1 h2", "odometer": "triple",
+                "brace": "input", "bls-partition": "input", "magma-from-function": "f",
+                "trivial-bimagma": "size", "trivial-brace": "size|input",
+                "free-k-cyclic": "generators k"}
+    missing = [" or ".join(f"--{name}" for name in flags.split("|"))
+               for flags in required.get(args.variant, "").split()
+               if all(getattr(args, name) is None for name in flags.split("|"))]
+    if missing:
+        raise ValueError(f"build --variant {args.variant} needs {', '.join(missing)}")
     legend: Optional[list[str]] = None
     if args.variant in ("identity", "flip"):
         spec = (IdentitySolution if args.variant == "identity" else FlipSolution)(args.size)

@@ -7,17 +7,22 @@ members a monoid-generating tuple.  Pairs are classified by triples
 (m, n, d): the carrier is Z/m x Z/n, the first map is translation by
 (1, 0), and the second is the carry map whose n-th power is translation by
 (-d, 0).
+
+A recovered group's invariant factors are found by matching its torsion
+counts (the number of elements of order dividing m, for each m dividing the
+order) against those of the abelian groups of that order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .core import (FiniteFunction, GuardExceeded, Limits, DEFAULT_LIMITS,
-                   identity_function)
+from .core import (CrossCheckFailed, FiniteFunction, GuardExceeded, Limits,
+                   DEFAULT_LIMITS, identity_function)
 
 
 class FamilyError(ValueError):
@@ -147,47 +152,19 @@ def _element_order(op, x: int, identity: int = 0) -> int:
 def _invariant_factors_from_table(op: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Invariant factors of a finite abelian group given by its table.
 
-    For each prime p, counting the solutions of p^k x = 0 determines how
-    many p-exponents are >= k; zipping the per-prime exponent chains
-    (largest first) yields the invariant factors.
+    A finite abelian group is fixed by the sizes of its m-torsion subgroups,
+    which in the product of Z/d over the factors d have prod gcd(m, d)
+    elements; the answer is the abelian group of the table's order whose
+    torsion counts match the table's for every m dividing that order.
     """
     n = len(op)
-    if n == 1:
-        return ()
-    per_prime: dict[int, list[int]] = {}
-    for p, a in _prime_factors(n).items():
-        geq: list[int] = []  # geq[k-1] = number of p-exponents >= k
-        prev = 1
-        scaled = list(range(n))  # scaled[x] = p^k * x, updated in place
-        for k in range(1, a + 1):
-            for x in range(n):
-                v = scaled[x]
-                acc = v
-                for _ in range(p - 1):
-                    acc = op[acc][v]
-                scaled[x] = acc
-            cnt = sum(1 for x in range(n) if scaled[x] == 0)
-            ratio = cnt // prev
-            e = 0
-            while p ** e < ratio:
-                e += 1
-            geq.append(e)
-            prev = cnt
-        exps: list[int] = []
-        for k in range(len(geq), 0, -1):
-            here = geq[k - 1] - (geq[k] if k < len(geq) else 0)
-            exps.extend([k] * here)
-        per_prime[p] = sorted(exps, reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in per_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    factors.sort()
-    return tuple(factors)
+    orders = [_element_order(op, x) for x in range(n)]
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    torsion = [sum(1 for o in orders if m % o == 0) for m in divisors]
+    for factors in abelian_invariant_factor_lists(n):
+        if torsion == [math.prod(math.gcd(m, d) for d in factors) for m in divisors]:
+            return factors
+    raise CrossCheckFailed(f"torsion counts {torsion} match no abelian group of order {n}")
 
 
 def recover_group(family: FunctionFamily) -> AbelianGroupStructure:
@@ -224,30 +201,32 @@ def recover_group(family: FunctionFamily) -> AbelianGroupStructure:
     return AbelianGroupStructure(n, factors, op, coords, gens)
 
 
+def _basis_expansions(op, factors: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Injective homomorphisms from the product of cyclic groups of the
+    factors into the abelian group table, as the images of the coordinate
+    vectors in row-major order; the i-th basis vector runs over the elements
+    of order factors[i], bases in ``itertools.product`` order."""
+    orders = [_element_order(op, x) for x in range(len(op))]
+    candidates = [[x for x, o in enumerate(orders) if o == d] for d in factors]
+    for basis in itertools.product(*candidates):
+        images = [0]
+        for b, d in zip(basis, factors):
+            multiples = [0]
+            for _ in range(d - 1):
+                multiples.append(op[multiples[-1]][b])
+            images = [op[v][w] for v in images for w in multiples]
+        if len(set(images)) == len(images):
+            yield tuple(images)
+
+
 def _coordinates(op, factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """An explicit isomorphism from the table onto the product of cyclic
-    groups of the invariant factors, found by searching basis images."""
-    n = len(op)
-    if not factors:
-        return ((),) * max(n, 1)
-    candidates: list[list[int]] = []
-    for d in factors:
-        candidates.append([x for x in range(n) if _element_order(op, x) == d])
-    for basis in itertools.product(*candidates):
-        coords: dict[int, tuple[int, ...]] = {}
-        ok = True
-        for vector in itertools.product(*(range(d) for d in factors)):
-            v = 0
-            for b, times in zip(basis, vector):
-                for _ in range(times):
-                    v = op[v][b]
-            if v in coords:
-                ok = False
-                break
-            coords[v] = vector
-        if ok:
-            return tuple(coords[x] for x in range(n))
-    raise FamilyError("no basis realises the invariant factors")
+    groups of the invariant factors: the first basis expansion, inverted."""
+    images = next(_basis_expansions(op, factors), None)
+    if images is None:
+        raise FamilyError("no basis realises the invariant factors")
+    vectors = itertools.product(*(range(d) for d in factors))
+    return tuple(v for _, v in sorted(zip(images, vectors)))
 
 
 @dataclass(frozen=True)
@@ -396,40 +375,9 @@ def _group_from_factors(factors: tuple[int, ...]) -> tuple[int, tuple[tuple[int,
 
 
 def _group_automorphisms(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Automorphisms of the product group as permutations of element labels,
-    found by enumerating basis images of matching order and keeping the
-    bijective induced maps."""
-    size, op = _group_from_factors(factors)
-    if not factors:
-        return [(0,)]
-    vectors = list(itertools.product(*(range(d) for d in factors)))
-    orders = [_element_order(op, x) for x in range(size)]
-    candidates = [[x for x in range(size) if orders[x] == d] for d in factors]
-    autos = []
-    for images in itertools.product(*candidates):
-        mapping = [0] * size
-        for vi, vec in enumerate(vectors):
-            v = 0
-            for img, times in zip(images, vec):
-                for _ in range(times):
-                    v = op[v][img]
-            mapping[vi] = v
-        if len(set(mapping)) == size:
-            autos.append(tuple(mapping))
-    return autos
-
-
-def _generates(op, size: int, gens: Sequence[int]) -> bool:
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            v = op[x][g]
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == size
+    """Automorphisms of the product group as permutations of element labels:
+    every basis expansion of the group into itself."""
+    return list(_basis_expansions(_group_from_factors(factors)[1], factors))
 
 
 def enumerate_incompressible(t: int, k: int,
@@ -451,11 +399,9 @@ def enumerate_incompressible(t: int, k: int,
                 continue
             orbit = {tuple(a[g] for g in gens) for a in autos}
             seen |= orbit
-            if not _generates(op, size, gens):
-                continue
-            canon = min(orbit)
             members = tuple(FiniteFunction(size, tuple(op[x][g] for x in range(size)))
-                            for g in canon)
-            reps.append(FunctionFamily(size, members))
+                            for g in min(orbit))
+            if len(_orbit_closure(size, members, 0)) == size:
+                reps.append(FunctionFamily(size, members))
     reps.sort(key=lambda fam: tuple(f.images for f in fam.members))
     return reps

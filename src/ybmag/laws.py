@@ -213,18 +213,6 @@ def _row_injective(t, kind: str) -> Optional[Witness]:
     return None
 
 
-def _column_injective(t, kind: str) -> Optional[Witness]:
-    n = len(t)
-    for a in range(n):
-        seen: dict[int, int] = {}
-        for x in range(n):
-            v = t[x][a]
-            if v in seen:
-                return Witness(kind, (a, seen[v], x), v, v)
-            seen[v] = x
-    return None
-
-
 def _total(t) -> Optional[Witness]:
     n = len(t)
     products = {v for row in t for v in row}
@@ -348,7 +336,7 @@ def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> V
     if law in (MagmaLaw.LEFT_CANCELLATIVE, MagmaLaw.LEFT_QUASIGROUP):
         return _verdict(_row_injective(t, law.value))
     if law in (MagmaLaw.RIGHT_CANCELLATIVE, MagmaLaw.RIGHT_QUASIGROUP):
-        return _verdict(_column_injective(t, law.value))
+        return _verdict(_row_injective(tuple(zip(*t)), law.value))
     if law is MagmaLaw.TOTAL:
         return _verdict(_total(t))
     raise ValueError(f"unknown magma law {law!r}")
@@ -627,17 +615,10 @@ def _skew_left_brace(d, s) -> Optional[Witness]:
 def lyubashenko_pair(b: BiMagma) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pair (f, g) with x.y = f(x) and x*y = g(y), if the tables have
     that shape and f, g commute; None otherwise."""
-    n = b.n
     d, s = b.dot.table, b.star.table
-    f = tuple(d[x][0] for x in range(n))
-    g = tuple(s[0][y] for y in range(n))
-    for x in range(n):
-        for y in range(n):
-            if d[x][y] != f[x] or s[x][y] != g[y]:
-                return None
-    if any(f[g[x]] != g[f[x]] for x in range(n)):
+    if _lyubashenko_form(d, s) is not None:
         return None
-    return f, g
+    return tuple(row[0] for row in d), tuple(s[0][y] for y in range(b.n))
 
 
 def _lyubashenko_form(d, s) -> Optional[Witness]:

@@ -257,6 +257,19 @@ def test_build_bls_partition_variant(capsys, tmp_path):
     assert code == 0 and out == "HOLDS\n"
 
 
+@pytest.mark.parametrize("variant, flag", [
+    ("identity", "--size"), ("flip", "--size"), ("lyubashenko", "--f"),
+    ("opposite", "--input"), ("ess", "--prime"), ("odometer", "--triple"),
+    ("brace", "--input"), ("bls-partition", "--input"), ("magma-from-function", "--f"),
+    ("trivial-bimagma", "--size"), ("trivial-brace", "--size or --input"),
+    ("free-k-cyclic", "--generators"),
+])
+def test_build_without_required_flags_is_usage_error(capsys, variant, flag):
+    code, out, err = run(capsys, "build", "--variant", variant)
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
 def test_build_bls_partition_missing_key_is_usage_error(capsys, tmp_path):
     full = {"blocks": [[0, 1]], "f": [[[1, 0]]], "g": [[[1, 0]]]}
     for key in full:

@@ -6,7 +6,11 @@ from ybmag import (FamilyError, FiniteFunction, FunctionFamily, OdometerTriple,
                    analyze_family, build_odometer, count_incompressible,
                    enumerate_incompressible, is_incompressible,
                    odometer_canonicalize, recover_group)
-from ybmag.families import abelian_invariant_factor_lists
+from ybmag.build import symmetric_group_table
+from ybmag.core import CrossCheckFailed
+from ybmag.families import (_group_automorphisms, _group_from_factors,
+                            _invariant_factors_from_table,
+                            abelian_invariant_factor_lists)
 
 
 def ff(*images):
@@ -234,3 +238,49 @@ def test_invariant_factor_lists():
     assert abelian_invariant_factor_lists(4) == [(2, 2), (4,)]
     assert abelian_invariant_factor_lists(8) == [(2, 2, 2), (2, 4), (8,)]
     assert abelian_invariant_factor_lists(12) == [(2, 6), (12,)]
+
+
+def test_invariant_factors_of_every_group_table_up_to_48():
+    # the natural table and a copy relabelled with the identity 0 fixed
+    rng = random.Random(13)
+    for t in range(1, 49):
+        for factors in abelian_invariant_factor_lists(t):
+            _, op = _group_from_factors(factors)
+            sigma = [0] + rng.sample(range(1, t), t - 1)
+            relabelled = [[0] * t for _ in range(t)]
+            for x in range(t):
+                for y in range(t):
+                    relabelled[sigma[x]][sigma[y]] = sigma[op[x][y]]
+            assert _invariant_factors_from_table(op) == factors
+            assert _invariant_factors_from_table(tuple(map(tuple, relabelled))) == factors
+
+
+def test_invariant_factors_refuse_a_nonabelian_group():
+    # S3 has four elements of order dividing 2, Z/6 (the one abelian group of
+    # order 6) has two
+    with pytest.raises(CrossCheckFailed):
+        _invariant_factors_from_table(symmetric_group_table(3).table)
+
+
+def test_automorphism_group_orders():
+    # |Aut| of these groups: GL(2, 2), GL(3, 2), GL(2, 3), (Z/8)*, and the
+    # known orders for Z/2 x Z/4, Z/2 x Z/6 and Z/4 x Z/4
+    expected = {(2, 2): 6, (2, 2, 2): 168, (3, 3): 48, (8,): 4, (2, 4): 8,
+                (2, 6): 12, (4, 4): 96}
+    for factors, order in expected.items():
+        autos = _group_automorphisms(factors)
+        assert len(autos) == len(set(autos)) == order, factors
+
+
+def test_enumerate_incompressible_4_2_members():
+    fams = enumerate_incompressible(4, 2)
+    assert [tuple(f.images for f in fam.members) for fam in fams] == [
+        ((0, 1, 2, 3), (1, 2, 3, 0)),
+        ((1, 0, 3, 2), (2, 3, 0, 1)),
+        ((1, 2, 3, 0), (0, 1, 2, 3)),
+        ((1, 2, 3, 0), (1, 2, 3, 0)),
+        ((1, 2, 3, 0), (2, 3, 0, 1)),
+        ((1, 2, 3, 0), (3, 0, 1, 2)),
+        ((2, 3, 0, 1), (1, 2, 3, 0)),
+    ]
+    assert len(fams) == count_incompressible(4, 2)

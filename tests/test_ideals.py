@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ybmag import (CayleyTable, FiniteFunction, FunctionFamily, IdealKind,
+from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, IdealKind,
                    RMap, canonical_correspondence, decomposition_report,
                    flip_map, identity_rmap, ideals, is_incompressible,
                    is_simple, left_zero_table, lyubashenko_rmap,
@@ -192,6 +192,11 @@ def test_biconnected_iff_connected_lyubashenko_pair(plonka_corpus):
             g = FiniteFunction(b.n, pair[1])
             connected = len(connected_components(b.n, [f, g])) == 1
             assert rep.biconnected == connected
+    empty = CayleyTable(0, ())
+    assert lyubashenko_pair(BiMagma(empty, empty)) == ((), ())
+    f, g = (1, 0, 2), (0, 2, 1)  # x.y = f(x) and x*y = g(y), but fg != gf
+    shaped = BiMagma(CayleyTable(3, tuple((v,) * 3 for v in f)), CayleyTable(3, (g,) * 3))
+    assert lyubashenko_pair(shaped) is None
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,31 @@ def test_quasigroup_laws():
     assert not check_magma_law(lz, MagmaLaw.LEFT_CANCELLATIVE).holds
 
 
+def test_right_injective_witnesses_match_a_column_loop():
+    def column_loop(t, kind):
+        # scan column a top to bottom; the first repeated value is the witness
+        for a in range(len(t)):
+            seen = {}
+            for x in range(len(t)):
+                v = t[x][a]
+                if v in seen:
+                    return laws.Witness(kind, (a, seen[v], x), v, v)
+                seen[v] = x
+        return None
+
+    rng = random.Random(23)
+    for _ in range(500):
+        n = rng.randint(0, 5)
+        # columns are permutations, then half the tables get one cell overwritten
+        columns = [rng.sample(range(n), n) for _ in range(n)]
+        cells = [[columns[y][x] for y in range(n)] for x in range(n)]
+        if n and rng.random() < 0.5:
+            cells[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        m = CayleyTable(n, tuple(map(tuple, cells)))
+        for law in (MagmaLaw.RIGHT_CANCELLATIVE, MagmaLaw.RIGHT_QUASIGROUP):
+            assert check_magma_law(m, law).witness == column_loop(m.table, law.value)
+
+
 def test_k_cyclic_needs_k():
     with pytest.raises(ValueError):
         check_magma_law(left_zero_table(2), MagmaLaw.K_CYCLIC)
