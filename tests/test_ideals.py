@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, IdealKind,
-                   RMap, canonical_correspondence, decomposition_report,
+                   RMap, Verdict, Witness, canonical_correspondence,
+                   cyclic_group_table, decomposition_report, element_closure,
                    flip_map, identity_rmap, ideals, is_incompressible,
                    is_simple, left_zero_table, lyubashenko_rmap,
                    magma_from_function, rees_quotient)
-from ybmag.core import GuardExceeded, Limits
+from ybmag.core import VERDICT_OK, GuardExceeded, Limits
 from ybmag.laws import MagmaLaw, check_magma_law
 from ybmag.plonka import bi_plonka_partition, connected_components
 
-from conftest import rmaps, stack_rows
+from conftest import bimagmas, cayley_tables, rmaps, stack_rows
 
 
 def all_functions(n):
@@ -70,6 +71,74 @@ def test_four_cycle_square_map_is_simple():
 def test_identity_not_simple_with_minimal_witness():
     v = is_simple(identity_rmap(2))
     assert not v.holds and v.witness.inputs == (0,)
+
+
+# ---------------------------------------------------------------------------
+# every ideal kind against a brute force over subsets
+
+
+def brute_force_ideals(structure, kind):
+    """Every non-empty subset S with the products the kind names landing in
+    S, read straight from the tables, sorted by size then lexicographically."""
+    n = structure.n
+
+    def products(a, y):
+        if kind is IdealKind.RMAP_IDEAL:  # R(S x X) in S x X, R(X x S) in X x S
+            return structure.apply(a, y)[0], structure.apply(y, a)[1]
+        if kind is IdealKind.BIMAGMA_RIGHT_LEFT:  # S.X in S, X*S in S
+            return structure.dot.apply(a, y), structure.star.apply(y, a)
+        right, left = structure.apply(a, y), structure.apply(y, a)
+        return {IdealKind.MAGMA_RIGHT: (right,), IdealKind.MAGMA_LEFT: (left,),
+                IdealKind.MAGMA_TWO_SIDED: (right, left)}[kind]
+
+    return [subset for size in range(1, n + 1)
+            for subset in itertools.combinations(range(n), size)
+            if all(set(products(a, y)) <= set(subset) for a in subset for y in range(n))]
+
+
+def assert_matches_brute_force(structure, kind):
+    listed = brute_force_ideals(structure, kind)
+    assert ideals(structure, kind) == listed
+    n = structure.n
+    for x in range(n):
+        least = tuple(sorted(set.intersection(*(set(s) for s in listed if x in s))))
+        assert least in listed
+        assert element_closure(structure, kind, x) == least
+    proper = [s for s in listed if len(s) < n]
+    expected = Verdict(False, Witness("proper_ideal", proper[0])) if proper else VERDICT_OK
+    assert is_simple(structure, kind) == expected
+
+
+@given(cayley_tables(max_n=4))
+@settings(max_examples=150)
+def test_magma_ideal_kinds_match_brute_force(m):
+    for kind in (IdealKind.MAGMA_RIGHT, IdealKind.MAGMA_LEFT, IdealKind.MAGMA_TWO_SIDED):
+        assert_matches_brute_force(m, kind)
+
+
+@given(bimagmas(max_n=4))
+@settings(max_examples=150)
+def test_bimagma_ideals_match_brute_force(b):
+    assert_matches_brute_force(b, IdealKind.BIMAGMA_RIGHT_LEFT)
+
+
+@given(rmaps(max_n=4))
+@settings(max_examples=150)
+def test_rmap_ideals_match_brute_force_and_their_bimagma(r):
+    assert_matches_brute_force(r, IdealKind.RMAP_IDEAL)
+    b = canonical_correspondence(r)
+    assert ideals(r, IdealKind.RMAP_IDEAL) == ideals(b, IdealKind.BIMAGMA_RIGHT_LEFT)
+    for x in range(r.n):
+        assert (element_closure(r, IdealKind.RMAP_IDEAL, x)
+                == element_closure(b, IdealKind.BIMAGMA_RIGHT_LEFT, x))
+    assert is_simple(r) == is_simple(b, IdealKind.BIMAGMA_RIGHT_LEFT)
+
+
+def test_ideal_kind_needs_its_structure():
+    with pytest.raises(TypeError, match="rmap_ideal needs a RMap"):
+        is_simple(cyclic_group_table(3))
+    with pytest.raises(TypeError, match="magma_right needs a CayleyTable"):
+        ideals(identity_rmap(2), IdealKind.MAGMA_RIGHT)
 
 
 def commuting_pairs(n):
