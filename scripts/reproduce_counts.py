@@ -29,7 +29,7 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--full", action="store_true",
                         help="include the slower n = 7 right involutory census "
-                             "(849 classes, about 8 s on a 2-vCPU VM), the bi-magma censuses "
+                             "(849 classes, 5-6 s on a 2-vCPU VM), the bi-magma censuses "
                              "at n = 4 (about 1 s for both), the simple solutions on 9 points "
                              "(under 1 s) and the conjugacy classes of self-maps at n = 7 and 8 "
                              "(about 12 s)")

@@ -13,18 +13,13 @@ from typing import Union
 from .core import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, RMap,
                    canonical_correspondence, flip_map, identity_rmap,
                    lyubashenko_rmap)
-from .families import OdometerTriple, build_odometer
+from .families import OdometerTriple, _prime_factors, build_odometer
 from .laws import BiMagmaLaw, check_bimagma_law, group_structure
 from .plonka import BiPlonkaPartition, rebuild
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, int(p ** 0.5) + 1):
-        if p % q == 0:
-            return False
-    return True
+# largest carrier free_k_cyclic builds
+_FREE_MAGMA_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class EssSolution:
     h2: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != {self.p: 1}:
             raise ValueError("carrier order must be prime")
         if (self.h1 % self.p, self.h2 % self.p) == (0, 0):
             raise ValueError("translation constants must not both vanish")
@@ -162,8 +157,7 @@ class FreeMagmaResult:
         return [f"{i}: {el.legend()}" for i, el in enumerate(self.elements)]
 
 
-def free_k_cyclic(generators: int, k: int, idempotent: bool,
-                  max_size: int = 4096) -> FreeMagmaResult:
+def free_k_cyclic(generators: int, k: int, idempotent: bool) -> FreeMagmaResult:
     """The free magma on ``generators`` letters subject to the right Plonka
     laws and the k-fold cancellation (x.y)...y = x, with y repeated k times.
 
@@ -175,8 +169,9 @@ def free_k_cyclic(generators: int, k: int, idempotent: bool,
     if generators < 1 or k < 1:
         raise ValueError("need at least one generator and k >= 1")
     size = generators * k ** (generators - 1 if idempotent else generators)
-    if size > max_size:
-        raise GuardExceeded(f"free magma would have {size} elements (limit {max_size})")
+    if size > _FREE_MAGMA_LIMIT:
+        raise GuardExceeded(f"free magma would have {size} elements "
+                            f"(limit {_FREE_MAGMA_LIMIT})")
     elements: list[FreeKCyclicElement] = []
     for base in range(generators):
         slots = [range(k) if (i != base or not idempotent) else range(1)

@@ -104,6 +104,21 @@ def identity_function(n: int) -> FiniteFunction:
     return FiniteFunction(n, tuple(range(n)))
 
 
+def closure(maps: Sequence[Sequence[int]], seed: Iterable[int]) -> set[int]:
+    """The least set containing ``seed`` that every map carries into itself,
+    each map given as its tuple of images."""
+    seen = set(seed)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for f in maps:
+            v = f[x]
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 @dataclass(frozen=True)
 class Permutation(FiniteFunction):
     def __post_init__(self) -> None:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CrossCheckFailed, FiniteFunction, GuardExceeded, Limits,
-                   DEFAULT_LIMITS, identity_function)
+                   DEFAULT_LIMITS, closure, identity_function)
 
 
 class FamilyError(ValueError):
@@ -55,24 +55,11 @@ class FamilyFlags:
     connected: bool
 
 
-def _orbit_closure(n: int, members: Sequence[FiniteFunction], seed: int) -> set[int]:
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        x = stack.pop()
-        for f in members:
-            v = f(x)
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def is_incompressible(family: FunctionFamily) -> bool:
     """No proper non-empty subset is carried into itself by every member;
     equivalently the forward closure of each point is the whole carrier."""
-    return all(len(_orbit_closure(family.n, family.members, x)) == family.n
-               for x in range(family.n))
+    maps = [f.images for f in family.members]
+    return all(len(closure(maps, (x,))) == family.n for x in range(family.n))
 
 
 def analyze_family(family: FunctionFamily) -> FamilyFlags:
@@ -399,9 +386,8 @@ def enumerate_incompressible(t: int, k: int,
                 continue
             orbit = {tuple(a[g] for g in gens) for a in autos}
             seen |= orbit
-            members = tuple(FiniteFunction(size, tuple(op[x][g] for x in range(size)))
-                            for g in min(orbit))
-            if len(_orbit_closure(size, members, 0)) == size:
-                reps.append(FunctionFamily(size, members))
+            maps = [tuple(op[x][g] for x in range(size)) for g in min(orbit)]
+            if len(closure(maps, (0,))) == size:
+                reps.append(FunctionFamily.from_images(maps))
     reps.sort(key=lambda fam: tuple(f.images for f in fam.members))
     return reps

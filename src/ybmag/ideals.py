@@ -2,7 +2,9 @@
 
 An ideal of an R-map is a non-empty I with R(I x X) inside I x X and
 R(X x I) inside X x I; equivalently a right ideal of the dot magma that is
-also a left ideal of the star magma.  Simplicity is decided by per-element
+also a left ideal of the star magma.  Every ideal kind is a set that a
+family of translations carries into itself, so a structure is simple exactly
+when that family is incompressible; simplicity is decided by per-element
 closure so it scales past the subset-listing guard.
 """
 
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (BiMagma, CayleyTable, GuardExceeded, Limits, DEFAULT_LIMITS,
-                   RMap, SetPartition, Verdict, Witness, VERDICT_OK)
+                   RMap, SetPartition, Verdict, Witness, VERDICT_OK,
+                   canonical_correspondence, closure)
 from .plonka import UnionFind
 
 
@@ -25,45 +28,10 @@ class IdealKind(enum.Enum):
     BIMAGMA_RIGHT_LEFT = "bimagma_right_left"
 
 
-def _closure_steps(structure, kind: IdealKind):
-    """The generator maps a -> {products that must stay inside an ideal}."""
-    if kind is IdealKind.RMAP_IDEAL:
-        r: RMap = structure
-        n = r.n
-        def step(a: int):
-            for y in range(n):
-                yield r.apply(a, y)[0]
-                yield r.apply(y, a)[1]
-        return n, step
-    if kind is IdealKind.BIMAGMA_RIGHT_LEFT:
-        b: BiMagma = structure
-        n = b.n
-        def step(a: int):
-            for y in range(n):
-                yield b.dot.apply(a, y)
-                yield b.star.apply(y, a)
-        return n, step
-    m: CayleyTable = structure
-    n = m.n
-    if kind is IdealKind.MAGMA_RIGHT:
-        def step(a: int):
-            for y in range(n):
-                yield m.apply(a, y)
-    elif kind is IdealKind.MAGMA_LEFT:
-        def step(a: int):
-            for y in range(n):
-                yield m.apply(y, a)
-    elif kind is IdealKind.MAGMA_TWO_SIDED:
-        def step(a: int):
-            for y in range(n):
-                yield m.apply(a, y)
-                yield m.apply(y, a)
-    else:
-        raise ValueError(f"unknown ideal kind {kind!r}")
-    return n, step
-
-
-def _kind_matches(structure, kind: IdealKind) -> None:
+def _translations(structure, kind: IdealKind) -> list[tuple[int, ...]]:
+    """The self-maps, as image tuples, that every ideal of the kind carries
+    into itself: the right translations x -> x.y of a magma are its columns,
+    the left translations x -> y.x its rows."""
     wants = {IdealKind.RMAP_IDEAL: RMap,
              IdealKind.BIMAGMA_RIGHT_LEFT: BiMagma,
              IdealKind.MAGMA_RIGHT: CayleyTable,
@@ -71,62 +39,57 @@ def _kind_matches(structure, kind: IdealKind) -> None:
              IdealKind.MAGMA_TWO_SIDED: CayleyTable}[kind]
     if not isinstance(structure, wants):
         raise TypeError(f"{kind.value} needs a {wants.__name__}")
-
-
-def _is_closed(mask: int, n: int, step) -> bool:
-    for a in range(n):
-        if mask >> a & 1:
-            for v in step(a):
-                if not mask >> v & 1:
-                    return False
-    return True
+    if kind is IdealKind.RMAP_IDEAL:
+        return _translations(canonical_correspondence(structure),
+                             IdealKind.BIMAGMA_RIGHT_LEFT)
+    if kind is IdealKind.BIMAGMA_RIGHT_LEFT:
+        return list(zip(*structure.dot.table)) + list(structure.star.table)
+    columns, rows = list(zip(*structure.table)), list(structure.table)
+    return {IdealKind.MAGMA_RIGHT: columns, IdealKind.MAGMA_LEFT: rows,
+            IdealKind.MAGMA_TWO_SIDED: columns + rows}[kind]
 
 
 def ideals(structure: Union[RMap, CayleyTable, BiMagma], kind: IdealKind,
            limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
     """Every non-empty subset satisfying the closure condition of the kind,
     sorted by size then lexicographically."""
-    _kind_matches(structure, kind)
-    n, step = _closure_steps(structure, kind)
+    maps = _translations(structure, kind)
+    n = structure.n
     if n > limits.subset_listing:
         raise GuardExceeded(
             f"2**{n} subset listing refused (limit n <= {limits.subset_listing}); "
             "use is_simple instead")
-    found = []
-    for mask in range(1, 1 << n):
-        if _is_closed(mask, n, step):
-            found.append(tuple(x for x in range(n) if mask >> x & 1))
+    # the ideals are the unions of the least ideals around single elements
+    masks = {0}
+    for x in range(n):
+        least = sum(1 << v for v in closure(maps, (x,)))
+        masks |= {mask | least for mask in masks}
+    found = [tuple(x for x in range(n) if mask >> x & 1) for mask in masks if mask]
     found.sort(key=lambda s: (len(s), s))
     return found
 
 
 def element_closure(structure, kind: IdealKind, seed: int) -> tuple[int, ...]:
     """The least ideal of the given kind containing ``seed``."""
-    _kind_matches(structure, kind)
-    n, step = _closure_steps(structure, kind)
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        a = stack.pop()
-        for v in step(a):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return tuple(sorted(seen))
+    maps = _translations(structure, kind)
+    if not 0 <= seed < structure.n:
+        raise ValueError(f"seed {seed} outside 0..{structure.n - 1}")
+    return tuple(sorted(closure(maps, (seed,))))
 
 
 def is_simple(structure: Union[RMap, CayleyTable, BiMagma],
               kind: IdealKind = IdealKind.RMAP_IDEAL) -> Verdict:
     """Simplicity via closure fixpoints: simple iff the least ideal around
-    every element is the whole carrier.  The witness of a failing verdict is
-    the smallest proper ideal found this way."""
-    _kind_matches(structure, kind)
-    n, _ = _closure_steps(structure, kind)
+    every element is the whole carrier, that is iff the translations form
+    an incompressible family.  The witness of a failing verdict is the
+    smallest proper ideal found this way."""
+    maps = _translations(structure, kind)
+    n = structure.n
     best: Optional[tuple[int, ...]] = None
     for x in range(n):
-        closure = element_closure(structure, kind, x)
-        if len(closure) < n and (best is None or (len(closure), closure) < (len(best), best)):
-            best = closure
+        least = tuple(sorted(closure(maps, (x,))))
+        if len(least) < n and (best is None or (len(least), least) < (len(best), best)):
+            best = least
     if best is None:
         return VERDICT_OK
     return Verdict(False, Witness("proper_ideal", best))
@@ -142,12 +105,11 @@ def rees_quotient(m: CayleyTable, ideal: tuple[int, ...] | frozenset[int]) -> Ca
     if not elements:
         raise ValueError("ideal must be non-empty")
     n = m.n
-    for a in elements:
-        for y in range(n):
-            if m.apply(a, y) not in elements:
-                raise ValueError(f"{sorted(elements)} is not a right ideal")
-            if m.apply(y, a) not in elements:
-                raise ValueError(f"{sorted(elements)} is not a left ideal")
+    if not elements <= set(range(n)):
+        raise ValueError(f"{sorted(elements)} is not inside 0..{n - 1}")
+    for side, kind in (("right", IdealKind.MAGMA_RIGHT), ("left", IdealKind.MAGMA_LEFT)):
+        if closure(_translations(m, kind), elements) != elements:
+            raise ValueError(f"{sorted(elements)} is not a {side} ideal")
     cls = min(elements)
     rep = [cls if x in elements else x for x in range(n)]
     labels = sorted(set(rep))

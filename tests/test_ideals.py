@@ -134,6 +134,12 @@ def test_rmap_ideals_match_brute_force_and_their_bimagma(r):
     assert is_simple(r) == is_simple(b, IdealKind.BIMAGMA_RIGHT_LEFT)
 
 
+def test_element_closure_rejects_seed_outside_carrier():
+    for seed in (-1, 3):
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            element_closure(cyclic_group_table(3), IdealKind.MAGMA_RIGHT, seed)
+
+
 def test_ideal_kind_needs_its_structure():
     with pytest.raises(TypeError, match="rmap_ideal needs a RMap"):
         is_simple(cyclic_group_table(3))
@@ -191,6 +197,12 @@ def test_rees_rejects_non_two_sided():
     # {0, 1} is a right but not a left ideal of the left-zero magma
     with pytest.raises(ValueError):
         rees_quotient(left_zero_table(3), (0, 1))
+
+
+def test_rees_rejects_elements_outside_carrier():
+    for ideal in ((3,), (-1,), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            rees_quotient(left_zero_table(3), ideal)
 
 
 def test_rees_quotient_multiplication():
