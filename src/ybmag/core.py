@@ -45,7 +45,10 @@ DEFAULT_LIMITS = Limits()
 
 def _check_range(values: Iterable[int], bound: int, what: str) -> None:
     for v in values:
-        if not isinstance(v, int) or not 0 <= v < bound:
+        # exactly int: a bool would serialise as True/False, which no parser reads back
+        if type(v) is not int:
+            raise ValueError(f"{what}: entry {v!r} is not an int")
+        if not 0 <= v < bound:
             raise ValueError(f"{what}: entry {v!r} outside 0..{bound - 1}")
 
 
@@ -399,17 +402,6 @@ def find_homomorphisms(a: RMap, b: RMap, limits: Limits = DEFAULT_LIMITS) -> lis
     return found
 
 
-def _brute_force_iso(a: Structure, b: Structure,
-                     limits: Limits) -> Optional[Permutation]:
-    n = a.n
-    if b.n != n:
-        return None
-    for sigma in all_permutations(n, limits):
-        if a.relabel(sigma) == b:
-            return Permutation(n, sigma)
-    return None
-
-
 def are_isomorphic(a: Structure, b: Structure,
                    limits: Limits = DEFAULT_LIMITS) -> Optional[Permutation]:
     """Brute-force isomorphism over S_n; returns the lexicographically least
@@ -417,7 +409,13 @@ def are_isomorphic(a: Structure, b: Structure,
     isomorphism tests are validated against."""
     if type(a) is not type(b):
         raise TypeError("can only compare structures of the same kind")
-    return _brute_force_iso(a, b, limits)
+    n = a.n
+    if b.n != n:
+        return None
+    for sigma in all_permutations(n, limits):
+        if a.relabel(sigma) == b:
+            return Permutation(n, sigma)
+    return None
 
 
 def automorphisms(a: Structure, limits: Limits = DEFAULT_LIMITS) -> list[Permutation]:

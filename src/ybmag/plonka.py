@@ -3,6 +3,8 @@
 A right Plonka magma decomposes into a partition plus one grid of block
 endomaps, the maps in each block's grid row commuting; the coarsest and
 finest such decompositions are unique and serve as complete invariants.
+The coarsest blocks are the classes of equal columns, the finest the weak
+components of all columns (the graphs x -> x.y for every y).
 A Plonka bi-magma (., *) is the pair of right Plonka magmas (., *^op) over
 one shared partition, so it carries a second grid; a magma's partition is
 the one-grid case of the same type.  Blocks are listed by least element
@@ -122,8 +124,8 @@ def plonka_partition(m: CayleyTable, extremity: Extremity) -> BiPlonkaPartition:
     """The coarsest or finest Plonka partition of a right Plonka magma.
 
     Coarsest blocks are the classes of the congruence  a ~ b  iff
-    x.a = x.b for every x; the finest refines each block into the connected
-    components of its endomap family.
+    x.a = x.b for every x; finest blocks are the weak components of the
+    graphs x -> x.y of all columns y.
     """
     verdict = check_magma_law(m, MagmaLaw.RIGHT_PLONKA)
     if not verdict:
@@ -136,7 +138,8 @@ def bi_plonka_partition(b: BiMagma, extremity: Extremity) -> BiPlonkaPartition:
 
     The coarsest congruence identifies a and b when x.a = x.b and
     a*x = b*x for every x, that is, when a and b share their columns in
-    both dot and the opposite of star.
+    both dot and the opposite of star.  The finest blocks are the weak
+    components of the dot columns and the star rows together.
     """
     verdict = check_bimagma_law(b, BiMagmaLaw.PLONKA_BIMAGMA)
     if not verdict:
@@ -146,15 +149,20 @@ def bi_plonka_partition(b: BiMagma, extremity: Extremity) -> BiPlonkaPartition:
 
 def _partition_of(tables: Sequence[CayleyTable], extremity: Extremity) -> BiPlonkaPartition:
     """The partition shared by right Plonka tables on one carrier, with one
-    grid per table: a ~ b iff columns a and b agree in every table, and
-    grid[i][j] sends x in block i to x.r for the least element r of block j."""
-    if extremity not in ("coarsest", "finest"):
-        raise ValueError("extremity must be 'coarsest' or 'finest'")
+    grid per table: grid[i][j] sends x in block i to x.r for the least
+    element r of block j.  Coarsest blocks: a ~ b iff columns a and b agree
+    in every table; finest blocks: the weak components of every column."""
     n = tables[0].n
-    groups: dict[tuple, list[int]] = {}
-    for a in range(n):
-        groups.setdefault(tuple(t.column(a) for t in tables), []).append(a)
-    part = SetPartition(n, tuple(tuple(v) for v in groups.values()))
+    if extremity == "coarsest":
+        groups: dict[tuple, list[int]] = {}
+        for a in range(n):
+            groups.setdefault(tuple(t.column(a) for t in tables), []).append(a)
+        part = SetPartition(n, tuple(tuple(v) for v in groups.values()))
+    elif extremity == "finest":
+        part = connected_components(n, [FiniteFunction(n, t.column(a))
+                                        for t in tables for a in range(n)])
+    else:
+        raise ValueError("extremity must be 'coarsest' or 'finest'")
     owner, local = _local_index(part)
     grids = []
     for t in tables:
@@ -171,34 +179,7 @@ def _partition_of(tables: Sequence[CayleyTable], extremity: Extremity) -> BiPlon
                 row.append(FiniteFunction(len(bi), tuple(images)))
             grid.append(tuple(row))
         grids.append(tuple(grid))
-    coarse = BiPlonkaPartition(part, *grids)
-    return coarse if extremity == "coarsest" else _refine(coarse)
-
-
-def _refine(p: BiPlonkaPartition) -> BiPlonkaPartition:
-    """Split each block into the connected components of all its endomaps
-    and restrict every grid to the new blocks."""
-    fine_blocks: list[tuple[int, ...]] = []
-    origin: list[tuple[int, tuple[int, ...]]] = []  # (old block, component)
-    for i, block in enumerate(p.partition.blocks):
-        comps = connected_components(len(block), [f for grid in p.grids for f in grid[i]])
-        for comp in comps.blocks:
-            fine_blocks.append(tuple(block[loc] for loc in comp))
-            origin.append((i, comp))
-    part = SetPartition(p.partition.n, tuple(fine_blocks))
-    # SetPartition reorders blocks by least element; rebuild the origin map.
-    by_first = {b[0]: o for b, o in zip(fine_blocks, origin)}
-    ordered = [by_first[b[0]] for b in part.blocks]
-
-    def restrict(grid: Grid) -> Grid:
-        rows = []
-        for i, sub in ordered:
-            sub_pos = {loc: t for t, loc in enumerate(sub)}
-            rows.append(tuple(FiniteFunction(len(sub), tuple(sub_pos[grid[i][j](loc)] for loc in sub))
-                              for j, _ in ordered))
-        return tuple(rows)
-
-    return BiPlonkaPartition(part, *(restrict(grid) for grid in p.grids))
+    return BiPlonkaPartition(part, *grids)
 
 
 def rebuild(p: BiPlonkaPartition) -> Union[CayleyTable, BiMagma]:

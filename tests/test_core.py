@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybmag import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, Limits,
-                   Permutation, RMap, are_isomorphic, automorphisms,
+                   Permutation, RMap, SetPartition, are_isomorphic, automorphisms,
                    canonical_correspondence, find_homomorphisms, flip_map,
                    identity_rmap, left_zero_table, lyubashenko_rmap,
                    right_zero_table)
@@ -149,6 +150,19 @@ def test_function_validation():
         CayleyTable(2, ((0, 1),))
     with pytest.raises(ValueError):
         RMap(2, ((0, 0),) * 3)
+
+
+@pytest.mark.parametrize("entry", [True, False, np.int64(0), np.uint8(1), 1.0])
+@pytest.mark.parametrize("build", [
+    lambda v: FiniteFunction(2, (v, 0)),
+    lambda v: CayleyTable(2, ((v, 0), (1, 0))),
+    lambda v: RMap(2, ((v, 0), (0, 1), (1, 0), (1, 1))),
+    lambda v: SetPartition(2, ((v,), (1,))),
+], ids=["FiniteFunction", "CayleyTable", "RMap", "SetPartition"])
+def test_entries_must_be_python_ints(build, entry):
+    # a bool would serialise as True/False; a numpy integer is not an int either
+    with pytest.raises(ValueError, match=r"entry .* is not an int"):
+        build(entry)
 
 
 def test_sn_guard():

@@ -277,6 +277,14 @@ def test_partition_closure_failure_is_typed(monkeypatch):
         plonka_partition(CayleyTable(2, ((0, 1), (0, 1))), "coarsest")
 
 
+def test_finest_closure_failure_is_typed(monkeypatch):
+    # singleton components of the swap magma x.y = 1 - x: 0.0 = 1 leaves {0}
+    monkeypatch.setattr(plonka, "connected_components",
+                        lambda n, maps: SetPartition(n, tuple((v,) for v in range(n))))
+    with pytest.raises(CrossCheckFailed, match="congruence class not closed"):
+        plonka_partition(CayleyTable(2, ((1, 1), (0, 0))), "finest")
+
+
 def test_structured_iso_assembly_failure_is_typed(monkeypatch):
     # block-local matches that do not intertwine: the reversal of each block
     monkeypatch.setattr(plonka, "_block_intertwiners",
