@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits,
-                   DEFAULT_LIMITS, FiniteFunction, canonical_correspondence)
+                   DEFAULT_LIMITS, FiniteFunction, _check_carrier, canonical_correspondence)
 from .families import (FunctionFamily, OdometerTriple, _partitions, count_incompressible,
                        is_incompressible)
 from .ideals import IdealKind, is_simple
@@ -266,11 +266,6 @@ def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
 # queries
 
 
-def _require_carrier(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"carrier size n must be an integer >= 0, got n = {n!r}")
-
-
 @dataclass(frozen=True)
 class CensusQuery:
     """A conjunction of law tags plus optional structural predicates.
@@ -289,7 +284,7 @@ class CensusQuery:
     mode: str = "count"
 
     def __post_init__(self) -> None:
-        _require_carrier(self.n)
+        _check_carrier(self.n)
         if not (self.magma_laws or self.bimagma_laws or self.rmap_laws or self.predicates):
             raise ValueError("constraint must be non-empty")
         if self.mode not in ("count", "representatives"):
@@ -771,7 +766,7 @@ def census_simple_bls(t: int, limits: Limits = DEFAULT_LIMITS) -> SimpleSolution
     image of a non-surjective member would be a proper invariant subset.
     The two counts must agree whenever the sweep runs.
     """
-    _require_carrier(t)
+    _check_carrier(t)
     if t < 1:
         raise ValueError("carrier must be non-empty")
     triples = tuple(OdometerTriple(m, t // m, d)
@@ -834,7 +829,7 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
     count, connected mapping patterns from rooted trees
     (``_connected_mapping_patterns``) and all patterns as their Euler
     transform (Read 1961; Harary-Palmer, Graphical Enumeration, 1973)."""
-    _require_carrier(n)
+    _check_carrier(n)
     if n > limits.conjugacy_census:
         raise GuardExceeded(f"conjugacy census limited to n <= {limits.conjugacy_census}")
     if n == 0:

@@ -52,6 +52,12 @@ def _check_range(values: Iterable[int], bound: int, what: str) -> None:
             raise ValueError(f"{what}: entry {v!r} outside 0..{bound - 1}")
 
 
+def _check_carrier(n: int, name: str = "n") -> None:
+    # exactly int, as for entries: a size True or 1.0 serialises in a form no parser reads back
+    if type(n) is not int or n < 0:
+        raise ValueError(f"carrier size {name} must be an integer >= 0, got {name} = {n!r}")
+
+
 @dataclass(frozen=True)
 class FiniteFunction:
     """A function {0..n-1} -> {0..codomain-1}, stored as its tuple of images.
@@ -64,10 +70,10 @@ class FiniteFunction:
     codomain: int = -1  # -1 means "same as n"
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("carrier size must be >= 0")
+        _check_carrier(self.n)
         if self.codomain == -1:
             object.__setattr__(self, "codomain", self.n)
+        _check_carrier(self.codomain, "codomain")
         if len(self.images) != self.n:
             raise ValueError("images length must equal carrier size")
         if not isinstance(self.images, tuple):
@@ -87,8 +93,11 @@ class FiniteFunction:
         return FiniteFunction(other.n, tuple(self.images[v] for v in other.images), self.codomain)
 
     def power(self, k: int) -> "FiniteFunction":
+        """self composed with itself k >= 0 times."""
         if self.codomain != self.n:
             raise ValueError("powers need a self-map")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"power {k!r} is not an int >= 0")
         result = identity_function(self.n)
         base = self
         while k:
@@ -155,6 +164,7 @@ class CayleyTable:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_carrier(self.n)
         if len(self.table) != self.n:
             raise ValueError("table must have n rows")
         rows = []
@@ -235,6 +245,7 @@ class RMap:
     out: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_carrier(self.n)
         if len(self.out) != self.n * self.n:
             raise ValueError("out must list n*n pairs")
         pairs = []
@@ -295,6 +306,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_carrier(self.n)
         seen: set[int] = set()
         blocks = []
         for block in self.blocks:

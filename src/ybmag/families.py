@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CrossCheckFailed, FiniteFunction, GuardExceeded, Limits,
-                   DEFAULT_LIMITS, closure, identity_function)
+                   DEFAULT_LIMITS, _check_carrier, closure, identity_function)
 
 
 class FamilyError(ValueError):
@@ -35,6 +35,7 @@ class FunctionFamily:
     members: tuple[FiniteFunction, ...]
 
     def __post_init__(self) -> None:
+        _check_carrier(self.n)
         if not self.members:
             raise FamilyError("family must have at least one member")
         for f in self.members:

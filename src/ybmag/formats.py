@@ -81,11 +81,13 @@ def parse_structure(text: str) -> Parsed:
 
 
 def _parse_plain(text: str) -> Parsed:
-    lines = text.split("\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+    if not text.strip():
         raise ParseError("empty input", 1)
+    # a final newline ends the last line; blank lines before it are read as
+    # written, since a table row on 0 points is blank
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     header = _split_cols(lines[0])
     if len(header) != 2 or header[0][0] not in KINDS:
         raise ParseError("header must be '<kind> <n>' with kind one of "

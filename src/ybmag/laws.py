@@ -5,10 +5,16 @@ rewriting.  A failing check returns the lexicographically first violating
 input together with both evaluated sides, so a failure message is
 self-contained and reproducible.
 
-On carriers of ``_NUMPY_CUTOFF`` = 24 points or more, the right and left
-Plonka laws and the R-map triple laws (Yang-Baxter, braid, Long,
-commutative, cocommutative and BLS) find the first failing triple with numpy
-and re-run the loop there, so both paths give the same witness.
+An R-map is checked on its dot and star tables, R(x, y) = (x.y, x*y): a
+chain step of a triple law reads both tables at one cell, and
+nondegeneracy is row injectivity of the two tables and their transposes.
+One array evaluator runs the triple-law chains on a stack of dot and star
+tables.  ``check_bimagma_laws_batch`` runs it on census stacks for every
+R-map triple law (Yang-Baxter, braid, Long, commutative, cocommutative and
+BLS).  On carriers of ``_NUMPY_CUTOFF`` = 24 points or more,
+``check_rmap_law`` runs it on a one-table stack, and the right and left
+Plonka laws run their own masks, to find the first failing triple; the
+loop is re-run there, so both paths give the same witness.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (BiMagma, CayleyTable, CrossCheckFailed, RMap, Verdict, Witness,
-                   VERDICT_OK)
+                   VERDICT_OK, canonical_correspondence)
 
 # From this carrier size the Plonka and R-map triple laws run vectorised; below
 # it the loop is faster, since a failing input usually exits at its first
@@ -382,7 +388,8 @@ def _triple_law(r: RMap, pieces) -> Optional[Witness]:
     the first failing triple gives the witness."""
     n, out = r.n, r.out
     if n >= _NUMPY_CUTOFF:
-        return _vectorised_witness(n, _pieces_slab_mask(r, pieces),
+        stack = np.array(out, dtype=np.int32).T.reshape(1, 2, n, n)
+        return _vectorised_witness(n, lambda lo, hi: _pieces_failures(stack, pieces, lo, hi)[0],
                                    lambda triple: _piece_witness(pieces, out, n, triple))
     for triple in itertools.product(range(n), repeat=3):
         w = _piece_witness(pieces, out, n, triple)
@@ -391,42 +398,34 @@ def _triple_law(r: RMap, pieces) -> Optional[Witness]:
     return None
 
 
-def _run_chain_arrays(chain, triple, r):
-    """``_run_chain`` on coordinate arrays: ``r(a, b)`` gives both
-    components of R at the broadcast arrays a and b."""
-    t = list(triple)
-    for p, q in chain:
-        t[p], t[q] = r(t[p], t[q])
-    return t
+def _pieces_failures(stack: np.ndarray, pieces, lo: int, hi: int) -> np.ndarray:
+    """Where some of the ``(kind, lhs_chain, rhs_chain)`` pieces fail, at
+    [b, x - lo, y, z] for the triples with lo <= x < hi, on a (T, 2, n, n)
+    stack of dot and star tables.  A chain step applies R(a, b) = (a.b, a*b)
+    on coordinate arrays that broadcast over (b, x, y, z), reading both
+    tables at one cell index."""
+    tables, _, n = stack.shape[:3]
+    dot, star = np.ascontiguousarray(stack.transpose(1, 0, 2, 3)).reshape(2, tables * n * n)
+    start = (np.arange(tables, dtype=np.int32) * (n * n)).reshape(-1, 1, 1, 1)
+    points = np.arange(n, dtype=np.int32)
+    triple = (np.arange(lo, hi, dtype=np.int32)[:, None, None], points[:, None], points)
+    bad = np.zeros((tables, hi - lo, n, n), dtype=bool)
+    for _, *chains in pieces:
+        sides = [list(triple), list(triple)]
+        for chain, t in zip(chains, sides):
+            for p, q in chain:
+                cell = np.multiply(t[p], n, dtype=np.int32) + t[q] + start
+                t[p], t[q] = dot.take(cell), star.take(cell)
+        for left, right in zip(*sides):
+            bad |= left != right
+    return bad
 
 
-def _pieces_slab_mask(r: RMap, pieces):
-    """The failure mask of all pieces at once, by slab (see
-    ``_vectorised_witness``); a chain step is two gathers on the
-    coordinate arrays, which broadcast over (x, y, z)."""
-    n = r.n
-    u, v = np.array(r.out, dtype=np.int32).T.copy()
-    ys = np.arange(n, dtype=np.int32)[None, :, None]
-    zs = np.arange(n, dtype=np.int32)[None, None, :]
-
-    def apply(a, b):
-        k = a * n + b
-        return u[k], v[k]
-
-    def mask(lo, hi):
-        triple = (np.arange(lo, hi, dtype=np.int32)[:, None, None], ys, zs)
-        bad = np.zeros((hi - lo, n, n), dtype=bool)
-        for _, lhs_chain, rhs_chain in pieces:
-            lhs = _run_chain_arrays(lhs_chain, triple, apply)
-            for left, right in zip(lhs, _run_chain_arrays(rhs_chain, triple, apply)):
-                bad |= left != right
-        return bad
-    return mask
-
-
-# the BLS law is the commutative, cocommutative and long laws together
-_BLS_PIECES = [(f"bls:{law.value}", *_TRIPLE_LAWS[law])
-               for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]
+# each triple law as its (kind, lhs_chain, rhs_chain) pieces, checked in
+# order; the BLS law is the commutative, cocommutative and long laws together
+_TRIPLE_PIECES = {law: [(law.value, *chains)] for law, chains in _TRIPLE_LAWS.items()} | {
+    RMapLaw.BLS: [(f"bls:{law.value}", *_TRIPLE_LAWS[law])
+                  for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]}
 
 
 def _bijectivity_witness(r: RMap) -> Optional[Witness]:
@@ -474,32 +473,21 @@ def _diagonal(r: RMap) -> Optional[Witness]:
 
 
 def _nondegenerate(r: RMap, left_right: bool) -> Optional[Witness]:
-    n = r.n
-    for a in range(n):
-        seen: dict[int, int] = {}
-        for x in range(n):
-            v = r.apply(a, x)[0] if left_right else r.apply(x, a)[0]
-            if v in seen:
-                kind = "dot_left_translation" if left_right else "dot_right_translation"
-                return Witness(kind, (a, seen[v], x), v, v)
-            seen[v] = x
-    for a in range(n):
-        seen = {}
-        for x in range(n):
-            v = r.apply(x, a)[1] if left_right else r.apply(a, x)[1]
-            if v in seen:
-                kind = "star_right_translation" if left_right else "star_left_translation"
-                return Witness(kind, (a, seen[v], x), v, v)
-            seen[v] = x
-    return None
+    """Row injectivity of the dot and star tables of R(x, y) = (x.y, x*y):
+    left translations are rows, right translations rows of the transpose."""
+    b = canonical_correspondence(r)
+    dot, star = b.dot.table, b.star.table
+    if left_right:
+        return _row_injective(dot, "dot_left_translation") or \
+            _row_injective(tuple(zip(*star)), "star_right_translation")
+    return _row_injective(tuple(zip(*dot)), "dot_right_translation") or \
+        _row_injective(star, "star_left_translation")
 
 
 def check_rmap_law(r: RMap, law: RMapLaw) -> Verdict:
     """Evaluate one R-map law exhaustively (triple laws run over all n**3 inputs)."""
-    if law in _TRIPLE_LAWS:
-        return _verdict(_triple_law(r, [(law.value, *_TRIPLE_LAWS[law])]))
-    if law is RMapLaw.BLS:
-        return _verdict(_triple_law(r, _BLS_PIECES))
+    if law in _TRIPLE_PIECES:
+        return _verdict(_triple_law(r, _TRIPLE_PIECES[law]))
     if law is RMapLaw.UNITARY:
         return _verdict(_unitary(r))
     if law is RMapLaw.INVOLUTIVE:
@@ -638,20 +626,24 @@ def _lyubashenko_form(d, s) -> Optional[Witness]:
 
 
 BIMAGMA_BATCH_LAWS = frozenset({BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA,
-                                RMapLaw.BLS})
+                                *_TRIPLE_PIECES})
 
 
 def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
-    """Evaluate bi-magma laws, and the BLS law of R(x, y) = (x.y, x*y), on a
-    stack of bi-magmas at once: ``stack[b, 0, x, y]`` is x.y and
-    ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
+    """Evaluate bi-magma laws, and the R-map triple laws of R(x, y) =
+    (x.y, x*y), on a stack of bi-magmas at once: ``stack[b, 0, x, y]`` is x.y
+    and ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
     bi-magma, true where every law in ``laws`` holds; each verdict agrees
     with ``check_bimagma_law`` or ``check_rmap_law``.  Covers
-    ``BIMAGMA_BATCH_LAWS``; each law's pieces are checked in turn."""
+    ``BIMAGMA_BATCH_LAWS``: the Plonka and unitary Plonka bi-magma laws and
+    every R-map triple law (Yang-Baxter, braid, Long, commutative,
+    cocommutative and BLS), the last evaluated on the dot and star tables by
+    the same code as ``check_rmap_law``'s vectorised witness search."""
     ok = np.ones(len(stack), dtype=bool)
+    n = stack.shape[-1]
     dot, star = stack[:, 0], stack[:, 1]
     d, s = _products(dot), _products(star)
-    x, y, z = _coordinates(stack.shape[-1])
+    x, y, z = _coordinates(n)
     for law in laws:
         if law in (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA):
             # right Plonka for the dot, left Plonka for the star (right
@@ -663,13 +655,8 @@ def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
             ok &= _holds(d(x, s(y, z)) == d(x, z))         # mixed_star_in_dot
             if law is BiMagmaLaw.UNITARY_PLONKA_BIMAGMA:   # unitary_pairing, at (y, z)
                 ok &= _holds(d(s(y, z), y) == z)
-        elif law is RMapLaw.BLS:
-            def apply(a, b):
-                return d(a, b), s(a, b)
-            for _, lhs_chain, rhs_chain in _BLS_PIECES:
-                lhs = _run_chain_arrays(lhs_chain, (x, y, z), apply)
-                for left, right in zip(lhs, _run_chain_arrays(rhs_chain, (x, y, z), apply)):
-                    ok &= _holds(left == right)
+        elif law in _TRIPLE_PIECES:
+            ok &= ~_pieces_failures(stack, _TRIPLE_PIECES[law], 0, n).any((1, 2, 3))
         else:
             raise ValueError(f"no batch check for {law!r}")
     return ok

@@ -284,7 +284,7 @@ def structured_iso(a: Union[CayleyTable, BiMagma], b: Union[CayleyTable, BiMagma
     sizes_b = [len(blk) for blk in blocks_b]
     if sorted(sizes_a) != sorted(sizes_b):
         return None
-    if max(sizes_a) > limits.sn_sweep:
+    if max(sizes_a, default=0) > limits.sn_sweep:
         raise GuardExceeded("block too large for the block-local sweep")
 
     key_a = [tuple(_family_signature(grid[i]) for grid in grids_a) for i in range(k)]

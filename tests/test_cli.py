@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from ybmag import (CayleyTable, FiniteFunction, FunctionFamily,
+from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily,
                    bi_plonka_partition, canonical_correspondence, flip_map,
                    identity_rmap, lyubashenko_rmap, parse_structure, serialize, serialize_json,
                    trivial_bimagma)
@@ -83,6 +83,18 @@ def test_json_round_trip():
                   canonical_correspondence(flip_map(2)), family,
                   FiniteFunction(3, (1, 2, 1))):
         assert parse_structure(serialize_json(value)) == value
+
+
+@pytest.mark.parametrize("data", [{"kind": "magma", "n": True, "dot": [[0]]},
+                                  {"kind": "rmap", "n": 1.0, "out": [[0, 0]]},
+                                  {"kind": "function", "n": 1.0, "images": [0]}])
+def test_json_carrier_size_must_be_an_int(capsys, tmp_path, data):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match="carrier size n must be an integer >= 0"):
+        parse_structure(path.read_text())
+    code, out, err = run(capsys, "build", "--variant", "opposite", "--input", str(path))
+    assert code == 2 and out == "" and "carrier size n" in err
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +194,16 @@ def test_iso_command(capsys, tmp_path):
     c.write_text(serialize(CayleyTable(2, ((0, 1), (0, 1)))))
     code, out, _ = run(capsys, "iso", str(a), str(c))
     assert code == 1 and out == "NOT_ISOMORPHIC\n"
+
+
+@pytest.mark.parametrize("kind", ["magma", "bimagma"])
+@pytest.mark.parametrize("method", ["brute", "structured"])
+def test_iso_command_on_empty_structures(capsys, tmp_path, kind, method):
+    empty = CayleyTable(0, ())
+    path = tmp_path / "empty.txt"
+    path.write_text(serialize(empty if kind == "magma" else BiMagma(empty, empty)))
+    code, out, _ = run(capsys, "iso", "--method", method, str(path), str(path))
+    assert code == 0 and out == "ISOMORPHIC \n"
 
 
 def test_ideals_command(capsys):
@@ -300,6 +322,14 @@ def test_census_representatives(capsys):
     assert code == 0
     blocks = out.strip().split("\n\n")
     assert len(blocks) == 4  # row plus three representatives
+
+
+def test_census_representative_on_0_points_parses_back(capsys):
+    code, out, _ = run(capsys, "census", "--n", "0", "--laws", "bls", "--mode", "representatives")
+    row, representative = out.split("\n\n", 1)
+    assert code == 0 and row.split("\t")[2] == "1"
+    empty = CayleyTable(0, ())
+    assert parse_structure(representative) == BiMagma(empty, empty)
 
 
 def test_census_workers_below_one_is_usage_error(capsys):

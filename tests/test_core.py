@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybmag import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, Limits,
+from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, GuardExceeded, Limits,
                    Permutation, RMap, SetPartition, are_isomorphic, automorphisms,
                    canonical_correspondence, find_homomorphisms, flip_map,
                    identity_rmap, left_zero_table, lyubashenko_rmap,
@@ -163,6 +163,30 @@ def test_entries_must_be_python_ints(build, entry):
     # a bool would serialise as True/False; a numpy integer is not an int either
     with pytest.raises(ValueError, match=r"entry .* is not an int"):
         build(entry)
+
+
+@pytest.mark.parametrize("size", [True, 1.0, np.int64(1)])
+@pytest.mark.parametrize("build", [
+    lambda n: FiniteFunction(n, (0,)),
+    lambda n: FiniteFunction(1, (0,), n),
+    lambda n: CayleyTable(n, ((0,),)),
+    lambda n: RMap(n, ((0, 0),)),
+    lambda n: SetPartition(n, ((0,),)),
+    lambda n: FunctionFamily(n, (FiniteFunction(1, (0,)),)),
+], ids=["FiniteFunction", "codomain", "CayleyTable", "RMap", "SetPartition", "FunctionFamily"])
+def test_carrier_sizes_must_be_python_ints(build, size):
+    # True and 1.0 compare equal to 1, but serialise as sizes no parser reads back
+    build(1)
+    with pytest.raises(ValueError, match=r"carrier size \w+ must be an integer >= 0"):
+        build(size)
+
+
+def test_power_needs_an_int_exponent_at_least_zero():
+    swap = FiniteFunction(2, (1, 0))
+    assert swap.power(0) == FiniteFunction(2, (0, 1)) and swap.power(3) == swap
+    for k in (-1, -4, 1.5, True):
+        with pytest.raises(ValueError, match="not an int >= 0"):
+            swap.power(k)
 
 
 def test_sn_guard():

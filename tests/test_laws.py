@@ -74,6 +74,53 @@ def test_nondegeneracy_variants():
     assert check_rmap_law(identity_rmap(2), RMapLaw.RIGHT_LEFT_NONDEGENERATE).holds
 
 
+def _nondegenerate_loop(r, left_right):
+    """The reference: a double loop over R itself, first the dot's left (or
+    right) translations, then the star's right (or left) ones."""
+    n = r.n
+    for a in range(n):
+        seen = {}
+        for x in range(n):
+            v = r.apply(a, x)[0] if left_right else r.apply(x, a)[0]
+            if v in seen:
+                kind = "dot_left_translation" if left_right else "dot_right_translation"
+                return laws.Witness(kind, (a, seen[v], x), v, v)
+            seen[v] = x
+    for a in range(n):
+        seen = {}
+        for x in range(n):
+            v = r.apply(x, a)[1] if left_right else r.apply(a, x)[1]
+            if v in seen:
+                kind = "star_right_translation" if left_right else "star_left_translation"
+                return laws.Witness(kind, (a, seen[v], x), v, v)
+            seen[v] = x
+    return None
+
+
+def test_nondegenerate_witnesses_match_double_loop():
+    # every R-map on 2 points, and seeded affine maps on 3-5 points (rows or
+    # columns bijective when a coefficient is a unit), half with one planted cell
+    rng = random.Random(18)
+    cells2 = list(itertools.product(range(2), repeat=2))
+    maps = [RMap(2, out) for out in itertools.product(cells2, repeat=4)]
+    for n in (3, 4, 5):
+        for _ in range(300):
+            a, b, c, d, e = (rng.randrange(n) for _ in range(5))
+            out = [((a * x + b * y) % n, (c * x + d * y + e) % n) for x in range(n) for y in range(n)]
+            if rng.random() < 0.5:
+                out[rng.randrange(n * n)] = (rng.randrange(n), rng.randrange(n))
+            maps.append(RMap(n, tuple(out)))
+    kinds = set()
+    for r in maps:
+        for law, left_right in ((RMapLaw.LEFT_RIGHT_NONDEGENERATE, True),
+                                (RMapLaw.RIGHT_LEFT_NONDEGENERATE, False)):
+            w = check_rmap_law(r, law).witness
+            assert w == _nondegenerate_loop(r, left_right), (r, law)
+            kinds.add(w and w.kind)
+    assert kinds == {None, "dot_left_translation", "dot_right_translation",
+                     "star_left_translation", "star_right_translation"}
+
+
 @given(rmaps(max_n=3))
 @settings(max_examples=150)
 def test_braid_iff_flip_composed_yang_baxter(r):
@@ -460,7 +507,7 @@ def _bimagma_batch_corpus(n, rng):
 
 def test_bimagma_batch_check_matches_per_object_checks():
     rng = random.Random(20232)
-    laws = (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA, RMapLaw.BLS)
+    laws = (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA) + TRIPLE_LAWS
     seen = {law: set() for law in laws}
     for n in (0, 1, 2, 3, 4):
         corpus = _bimagma_batch_corpus(n, rng)

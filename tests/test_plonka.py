@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybmag import (CayleyTable, FiniteFunction, MagmaLaw, NotPlonkaError,
+from ybmag import (BiMagma, CayleyTable, FiniteFunction, MagmaLaw, NotPlonkaError,
+                   Permutation,
                    PlonkaPartition, SetPartition, are_isomorphic,
                    bi_plonka_partition, bijectivize, check_magma_law,
                    connected_components, is_refinement, left_zero_table,
@@ -160,6 +161,12 @@ def test_structured_iso_conjugate_constants():
 
 def test_structured_iso_size_mismatch():
     assert structured_iso(left_zero_table(2), left_zero_table(3)) is None
+
+
+def test_structured_iso_on_empty_structures():
+    empty = CayleyTable(0, ())
+    for a in (empty, BiMagma(empty, empty)):
+        assert structured_iso(a, a) == are_isomorphic(a, a) == Permutation(0, ())
 
 
 def test_structured_iso_agrees_with_oracle_exhaustive_n3():
