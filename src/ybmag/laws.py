@@ -1,20 +1,21 @@
 """Decidable checkers for every equational law on magmas, bi-magmas and R-maps.
 
-Each law is a dedicated loop over pairs or triples; no generic term
-rewriting.  A failing check returns the lexicographically first violating
+No generic term rewriting: magma and bi-magma laws are loops over pairs or
+triples.  A failing check returns the lexicographically first violating
 input together with both evaluated sides, so a failure message is
 self-contained and reproducible.
 
-An R-map is checked on its dot and star tables, R(x, y) = (x.y, x*y): a
-chain step of a triple law reads both tables at one cell, and
-nondegeneracy is row injectivity of the two tables and their transposes.
-One array evaluator runs the triple-law chains on a stack of dot and star
-tables.  ``check_bimagma_laws_batch`` runs it on census stacks for every
-R-map triple law (Yang-Baxter, braid, Long, commutative, cocommutative and
-BLS).  On carriers of ``_NUMPY_CUTOFF`` = 24 points or more,
-``check_rmap_law`` runs it on a one-table stack, and the right and left
-Plonka laws run their own masks, to find the first failing triple; the
-loop is re-run there, so both paths give the same witness.
+An R-map is checked on its dot and star tables, R(x, y) = (x.y, x*y).  Each
+R-map equation (the six triple laws, involutive and unitary) is an entry of
+one table of chain pieces over pairs or triples, run by one loop and by one
+array evaluator on a stack of dot and star tables; a chain step reads both
+tables at one cell.  Nondegeneracy is row injectivity of the two tables and
+their transposes.  ``check_bimagma_laws_batch`` checks every R-map law on
+census stacks.  On carriers of ``_NUMPY_CUTOFF`` = 24 points or more,
+``check_rmap_law`` runs the array evaluator on a one-table stack for the
+triple laws, and the right and left Plonka laws run their own masks, to find
+the first failing triple; the loop is re-run there, so both paths give the
+same witness.
 """
 
 from __future__ import annotations
@@ -351,8 +352,9 @@ def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> V
 # ---------------------------------------------------------------------------
 # R-map laws
 #
-# A lift applies R to two slots of a triple (a, b, c) and is named by that
-# slot pair; a chain applies its lifts in the order listed.
+# A lift applies R to two slots of an input pair or triple (a, b, c) and is
+# named by that slot pair; a chain applies its lifts in the order listed.
+# The lift (1, 0) applies R to (b, a) and writes its output back to b and a.
 
 _R12, _R23, _R13 = (0, 1), (1, 2), (0, 2)
 
@@ -365,53 +367,54 @@ _TRIPLE_LAWS = {
 }
 
 
-def _run_chain(chain, out, n, triple):
-    t = list(triple)
+def _run_chain(chain, out, n, inputs):
+    t = list(inputs)
     for p, q in chain:
         t[p], t[q] = out[t[p] * n + t[q]]
     return tuple(t)
 
 
-def _piece_witness(pieces, out, n, triple) -> Optional[Witness]:
+def _piece_witness(pieces, out, n, inputs) -> Optional[Witness]:
     """The first of the ``(kind, lhs_chain, rhs_chain)`` pieces that fails
-    at ``triple``, as a witness."""
+    at ``inputs``, a pair or a triple, as a witness."""
     for kind, lhs_chain, rhs_chain in pieces:
-        lhs = _run_chain(lhs_chain, out, n, triple)
-        rhs = _run_chain(rhs_chain, out, n, triple)
+        lhs = _run_chain(lhs_chain, out, n, inputs)
+        rhs = _run_chain(rhs_chain, out, n, inputs)
         if lhs != rhs:
-            return Witness(kind, triple, lhs, rhs)
+            return Witness(kind, inputs, lhs, rhs)
     return None
 
 
-def _triple_law(r: RMap, pieces) -> Optional[Witness]:
-    """Check the pieces in order at each triple; the first failing piece at
-    the first failing triple gives the witness."""
+def _chain_law(r: RMap, arity: int, pieces) -> Optional[Witness]:
+    """Check the pieces in order at each pair or triple (``arity`` 2 or 3);
+    the first failing piece at the first failing input gives the witness."""
     n, out = r.n, r.out
-    if n >= _NUMPY_CUTOFF:
+    if arity == 3 and n >= _NUMPY_CUTOFF:
         stack = np.array(out, dtype=np.int32).T.reshape(1, 2, n, n)
-        return _vectorised_witness(n, lambda lo, hi: _pieces_failures(stack, pieces, lo, hi)[0],
+        return _vectorised_witness(n, lambda lo, hi: _pieces_failures(stack, 3, pieces, lo, hi)[0],
                                    lambda triple: _piece_witness(pieces, out, n, triple))
-    for triple in itertools.product(range(n), repeat=3):
-        w = _piece_witness(pieces, out, n, triple)
+    for inputs in itertools.product(range(n), repeat=arity):
+        w = _piece_witness(pieces, out, n, inputs)
         if w is not None:
             return w
     return None
 
 
-def _pieces_failures(stack: np.ndarray, pieces, lo: int, hi: int) -> np.ndarray:
+def _pieces_failures(stack: np.ndarray, arity: int, pieces, lo: int, hi: int) -> np.ndarray:
     """Where some of the ``(kind, lhs_chain, rhs_chain)`` pieces fail, at
-    [b, x - lo, y, z] for the triples with lo <= x < hi, on a (T, 2, n, n)
-    stack of dot and star tables.  A chain step applies R(a, b) = (a.b, a*b)
-    on coordinate arrays that broadcast over (b, x, y, z), reading both
-    tables at one cell index."""
+    [b, x - lo, y] or [b, x - lo, y, z] for the pairs or triples (``arity``
+    2 or 3) with lo <= x < hi, on a (T, 2, n, n) stack of dot and star
+    tables.  A chain step applies R(a, b) = (a.b, a*b) on coordinate arrays
+    that broadcast over (b, x, y, ...), reading both tables at one cell
+    index."""
     tables, _, n = stack.shape[:3]
     dot, star = np.ascontiguousarray(stack.transpose(1, 0, 2, 3)).reshape(2, tables * n * n)
-    start = (np.arange(tables, dtype=np.int32) * (n * n)).reshape(-1, 1, 1, 1)
+    start = (np.arange(tables, dtype=np.int32) * (n * n)).reshape((-1,) + (1,) * arity)
     points = np.arange(n, dtype=np.int32)
-    triple = (np.arange(lo, hi, dtype=np.int32)[:, None, None], points[:, None], points)
-    bad = np.zeros((tables, hi - lo, n, n), dtype=bool)
+    inputs = np.ix_(np.arange(lo, hi, dtype=np.int32), *[points] * (arity - 1))
+    bad = np.zeros((tables, hi - lo) + (n,) * (arity - 1), dtype=bool)
     for _, *chains in pieces:
-        sides = [list(triple), list(triple)]
+        sides = [list(inputs), list(inputs)]
         for chain, t in zip(chains, sides):
             for p, q in chain:
                 cell = np.multiply(t[p], n, dtype=np.int32) + t[q] + start
@@ -421,11 +424,15 @@ def _pieces_failures(stack: np.ndarray, pieces, lo: int, hi: int) -> np.ndarray:
     return bad
 
 
-# each triple law as its (kind, lhs_chain, rhs_chain) pieces, checked in
-# order; the BLS law is the commutative, cocommutative and long laws together
-_TRIPLE_PIECES = {law: [(law.value, *chains)] for law, chains in _TRIPLE_LAWS.items()} | {
-    RMapLaw.BLS: [(f"bls:{law.value}", *_TRIPLE_LAWS[law])
-                  for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]}
+# each equational R-map law as its arity and its (kind, lhs_chain, rhs_chain)
+# pieces, checked in order.  The BLS law is the commutative, cocommutative
+# and long laws together; a pair law compares a chain with the empty one:
+# involutive is R R = id, unitary R R^21 = id, after a bijectivity check.
+_PIECES = {law: (3, [(law.value, *chains)]) for law, chains in _TRIPLE_LAWS.items()} | {
+    RMapLaw.BLS: (3, [(f"bls:{law.value}", *_TRIPLE_LAWS[law])
+                      for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]),
+    RMapLaw.INVOLUTIVE: (2, [("involutive", (_R12, _R12), ())]),
+    RMapLaw.UNITARY: (2, [("unitary", ((1, 0), _R12), ())])}
 
 
 def _bijectivity_witness(r: RMap) -> Optional[Witness]:
@@ -437,31 +444,6 @@ def _bijectivity_witness(r: RMap) -> Optional[Witness]:
             if img in seen:
                 return Witness("not_bijective", (seen[img], (x, y)), img, img)
             seen[img] = (x, y)
-    return None
-
-
-def _unitary(r: RMap) -> Optional[Witness]:
-    w = _bijectivity_witness(r)
-    if w is not None:
-        return w
-    n = r.n
-    for x in range(n):
-        for y in range(n):
-            u, v = r.apply(y, x)
-            back = r.apply(v, u)       # R applied to R^{21}(x, y)
-            if back != (x, y):
-                return Witness("unitary", (x, y), back, (x, y))
-    return None
-
-
-def _involutive(r: RMap) -> Optional[Witness]:
-    n = r.n
-    for x in range(n):
-        for y in range(n):
-            u, v = r.apply(x, y)
-            again = r.apply(u, v)
-            if again != (x, y):
-                return Witness("involutive", (x, y), again, (x, y))
     return None
 
 
@@ -486,12 +468,10 @@ def _nondegenerate(r: RMap, left_right: bool) -> Optional[Witness]:
 
 def check_rmap_law(r: RMap, law: RMapLaw) -> Verdict:
     """Evaluate one R-map law exhaustively (triple laws run over all n**3 inputs)."""
-    if law in _TRIPLE_PIECES:
-        return _verdict(_triple_law(r, _TRIPLE_PIECES[law]))
-    if law is RMapLaw.UNITARY:
-        return _verdict(_unitary(r))
-    if law is RMapLaw.INVOLUTIVE:
-        return _verdict(_involutive(r))
+    if law is RMapLaw.UNITARY and (w := _bijectivity_witness(r)) is not None:
+        return _verdict(w)
+    if law in _PIECES:
+        return _verdict(_chain_law(r, *_PIECES[law]))
     if law is RMapLaw.DIAGONAL:
         return _verdict(_diagonal(r))
     if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE:
@@ -626,24 +606,26 @@ def _lyubashenko_form(d, s) -> Optional[Witness]:
 
 
 BIMAGMA_BATCH_LAWS = frozenset({BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA,
-                                *_TRIPLE_PIECES})
+                                *RMapLaw})
 
 
 def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
-    """Evaluate bi-magma laws, and the R-map triple laws of R(x, y) =
-    (x.y, x*y), on a stack of bi-magmas at once: ``stack[b, 0, x, y]`` is x.y
-    and ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
+    """Evaluate bi-magma laws, and the R-map laws of R(x, y) = (x.y, x*y), on
+    a stack of bi-magmas at once: ``stack[b, 0, x, y]`` is x.y and
+    ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
     bi-magma, true where every law in ``laws`` holds; each verdict agrees
     with ``check_bimagma_law`` or ``check_rmap_law``.  Covers
     ``BIMAGMA_BATCH_LAWS``: the Plonka and unitary Plonka bi-magma laws and
-    every R-map triple law (Yang-Baxter, braid, Long, commutative,
-    cocommutative and BLS), the last evaluated on the dot and star tables by
-    the same code as ``check_rmap_law``'s vectorised witness search."""
+    every R-map law, its equations run by the piece evaluator of
+    ``check_rmap_law`` (R R^21 = id makes R onto, so a unitary R needs no
+    bijectivity check here); R is diagonal when both diagonals are the
+    identity and nondegenerate when rows or columns are permutations."""
     ok = np.ones(len(stack), dtype=bool)
     n = stack.shape[-1]
     dot, star = stack[:, 0], stack[:, 1]
     d, s = _products(dot), _products(star)
     x, y, z = _coordinates(n)
+    points = np.arange(n)
     for law in laws:
         if law in (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA):
             # right Plonka for the dot, left Plonka for the star (right
@@ -655,8 +637,15 @@ def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
             ok &= _holds(d(x, s(y, z)) == d(x, z))         # mixed_star_in_dot
             if law is BiMagmaLaw.UNITARY_PLONKA_BIMAGMA:   # unitary_pairing, at (y, z)
                 ok &= _holds(d(s(y, z), y) == z)
-        elif law in _TRIPLE_PIECES:
-            ok &= ~_pieces_failures(stack, _TRIPLE_PIECES[law], 0, n).any((1, 2, 3))
+        elif law in _PIECES:
+            ok &= _holds(~_pieces_failures(stack, *_PIECES[law], 0, n))
+        elif law is RMapLaw.DIAGONAL:
+            ok &= _holds(stack[:, :, points, points] == points)   # both diagonals
+        elif law in (RMapLaw.LEFT_RIGHT_NONDEGENERATE, RMapLaw.RIGHT_LEFT_NONDEGENERATE):
+            # the dot's rows and the star's columns, or the reverse, are injective
+            rows, columns = (dot, star) if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE else (star, dot)
+            ok &= _holds(np.sort(rows, 2) == points)
+            ok &= _holds(np.sort(columns, 1) == points[:, None])
         else:
             raise ValueError(f"no batch check for {law!r}")
     return ok

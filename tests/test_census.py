@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction,
-                   FunctionFamily, Limits, MagmaLaw, RMapLaw, SetPartition, are_isomorphic,
+                   FunctionFamily, Limits, MagmaLaw, RMap, RMapLaw, SetPartition, are_isomorphic,
                    canonical_correspondence, census_simple_bls, check_bimagma_law,
                    check_magma_law, check_rmap_law, is_incompressible,
                    commuting_permutation_pairs_up_to_conjugacy,
@@ -45,6 +45,22 @@ def test_right_plonka_counts():
 def test_unverified_marking():
     res = enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_PLONKA,)))
     assert "[unverified]" in res.row.label
+
+
+def test_literature_lookup_ignores_tag_order_and_repeats(monkeypatch):
+    # the row keeps the tags as written; the lookup names each once, in
+    # declaration order
+    for n, laws, classes in (
+            (5, (MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.RIGHT_PLONKA), 37),
+            (4, (MagmaLaw.ASSOCIATIVE, MagmaLaw.RIGHT_PLONKA), 5),
+            (3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_PLONKA), 11),
+            (3, (MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY), 4)):
+        row = enumerate_structures(CensusQuery(n, laws)).row
+        assert (row.label, row.class_count) == ("+".join(law.value for law in laws), classes)
+    monkeypatch.setitem(census.KNOWN_COUNTS, ("right_plonka+right_involutory", 4), 13)
+    with pytest.raises(CrossCheckFailed, match=r"census right_involutory\+right_plonka at n=4 "
+                                               "found 12 classes, literature says 13"):
+        enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_INVOLUTORY, MagmaLaw.RIGHT_PLONKA)))
 
 
 def test_left_plonka_census_mirrors_right():
@@ -746,7 +762,7 @@ _PINNED_STATS = {
     CensusQuery(3, (MagmaLaw.RIGHT_PLONKA,), predicates=("right_simple",)):
         CensusStats((1, 6, 10, 12), 12, 0, 10, 6),
     CensusQuery(3, rmap_laws=(RMapLaw.BLS, RMapLaw.INVOLUTIVE)):
-        CensusStats((1, 141, 237, 249), 249, 0, 203, 96),
+        CensusStats((1, 141, 237, 249), 249, 203, 0, 96),
     CensusQuery(2, (MagmaLaw.ASSOCIATIVE,)):                              # the generic sweep
         CensusStats((), 16, 8, 0, 10),
 }
@@ -764,9 +780,29 @@ def test_census_stats_add_up(query):
     else:
         assert len(stats.nodes) == n + 1 and stats.nodes[0] == 1
         assert stats.nodes[-1] == stats.raw_tables
-    assert (stats.batch_rejects > 0) == (MagmaLaw.ASSOCIATIVE in query.magma_laws)
+    assert (stats.batch_rejects > 0) == (MagmaLaw.ASSOCIATIVE in query.magma_laws
+                                         or bool(query.rmap_laws))
     assert (stats.object_rejects > 0) == (MagmaLaw.COMMUTATIVE in query.magma_laws
-                                          or bool(query.predicates) or bool(query.rmap_laws))
+                                          or bool(query.predicates))
+
+
+def test_rmap_law_censuses_build_no_rmap(monkeypatch):
+    # every R-map law has a batch kernel, so a census over it never builds an
+    # R-map, alone on the sweep of every bi-magma or with bls on the search
+    queries = [CensusQuery(n, rmap_laws=laws)
+               for law in RMapLaw for n, laws in ((2, (law,)), (3, (RMapLaw.BLS, law)))]
+
+    def counts():
+        return [(row.class_count, row.raw_count)
+                for row in (enumerate_structures(query).row for query in queries)]
+    expected = counts()
+
+    def refuse(self):
+        raise AssertionError("the census built an RMap")
+    monkeypatch.setattr(RMap, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        RMap(1, ((0, 0),))
+    assert counts() == expected
 
 
 def test_two_grid_search_guard():

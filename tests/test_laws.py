@@ -121,6 +121,77 @@ def test_nondegenerate_witnesses_match_double_loop():
                      "star_left_translation", "star_right_translation"}
 
 
+def _bijectivity_loop(r):
+    seen = {}
+    for x in range(r.n):
+        for y in range(r.n):
+            img = r.apply(x, y)
+            if img in seen:
+                return laws.Witness("not_bijective", (seen[img], (x, y)), img, img)
+            seen[img] = (x, y)
+    return None
+
+
+def _unitary_loop(r):
+    """The reference: bijectivity, then R applied to R^21(x, y) at each pair."""
+    w = _bijectivity_loop(r)
+    if w is not None:
+        return w
+    for x in range(r.n):
+        for y in range(r.n):
+            u, v = r.apply(y, x)
+            back = r.apply(v, u)
+            if back != (x, y):
+                return laws.Witness("unitary", (x, y), back, (x, y))
+    return None
+
+
+def _involutive_loop(r):
+    """The reference: R applied twice at each pair."""
+    for x in range(r.n):
+        for y in range(r.n):
+            u, v = r.apply(x, y)
+            again = r.apply(u, v)
+            if again != (x, y):
+                return laws.Witness("involutive", (x, y), again, (x, y))
+    return None
+
+
+def test_pair_law_witnesses_match_loops():
+    # every R-map on 2 points, and seeded maps on 3-5 points: random ones,
+    # permutations of the pairs, flip-like (s(y), t(x)) and Lyubashenko
+    # (f(x), g(y)) ones with the second map often the first's inverse or the
+    # first itself, half with one planted cell
+    rng = random.Random(19)
+    cells2 = list(itertools.product(range(2), repeat=2))
+    maps = [RMap(2, out) for out in itertools.product(cells2, repeat=4)]
+    for n in (3, 4, 5):
+        cells = list(itertools.product(range(n), repeat=2))
+        for _ in range(300):
+            s = rng.sample(range(n), n)
+            t = rng.choice((sorted(range(n), key=s.__getitem__), s,
+                            [rng.randrange(n) for _ in range(n)]))
+            shape = rng.randrange(4)
+            if shape == 0:
+                out = [rng.choice(cells) for _ in range(n * n)]
+            elif shape == 1:
+                out = rng.sample(cells, n * n)
+            else:
+                out = [(s[y], t[x]) if shape == 2 else (s[x], t[y]) for x, y in cells]
+            if rng.random() < 0.5:
+                out[rng.randrange(n * n)] = rng.choice(cells)
+            maps.append(RMap(n, tuple(out)))
+    kinds = {RMapLaw.INVOLUTIVE: set(), RMapLaw.UNITARY: set()}
+    for r in maps:
+        for law, loop in ((RMapLaw.INVOLUTIVE, _involutive_loop),
+                          (RMapLaw.UNITARY, _unitary_loop)):
+            w = check_rmap_law(r, law).witness
+            assert w == loop(r), (r, law)
+            kinds[law].add(w and w.kind)
+    assert kinds == {RMapLaw.INVOLUTIVE: {None, "involutive"},
+                     RMapLaw.UNITARY: {None, "not_bijective", "unitary"}}
+
+
 @given(rmaps(max_n=3))
 @settings(max_examples=150)
 def test_braid_iff_flip_composed_yang_baxter(r):
@@ -485,16 +556,19 @@ def test_batch_check_rejects_what_it_does_not_cover():
     for k in (None, 0):
         with pytest.raises(ValueError):
             check_magma_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k)
-    for law in (BiMagmaLaw.YANG_BAXTER_BIMAGMA, RMapLaw.UNITARY, MagmaLaw.RIGHT_PLONKA):
+    for law in (BiMagmaLaw.YANG_BAXTER_BIMAGMA, BiMagmaLaw.SKEW_LEFT_BRACE, MagmaLaw.RIGHT_PLONKA):
         with pytest.raises(ValueError):
             check_bimagma_laws_batch(np.zeros((1, 2, 2, 2), dtype=np.uint8), (law,))
 
 
 def _bimagma_batch_corpus(n, rng):
     """Seeded bi-magmas on n points as flattened dot + star tables: random
-    ones, and pairs of a right Plonka dot with a left Plonka star (the
-    transpose of a right Plonka table), every such pair up to n = 3 and a
-    sample at n = 4.  Some pairs are Plonka bi-magmas, unitary or not."""
+    ones, affine ones (x.y = ax + by + c, x*y = dx + ey + f mod n, whose rows
+    or columns are permutations when a coefficient is a unit), permutations
+    of the pairs (bijective R) and pairs of a right Plonka dot with a left
+    Plonka star (the transpose of a right Plonka table), every such pair up
+    to n = 3 and a sample at n = 4.  Some pairs are Plonka bi-magmas, unitary
+    or not."""
     def transpose(flat):
         return tuple(flat[y * n + x] for x in range(n) for y in range(n))
     dots = stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
@@ -502,12 +576,19 @@ def _bimagma_batch_corpus(n, rng):
         out = [d + transpose(s) for d in dots for s in dots]
     else:
         out = [rng.choice(dots) + transpose(rng.choice(dots)) for _ in range(1000)]
-    return out + [tuple(rng.randrange(n) for _ in range(2 * n * n)) for _ in range(200 * (n > 0))]
+    out += [tuple(rng.randrange(n) for _ in range(2 * n * n)) for _ in range(200 * (n > 0))]
+    for _ in range(100 * (n > 0)):
+        a, b, c, d, e, f = (rng.randrange(n) for _ in range(6))
+        out.append(tuple((a * x + b * y + c) % n for x in range(n) for y in range(n)) +
+                   tuple((d * x + e * y + f) % n for x in range(n) for y in range(n)))
+        pairs = rng.sample(range(n * n), n * n)
+        out.append(tuple(p // n for p in pairs) + tuple(p % n for p in pairs))
+    return out
 
 
 def test_bimagma_batch_check_matches_per_object_checks():
     rng = random.Random(20232)
-    laws = (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA) + TRIPLE_LAWS
+    laws = (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA, *RMapLaw)
     seen = {law: set() for law in laws}
     for n in (0, 1, 2, 3, 4):
         corpus = _bimagma_batch_corpus(n, rng)
