@@ -14,9 +14,10 @@ count.  Tables travel as uint8 stacks from the search (up to 1024 a stack)
 or the sweep of every table (one stack) to the orbit dedupe.  A table
 failing a law the search guarantees (right Plonka, band, the column order;
 Plonka bi-magma and, by the structure theorem, BLS) raises CrossCheckFailed,
-the query's other laws with a batch kernel filter whole stacks, and objects
-are built only for representatives, magma laws without a kernel, right_simple,
-yang_baxter_bimagma, skew_left_brace and lyubashenko_form.  Isomorph rejection
+the query's other laws filter whole stacks through the batch checkers, which
+run every equational law through the term table of ``laws``, and objects are
+built only for representatives, the cancellation, quasigroup and totality
+magma laws, right_simple and skew_left_brace.  Isomorph rejection
 reads a stack's rows as byte strings and gathers each new table's
 relabelling orbit in one numpy operation; the orbits must hold exactly the
 raw tables, and a class's representative is the least table of its orbit.
@@ -48,7 +49,7 @@ from .families import (FunctionFamily, OdometerTriple, _partitions, count_incomp
                        is_incompressible)
 from .ideals import IdealKind, is_simple
 from .laws import (BIMAGMA_BATCH_LAWS, MAGMA_BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw,
-                   _power_is_identity, check_bimagma_law, check_bimagma_laws_batch,
+                   _power, check_bimagma_law, check_bimagma_laws_batch,
                    check_magma_law, check_magma_laws_batch)
 from .plonka import UnionFind
 
@@ -132,7 +133,9 @@ def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bo
     if orders_dividing is None and not permutations_only:
         return _product_rows(n, n)
     perms = _permutation_array(n)
-    return perms if orders_dividing is None else perms[_power_is_identity(perms, orders_dividing)]
+    if orders_dividing is None:
+        return perms
+    return perms[(_power(perms, orders_dividing) == np.arange(n)).all(1)]
 
 
 # bytes per frontier chunk, a state costing its packed commute mask and some
@@ -331,10 +334,10 @@ class CensusStats:
     """What a census did.  ``nodes[y]`` counts the column search's partial
     tables of y columns that passed its checks (empty for the sweeps of every
     table); ``raw_tables`` counts the tables the search or sweep produced, of
-    which the batch law kernels rejected ``batch_rejects`` and the per-object
-    checks ``object_rejects`` (of magma laws without a kernel,
-    ``right_simple``, ``yang_baxter_bimagma``, ``skew_left_brace`` and
-    ``lyubashenko_form``): the row's raw count is what is left.
+    which the batch law checkers rejected ``batch_rejects`` and the
+    per-object checks ``object_rejects`` (of the cancellation, quasigroup
+    and totality magma laws, ``right_simple`` and ``skew_left_brace``, which
+    are not equations in the products): the row's raw count is what is left.
     ``orbit_images`` counts the relabelled tables the orbit dedupe gathered."""
     nodes: tuple[int, ...] = ()
     raw_tables: int = 0

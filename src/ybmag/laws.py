@@ -1,27 +1,31 @@
 """Decidable checkers for every equational law on magmas, bi-magmas and R-maps.
 
-No generic term rewriting: magma and bi-magma laws are loops over pairs or
-triples.  A failing check returns the lexicographically first violating
-input together with both evaluated sides, so a failure message is
-self-contained and reproducible.
+Every equation is written once, in one term table, as a ``(kind, lhs, rhs)``
+piece whose sides are terms over the dot and star products; an R-map is
+checked on the dot and star tables of R(x, y) = (x.y, x*y), each chain of R
+applied to slots of a pair or triple read as the tuple of terms it leaves in
+the slots.  A law is a list of groups of pieces over pairs, triples or single
+points, each group compiled once into a register program whose dot and star
+reads share one cell index.  One array evaluator runs these programs on
+stacks of tables: for ``check_magma_laws_batch`` and
+``check_bimagma_laws_batch`` on census stacks, and for every single check,
+on carriers of any size.  A failing check returns the lexicographically
+first violating input together with both evaluated sides, so a failure
+message is self-contained and reproducible: a single check evaluates the
+input (0, ..., 0) on its own, where most failing structures fail, then the
+arrays in slabs of about ``_SLAB_TRIPLES`` inputs, and re-evaluates the
+first failing input on plain ints for the witness.
 
-An R-map is checked on its dot and star tables, R(x, y) = (x.y, x*y).  Each
-R-map equation (the six triple laws, involutive and unitary) is an entry of
-one table of chain pieces over pairs or triples, run by one loop and by one
-array evaluator on a stack of dot and star tables; a chain step reads both
-tables at one cell.  Nondegeneracy is row injectivity of the two tables and
-their transposes.  ``check_bimagma_laws_batch`` checks every R-map law on
-census stacks.  On carriers of ``_NUMPY_CUTOFF`` = 24 points or more,
-``check_rmap_law`` runs the array evaluator on a one-table stack for the
-triple laws, and the right and left Plonka laws run their own masks, to find
-the first failing triple; the loop is re-run there, so both paths give the
-same witness.
+Two kernels stay outside the term table: right Plonka on census stacks, by
+whole columns, and k-cyclic by repeated squaring of the columns, since a
+k-fold term nests k deep.  Cancellation, totality, bijectivity, diagonality,
+nondegeneracy, the Lyubashenko form and skew braces are not equations in the
+two products and keep checks of their own.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Iterable, Optional
 
 import numpy as np
@@ -29,11 +33,7 @@ import numpy as np
 from .core import (BiMagma, CayleyTable, CrossCheckFailed, RMap, Verdict, Witness,
                    VERDICT_OK, canonical_correspondence)
 
-# From this carrier size the Plonka and R-map triple laws run vectorised; below
-# it the loop is faster, since a failing input usually exits at its first
-# triple.
-_NUMPY_CUTOFF = 24
-_SLAB_TRIPLES = 1 << 13  # triples per vectorised slab, which bounds its memory
+_SLAB_TRIPLES = 1 << 13  # inputs per array slab of a single check, which bounds its memory
 
 
 class RMapLaw(enum.Enum):
@@ -79,133 +79,237 @@ def _verdict(witness: Optional[Witness]) -> Verdict:
     return VERDICT_OK if witness is None else Verdict(False, witness)
 
 
-def _vectorised_witness(n: int, slab_mask, loop_at) -> Optional[Witness]:
-    """The loop path's witness, found vectorised.  ``slab_mask(lo, hi)`` is
-    the failure mask, indexed [x - lo, y, z], of the triples with lo <= x <
-    hi.  Slabs of about ``_SLAB_TRIPLES`` triples are walked in
-    lexicographic order up to the first with a failure; ``loop_at(triple)``
-    then re-runs the loop at the first failing triple, so the witness, its
-    kind and its plain-int values are the loop's."""
-    step = max(1, _SLAB_TRIPLES // (n * n))
-    for lo in range(0, n, step):
-        bad = slab_mask(lo, min(n, lo + step)).reshape(-1)
-        if bad.any():
-            i = int(bad.argmax())
-            triple = (lo + i // (n * n), i // n % n, i % n)
-            w = loop_at(triple)
-            if w is None or w.inputs != triple:
-                raise CrossCheckFailed(f"vectorised and loop checks disagree at {triple}")
-            return w
+# ---------------------------------------------------------------------------
+# terms, their register programs and the one evaluator
+#
+# A term is an input slot (0, 1, 2 for x, y, z) or a product (op, left,
+# right) of two terms, op 0 for the dot and 1 for the star.  Each side of a
+# piece is a tuple of terms: one term for a magma or bi-magma equation, one
+# per slot for an R-map chain.
+
+
+def _dot(a, b):
+    return (0, a, b)
+
+
+def _star(a, b):
+    return (1, a, b)
+
+
+def _equation(kind: str, lhs, rhs):
+    return kind, (lhs,), (rhs,)
+
+
+def _chain(lifts, arity: int) -> tuple:
+    """The terms a chain of lifts leaves in the slots 0..arity-1.  The lift
+    (p, q) applies R to (slot p, slot q) and writes its output back to slots
+    p and q, so the lift (1, 0) applies R to (b, a) and writes b and a."""
+    slots = list(range(arity))
+    for p, q in lifts:
+        slots[p], slots[q] = _dot(slots[p], slots[q]), _star(slots[p], slots[q])
+    return tuple(slots)
+
+
+def _compile(arity: int, pieces) -> tuple:
+    """A group of pieces over inputs of ``arity`` points as a register
+    program (arity, width, pieces).  Registers 0..arity-1 hold the inputs.
+    A compiled piece (kind, lhs, rhs, steps) names its sides by registers
+    and lists the steps that first write them: a step (a, b, reads) computes
+    the cell of registers a and b once and reads it from the dot or star
+    table into each (op, register) of ``reads``, so a product shared between
+    terms is read once."""
+    registers: dict = {}
+    cells: dict = {}
+
+    def register(term) -> int:
+        if isinstance(term, int):
+            return term
+        if term not in registers:
+            op, left, right = term
+            cell = register(left), register(right)
+            if cell not in cells:
+                cells[cell] = []
+                steps.append((*cell, cells[cell]))
+            registers[term] = arity + len(registers)
+            cells[cell].append((op, registers[term]))
+        return registers[term]
+
+    compiled = []
+    for kind, lhs, rhs in pieces:
+        steps: list = []
+        compiled.append((kind, tuple(map(register, lhs)), tuple(map(register, rhs)), steps))
+    return arity, arity + len(registers), tuple(compiled)
+
+
+def _failures(tables, count: int, n: int, program, lo: int, hi: int) -> np.ndarray:
+    """Where some piece of a compiled group fails, at [b, x - lo, y, ...]
+    for the inputs with lo <= x < hi, on a stack of ``count`` structures:
+    ``tables[op]`` is the flattened stack of dot (op 0) or star (op 1)
+    tables, x.y of structure b at cell b n^2 + x n + y.  Cell indices are
+    intp whatever the tables' dtype, so uint8 stacks of 17 points or more
+    index correctly; ``take`` copies narrower indices to intp, so int32 ones
+    would cost more memory, not less."""
+    arity, width, pieces = program
+    start = (np.arange(count, dtype=np.intp) * (n * n)).reshape((-1,) + (1,) * arity)
+    points = np.arange(n, dtype=np.int32)
+    values = [np.arange(lo, hi, dtype=np.int32).reshape((-1,) + (1,) * (arity - 1))]
+    values += [points.reshape((n,) + (1,) * (arity - 1 - i)) for i in range(1, arity)]
+    values += [None] * (width - arity)
+    bad = None
+    for _, lhs, rhs, steps in pieces:
+        for a, b, reads in steps:
+            cell = np.multiply(values[a], n, dtype=np.intp) + values[b]
+            # in place once a read has given the cell its structure axis
+            cell = np.add(cell, start, out=cell if cell.ndim > arity else None)
+            for op, r in reads:
+                values[r] = tables[op].take(cell)
+            del cell   # before the next cell is built, which bounds the peak memory
+        for left, right in zip(lhs, rhs):
+            differ = values[left] != values[right]
+            bad = differ if bad is None else bad | differ
+    return np.broadcast_to(bad, (count, hi - lo) + (n,) * (arity - 1))
+
+
+def _witness_at(tables, n: int, program, inputs: tuple) -> Optional[Witness]:
+    """The first piece of a compiled group that fails at ``inputs``,
+    evaluated on flattened tables of plain ints up to that piece, as a
+    witness: a one-term side gives its value, a chain side the tuple of its
+    slots."""
+    arity, width, pieces = program
+    values = [*inputs] + [None] * (width - arity)
+    for kind, lhs, rhs, steps in pieces:
+        for a, b, reads in steps:
+            cell = values[a] * n + values[b]
+            for op, r in reads:
+                values[r] = tables[op][cell]
+        left, right = [values[r] for r in lhs], [values[r] for r in rhs]
+        if left != right:
+            return Witness(kind, inputs, *(side[0] if len(side) == 1 else tuple(side)
+                                           for side in (left, right)))
     return None
+
+
+def _first_failure(tables, n: int, groups) -> Optional[Witness]:
+    """The witness of a law's compiled ``groups`` on one structure, given by
+    its flattened tables as int tuples: the first failing piece at the
+    lexicographically first failing input of the first failing group.  The
+    input (0, ..., 0) is evaluated on its own, then the arrays in slabs of
+    about ``_SLAB_TRIPLES`` inputs up to the first with a failure, which is
+    re-evaluated on plain ints."""
+    if not n:
+        return None
+    arrays = None
+    for program in groups:
+        arity = program[0]
+        w = _witness_at(tables, n, program, (0,) * arity)
+        if w is not None:
+            return w
+        if arrays is None:
+            arrays = [np.array(table, dtype=np.int32) for table in tables]
+        step = max(1, _SLAB_TRIPLES // n ** (arity - 1))
+        for lo in range(0, n, step):
+            bad = _failures(arrays, 1, n, program, lo, min(n, lo + step))
+            if bad.any():
+                first = np.unravel_index(int(bad.argmax()), bad.shape)
+                inputs = (lo + int(first[1]), *map(int, first[2:]))
+                w = _witness_at(tables, n, program, inputs)
+                if w is None:
+                    raise CrossCheckFailed(f"array and scalar law evaluations disagree at {inputs}")
+                return w
+    return None
+
+
+def _holds(equal: np.ndarray) -> np.ndarray:
+    """Per structure (the first axis), whether every entry of ``equal`` is true."""
+    return equal.all(tuple(range(1, equal.ndim)))
+
+
+def _groups_hold(tables, count: int, n: int, groups) -> np.ndarray:
+    """Per structure of a stack (see ``_failures``), whether every piece of
+    a law's compiled ``groups`` holds at every input."""
+    ok = np.ones(count, dtype=bool)
+    for program in groups:
+        bad = _failures(tables, count, n, program, 0, n)
+        ok &= ~bad.any(tuple(range(1, bad.ndim)))
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# the term table
+
+_X, _Y, _Z = 0, 1, 2
+
+# R-map lifts are named by the slot pair they apply R to
+_R12, _R23, _R13 = (0, 1), (1, 2), (0, 2)
+
+_TRIPLE_LAWS = {
+    RMapLaw.YANG_BAXTER: ((_R23, _R13, _R12), (_R12, _R13, _R23)),
+    RMapLaw.BRAID: ((_R12, _R23, _R12), (_R23, _R12, _R23)),
+    RMapLaw.LONG: ((_R23, _R12), (_R12, _R23)),
+    RMapLaw.COMMUTATIVE: ((_R13, _R12), (_R12, _R13)),
+    RMapLaw.COCOMMUTATIVE: ((_R23, _R13), (_R13, _R23)),
+}
+
+
+def _compiled(table: dict) -> dict:
+    return {law: tuple(_compile(*group) for group in groups) for law, groups in table.items()}
+
+
+# each equational law as its groups, each group an arity and its (kind, lhs,
+# rhs) pieces; a law holds when every group does, and its witness is that of
+# the first failing group
+_MAGMA_TERMS = _compiled({
+    MagmaLaw.RIGHT_PLONKA: [(3, [
+        _equation("right_commutation", _dot(_dot(_X, _Y), _Z), _dot(_dot(_X, _Z), _Y)),
+        _equation("right_reduction", _dot(_X, _dot(_Y, _Z)), _dot(_X, _Y))])],
+    MagmaLaw.LEFT_PLONKA: [(3, [
+        _equation("left_commutation", _dot(_X, _dot(_Y, _Z)), _dot(_Y, _dot(_X, _Z))),
+        _equation("left_reduction", _dot(_dot(_X, _Y), _Z), _dot(_Y, _Z))])],
+    MagmaLaw.BAND: [(1, [_equation("band", _dot(_X, _X), _X)])],
+    MagmaLaw.RIGHT_INVOLUTORY: [(2, [_equation("k_cyclic[2]", _dot(_dot(_X, _Y), _Y), _X)])],
+    MagmaLaw.LEFT_INVOLUTORY: [(2, [_equation("left_involutory", _dot(_X, _dot(_X, _Y)), _Y)])],
+    MagmaLaw.ASSOCIATIVE: [(3, [
+        _equation("associative", _dot(_dot(_X, _Y), _Z), _dot(_X, _dot(_Y, _Z)))])],
+    # a failing pair (y, x) with x < y comes after the failing pair (x, y)
+    MagmaLaw.COMMUTATIVE: [(2, [_equation("commutative", _dot(_X, _Y), _dot(_Y, _X))])],
+})
+_MAGMA_TERMS[MagmaLaw.TWO_CYCLIC] = sum((_MAGMA_TERMS[law] for law in (
+    MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.RIGHT_INVOLUTORY)), ())
+_BIMAGMA_TERMS = _compiled({
+    BiMagmaLaw.PLONKA_BIMAGMA: [(3, [
+        _equation("dot_right_commutation", _dot(_dot(_X, _Y), _Z), _dot(_dot(_X, _Z), _Y)),
+        _equation("dot_right_reduction", _dot(_X, _dot(_Y, _Z)), _dot(_X, _Y)),
+        _equation("star_left_commutation", _star(_X, _star(_Y, _Z)), _star(_Y, _star(_X, _Z))),
+        _equation("star_left_reduction", _star(_star(_X, _Y), _Z), _star(_Y, _Z)),
+        _equation("mixed_star_dot", _star(_X, _dot(_Y, _Z)), _dot(_star(_X, _Y), _Z)),
+        _equation("mixed_dot_in_star", _star(_dot(_X, _Z), _Y), _star(_X, _Y)),
+        _equation("mixed_star_in_dot", _dot(_X, _star(_Y, _Z)), _dot(_X, _Z))])],
+    # yb1 and yb2 read x.(y*z) and y.z on their left or right sides
+    BiMagmaLaw.YANG_BAXTER_BIMAGMA: [(3, [
+        _equation("yb1", _dot(_dot(_X, _Y), _Z),
+                  _dot(_dot(_X, _star(_Y, _Z)), _dot(_Y, _Z))),
+        _equation("yb2", _star(_dot(_X, _star(_Y, _Z)), _dot(_Y, _Z)),
+                  _dot(_star(_X, _Y), _star(_dot(_X, _Y), _Z))),
+        _equation("yb3", _star(_X, _star(_Y, _Z)),
+                  _star(_star(_X, _Y), _star(_dot(_X, _Y), _Z)))])],
+})
+_BIMAGMA_TERMS[BiMagmaLaw.UNITARY_PLONKA_BIMAGMA] = _BIMAGMA_TERMS[BiMagmaLaw.PLONKA_BIMAGMA] + (
+    _compile(2, [_equation("unitary_pairing", _dot(_star(_X, _Y), _X), _Y)]),)
+# The BLS law is the commutative, cocommutative and long laws together; a
+# pair law compares a chain with the empty one: involutive is R R = id,
+# unitary R R^21 = id, after a bijectivity check.
+_RMAP_TERMS = _compiled({
+    **{law: [(3, [(law.value, _chain(lhs, 3), _chain(rhs, 3))])]
+       for law, (lhs, rhs) in _TRIPLE_LAWS.items()},
+    RMapLaw.BLS: [(3, [(f"bls:{law.value}", *(_chain(side, 3) for side in _TRIPLE_LAWS[law]))
+                       for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)])],
+    RMapLaw.INVOLUTIVE: [(2, [("involutive", _chain((_R12, _R12), 2), _chain((), 2))])],
+    RMapLaw.UNITARY: [(2, [("unitary", _chain(((1, 0), _R12), 2), _chain((), 2))])],
+})
 
 
 # ---------------------------------------------------------------------------
 # magma laws
-
-
-def _right_plonka(t) -> Optional[Witness]:
-    n = len(t)
-    if n < _NUMPY_CUTOFF:
-        return _right_plonka_rows(t, range(n))
-    a = np.asarray(t, dtype=np.int32)
-
-    def mask(lo, hi):                             # (x.y).z = (x.z).y, x.(y.z) = x.y
-        xs = a[lo:hi]
-        assoc = a[xs]
-        return (assoc != assoc.transpose(0, 2, 1)) | (xs[:, a] != xs[:, :, None])
-    # the loop over the first failing row stops at the first failing triple
-    return _vectorised_witness(n, mask, lambda triple: _right_plonka_rows(t, triple[:1]))
-
-
-def _right_plonka_rows(t, rows) -> Optional[Witness]:
-    n = len(t)
-    for x in rows:
-        tx = t[x]
-        for y in range(n):
-            xy = tx[y]
-            for z in range(n):
-                if t[xy][z] != t[tx[z]][y]:
-                    return Witness("right_commutation", (x, y, z), t[xy][z], t[tx[z]][y])
-                if tx[t[y][z]] != xy:
-                    return Witness("right_reduction", (x, y, z), tx[t[y][z]], xy)
-    return None
-
-
-def _left_plonka(t) -> Optional[Witness]:
-    n = len(t)
-    if n < _NUMPY_CUTOFF:
-        return _left_plonka_rows(t, range(n))
-    a = np.asarray(t, dtype=np.int32)
-
-    def mask(lo, hi):                             # x.(y.z) = y.(x.z), (x.y).z = y.z
-        xs = a[lo:hi]
-        return (xs[:, a] != a[:, xs].transpose(1, 0, 2)) | (a[xs] != a)
-    return _vectorised_witness(n, mask, lambda triple: _left_plonka_rows(t, triple[:1]))
-
-
-def _left_plonka_rows(t, rows) -> Optional[Witness]:
-    n = len(t)
-    for x in rows:
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            for z in range(n):
-                if tx[ty[z]] != ty[tx[z]]:
-                    return Witness("left_commutation", (x, y, z), tx[ty[z]], ty[tx[z]])
-                if t[tx[y]][z] != ty[z]:
-                    return Witness("left_reduction", (x, y, z), t[tx[y]][z], ty[z])
-    return None
-
-
-def _band(t) -> Optional[Witness]:
-    for x in range(len(t)):
-        if t[x][x] != x:
-            return Witness("band", (x,), t[x][x], x)
-    return None
-
-
-def _k_cyclic(t, k: int) -> Optional[Witness]:
-    n = len(t)
-    for x in range(n):
-        for y in range(n):
-            v = x
-            for _ in range(k):
-                v = t[v][y]
-            if v != x:
-                return Witness(f"k_cyclic[{k}]", (x, y), v, x)
-    return None
-
-
-def _left_involutory(t) -> Optional[Witness]:
-    n = len(t)
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            if tx[tx[y]] != y:
-                return Witness("left_involutory", (x, y), tx[tx[y]], y)
-    return None
-
-
-def _associative(t) -> Optional[Witness]:
-    n = len(t)
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            xy = tx[y]
-            ty = t[y]
-            for z in range(n):
-                if t[xy][z] != tx[ty[z]]:
-                    return Witness("associative", (x, y, z), t[xy][z], tx[ty[z]])
-    return None
-
-
-def _commutative(t) -> Optional[Witness]:
-    n = len(t)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if t[x][y] != t[y][x]:
-                return Witness("commutative", (x, y), t[x][y], t[y][x])
-    return None
 
 
 def _row_injective(t, kind: str) -> Optional[Witness]:
@@ -229,17 +333,16 @@ def _total(t) -> Optional[Witness]:
     return None
 
 
-def _power_is_identity(maps: np.ndarray, k: int) -> np.ndarray:
-    """Whether each self-map of 0..n-1 along the last axis of ``maps``,
-    composed with itself k >= 1 times, is the identity.  Powers are taken by
-    repeated squaring, so the work grows with log k."""
+def _power(maps: np.ndarray, k: int) -> np.ndarray:
+    """Each self-map of 0..n-1 along the last axis of ``maps`` composed with
+    itself k >= 1 times, by repeated squaring, so the work grows with log k."""
     power, square = None, maps
     while True:
         if k & 1:
             power = square if power is None else np.take_along_axis(square, power, -1)
         k >>= 1
         if not k:
-            return (power == np.arange(maps.shape[-1])).all(-1)
+            return power
         square = np.take_along_axis(square, square, -1)
 
 
@@ -259,31 +362,26 @@ def _right_plonka_bulk(columns: np.ndarray) -> np.ndarray:
     return commutes & reduces
 
 
-def _products(grid: np.ndarray):
-    """A stack of tables, ``grid[b, x, y]`` = x.y in table b, as a function
-    ``at(x, y)`` of uint8 coordinate arrays that broadcast against one
-    another: ``at(x, y)[b, ...]`` is x.y in table b, read by one ``take``
-    on int32 cell indices."""
-    tables, n = grid.shape[:2]
-    flat = np.ascontiguousarray(grid).reshape(-1)
-    start = (np.arange(tables, dtype=np.int32) * (n * n)).reshape(-1, 1, 1, 1)
-    return lambda x, y: flat.take(np.multiply(x, n, dtype=np.int32) + y + start)
+def _check_k(k) -> None:
+    # exactly int, as in CensusQuery: True would name the law k_cyclic[True]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k_cyclic needs an integer k >= 1, got {k!r}")
 
 
-def _holds(equal: np.ndarray) -> np.ndarray:
-    """Per table (the first axis), whether every entry of ``equal`` is true."""
-    return equal.all(tuple(range(1, equal.ndim)))
-
-
-def _coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, y and z over 0..n-1 as uint8 arrays that broadcast to (n, n, n)."""
-    points = np.arange(n, dtype=np.uint8)
-    return points[:, None, None], points[:, None], points
+def _k_cyclic_witness(m: CayleyTable, k: int) -> Optional[Witness]:
+    """The first pair (x, y) where x.y...y, y applied k times, is not x."""
+    n = m.n
+    columns = np.array(m.flat(), dtype=np.int32).reshape(n, n).T   # [y, x] is x.y
+    power = _power(columns, k).T
+    bad = power != np.arange(n)[:, None]
+    if not bad.any():
+        return None
+    x, y = divmod(int(bad.argmax()), n)
+    return Witness(f"k_cyclic[{k}]", (x, y), int(power[x, y]), x)
 
 
 # the laws the batch checkers cover
-MAGMA_BATCH_LAWS = frozenset({MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.K_CYCLIC,
-                              MagmaLaw.ASSOCIATIVE})
+MAGMA_BATCH_LAWS = frozenset({MagmaLaw.K_CYCLIC, *_MAGMA_TERMS})
 
 
 def check_magma_laws_batch(stack: np.ndarray, laws: Iterable[MagmaLaw],
@@ -291,55 +389,35 @@ def check_magma_laws_batch(stack: np.ndarray, laws: Iterable[MagmaLaw],
     """Evaluate magma laws on a stack of tables at once: ``stack[b, x, y]``
     is x.y in table b.  Returns a boolean per table, true where every law in
     ``laws`` holds; each law's verdict agrees with ``check_magma_law``.
-    Covers ``MAGMA_BATCH_LAWS``: right Plonka, band, k-cyclic (which needs
-    ``k``) and associative."""
-    ok = np.ones(len(stack), dtype=bool)
-    diagonal = np.arange(stack.shape[1])
+    Covers ``MAGMA_BATCH_LAWS``, every equational magma law: k-cyclic (which
+    needs ``k``) by repeated squaring of the columns, right Plonka by whole
+    columns and the others through the term table's array evaluator."""
+    count, n = stack.shape[:2]
+    ok = np.ones(count, dtype=bool)
     columns = np.ascontiguousarray(stack.transpose(0, 2, 1))
     for law in laws:
+        if law not in MAGMA_BATCH_LAWS:
+            raise ValueError(f"no batch check for {law!r}")
         if law is MagmaLaw.K_CYCLIC:
-            if k is None or k < 1:
-                raise ValueError("k_cyclic needs k >= 1")
-            ok &= _power_is_identity(columns, k).all(1)
+            _check_k(k)
+            ok &= _holds(_power(columns, k) == np.arange(n))
         elif law is MagmaLaw.RIGHT_PLONKA:
             ok &= _right_plonka_bulk(columns)
-        elif law is MagmaLaw.BAND:
-            ok &= (stack[:, diagonal, diagonal] == diagonal).all(1)
-        elif law is MagmaLaw.ASSOCIATIVE:
-            t = _products(stack)
-            x, y, z = _coordinates(stack.shape[1])
-            ok &= _holds(t(t(x, y), z) == t(x, t(y, z)))
         else:
-            raise ValueError(f"no batch check for {law!r}")
+            ok &= _groups_hold((stack.reshape(-1),), count, n, _MAGMA_TERMS[law])
     return ok
 
 
 def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> Verdict:
     """Evaluate one magma law exhaustively over the table."""
-    t = m.table
     if law is MagmaLaw.K_CYCLIC:
-        if k is None or k < 1:
-            raise ValueError("k_cyclic needs k >= 1")
-        return _verdict(_k_cyclic(t, k))
+        _check_k(k)
+        return _verdict(_k_cyclic_witness(m, k))
     if k is not None:
         raise ValueError("only k_cyclic takes a k parameter")
-    if law is MagmaLaw.RIGHT_PLONKA:
-        return _verdict(_right_plonka(t))
-    if law is MagmaLaw.LEFT_PLONKA:
-        return _verdict(_left_plonka(t))
-    if law is MagmaLaw.TWO_CYCLIC:
-        w = _right_plonka(t) or _band(t) or _k_cyclic(t, 2)
-        return _verdict(w)
-    if law is MagmaLaw.BAND:
-        return _verdict(_band(t))
-    if law is MagmaLaw.RIGHT_INVOLUTORY:
-        return _verdict(_k_cyclic(t, 2))
-    if law is MagmaLaw.LEFT_INVOLUTORY:
-        return _verdict(_left_involutory(t))
-    if law is MagmaLaw.ASSOCIATIVE:
-        return _verdict(_associative(t))
-    if law is MagmaLaw.COMMUTATIVE:
-        return _verdict(_commutative(t))
+    if law in _MAGMA_TERMS:
+        return _verdict(_first_failure((m.flat(),), m.n, _MAGMA_TERMS[law]))
+    t = m.table
     if law in (MagmaLaw.LEFT_CANCELLATIVE, MagmaLaw.LEFT_QUASIGROUP):
         return _verdict(_row_injective(t, law.value))
     if law in (MagmaLaw.RIGHT_CANCELLATIVE, MagmaLaw.RIGHT_QUASIGROUP):
@@ -351,88 +429,6 @@ def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> V
 
 # ---------------------------------------------------------------------------
 # R-map laws
-#
-# A lift applies R to two slots of an input pair or triple (a, b, c) and is
-# named by that slot pair; a chain applies its lifts in the order listed.
-# The lift (1, 0) applies R to (b, a) and writes its output back to b and a.
-
-_R12, _R23, _R13 = (0, 1), (1, 2), (0, 2)
-
-_TRIPLE_LAWS = {
-    RMapLaw.YANG_BAXTER: ((_R23, _R13, _R12), (_R12, _R13, _R23)),
-    RMapLaw.BRAID: ((_R12, _R23, _R12), (_R23, _R12, _R23)),
-    RMapLaw.LONG: ((_R23, _R12), (_R12, _R23)),
-    RMapLaw.COMMUTATIVE: ((_R13, _R12), (_R12, _R13)),
-    RMapLaw.COCOMMUTATIVE: ((_R23, _R13), (_R13, _R23)),
-}
-
-
-def _run_chain(chain, out, n, inputs):
-    t = list(inputs)
-    for p, q in chain:
-        t[p], t[q] = out[t[p] * n + t[q]]
-    return tuple(t)
-
-
-def _piece_witness(pieces, out, n, inputs) -> Optional[Witness]:
-    """The first of the ``(kind, lhs_chain, rhs_chain)`` pieces that fails
-    at ``inputs``, a pair or a triple, as a witness."""
-    for kind, lhs_chain, rhs_chain in pieces:
-        lhs = _run_chain(lhs_chain, out, n, inputs)
-        rhs = _run_chain(rhs_chain, out, n, inputs)
-        if lhs != rhs:
-            return Witness(kind, inputs, lhs, rhs)
-    return None
-
-
-def _chain_law(r: RMap, arity: int, pieces) -> Optional[Witness]:
-    """Check the pieces in order at each pair or triple (``arity`` 2 or 3);
-    the first failing piece at the first failing input gives the witness."""
-    n, out = r.n, r.out
-    if arity == 3 and n >= _NUMPY_CUTOFF:
-        stack = np.array(out, dtype=np.int32).T.reshape(1, 2, n, n)
-        return _vectorised_witness(n, lambda lo, hi: _pieces_failures(stack, 3, pieces, lo, hi)[0],
-                                   lambda triple: _piece_witness(pieces, out, n, triple))
-    for inputs in itertools.product(range(n), repeat=arity):
-        w = _piece_witness(pieces, out, n, inputs)
-        if w is not None:
-            return w
-    return None
-
-
-def _pieces_failures(stack: np.ndarray, arity: int, pieces, lo: int, hi: int) -> np.ndarray:
-    """Where some of the ``(kind, lhs_chain, rhs_chain)`` pieces fail, at
-    [b, x - lo, y] or [b, x - lo, y, z] for the pairs or triples (``arity``
-    2 or 3) with lo <= x < hi, on a (T, 2, n, n) stack of dot and star
-    tables.  A chain step applies R(a, b) = (a.b, a*b) on coordinate arrays
-    that broadcast over (b, x, y, ...), reading both tables at one cell
-    index."""
-    tables, _, n = stack.shape[:3]
-    dot, star = np.ascontiguousarray(stack.transpose(1, 0, 2, 3)).reshape(2, tables * n * n)
-    start = (np.arange(tables, dtype=np.int32) * (n * n)).reshape((-1,) + (1,) * arity)
-    points = np.arange(n, dtype=np.int32)
-    inputs = np.ix_(np.arange(lo, hi, dtype=np.int32), *[points] * (arity - 1))
-    bad = np.zeros((tables, hi - lo) + (n,) * (arity - 1), dtype=bool)
-    for _, *chains in pieces:
-        sides = [list(inputs), list(inputs)]
-        for chain, t in zip(chains, sides):
-            for p, q in chain:
-                cell = np.multiply(t[p], n, dtype=np.int32) + t[q] + start
-                t[p], t[q] = dot.take(cell), star.take(cell)
-        for left, right in zip(*sides):
-            bad |= left != right
-    return bad
-
-
-# each equational R-map law as its arity and its (kind, lhs_chain, rhs_chain)
-# pieces, checked in order.  The BLS law is the commutative, cocommutative
-# and long laws together; a pair law compares a chain with the empty one:
-# involutive is R R = id, unitary R R^21 = id, after a bijectivity check.
-_PIECES = {law: (3, [(law.value, *chains)]) for law, chains in _TRIPLE_LAWS.items()} | {
-    RMapLaw.BLS: (3, [(f"bls:{law.value}", *_TRIPLE_LAWS[law])
-                      for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]),
-    RMapLaw.INVOLUTIVE: (2, [("involutive", (_R12, _R12), ())]),
-    RMapLaw.UNITARY: (2, [("unitary", ((1, 0), _R12), ())])}
 
 
 def _bijectivity_witness(r: RMap) -> Optional[Witness]:
@@ -470,8 +466,8 @@ def check_rmap_law(r: RMap, law: RMapLaw) -> Verdict:
     """Evaluate one R-map law exhaustively (triple laws run over all n**3 inputs)."""
     if law is RMapLaw.UNITARY and (w := _bijectivity_witness(r)) is not None:
         return _verdict(w)
-    if law in _PIECES:
-        return _verdict(_chain_law(r, *_PIECES[law]))
+    if law in _RMAP_TERMS:
+        return _verdict(_first_failure(tuple(zip(*r.out)), r.n, _RMAP_TERMS[law]))
     if law is RMapLaw.DIAGONAL:
         return _verdict(_diagonal(r))
     if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE:
@@ -485,58 +481,6 @@ def check_rmap_law(r: RMap, law: RMapLaw) -> Verdict:
 # bi-magma laws
 
 
-def _plonka_bimagma(d, s) -> Optional[Witness]:
-    n = len(d)
-    for x in range(n):
-        dx, sx = d[x], s[x]
-        for y in range(n):
-            dy, sy = d[y], s[y]
-            for z in range(n):
-                if d[dx[y]][z] != d[dx[z]][y]:
-                    return Witness("dot_right_commutation", (x, y, z), d[dx[y]][z], d[dx[z]][y])
-                if dx[dy[z]] != dx[y]:
-                    return Witness("dot_right_reduction", (x, y, z), dx[dy[z]], dx[y])
-                if sx[sy[z]] != sy[sx[z]]:
-                    return Witness("star_left_commutation", (x, y, z), sx[sy[z]], sy[sx[z]])
-                if s[sx[y]][z] != sy[z]:
-                    return Witness("star_left_reduction", (x, y, z), s[sx[y]][z], sy[z])
-                if sx[dy[z]] != d[sx[y]][z]:
-                    return Witness("mixed_star_dot", (x, y, z), sx[dy[z]], d[sx[y]][z])
-                if s[dx[z]][y] != sx[y]:
-                    return Witness("mixed_dot_in_star", (x, y, z), s[dx[z]][y], sx[y])
-                if dx[sy[z]] != dx[z]:
-                    return Witness("mixed_star_in_dot", (x, y, z), dx[sy[z]], dx[z])
-    return None
-
-
-def _unitary_pairing(d, s) -> Optional[Witness]:
-    n = len(d)
-    for x in range(n):
-        for y in range(n):
-            if d[s[x][y]][x] != y:
-                return Witness("unitary_pairing", (x, y), d[s[x][y]][x], y)
-    return None
-
-
-def _yang_baxter_bimagma(d, s) -> Optional[Witness]:
-    n = len(d)
-    for x in range(n):
-        dx, sx = d[x], s[x]
-        for y in range(n):
-            dy, sy = d[y], s[y]
-            xy_d, xy_s = dx[y], sx[y]
-            for z in range(n):
-                m = dx[sy[z]]          # x.(y*z)
-                q = dy[z]              # y.z
-                if d[xy_d][z] != d[m][q]:
-                    return Witness("yb1", (x, y, z), d[xy_d][z], d[m][q])
-                if s[m][q] != d[xy_s][s[xy_d][z]]:
-                    return Witness("yb2", (x, y, z), s[m][q], d[xy_s][s[xy_d][z]])
-                if sx[sy[z]] != s[xy_s][s[xy_d][z]]:
-                    return Witness("yb3", (x, y, z), sx[sy[z]], s[xy_s][s[xy_d][z]])
-    return None
-
-
 def group_structure(t) -> Optional[tuple[int, tuple[int, ...]]]:
     """Identity element and inverse table of a group table, or None."""
     n = len(t)
@@ -547,7 +491,8 @@ def group_structure(t) -> Optional[tuple[int, tuple[int, ...]]]:
             break
     if identity is None:
         return None
-    if _associative(t) is not None:
+    if _first_failure((tuple(v for row in t for v in row),), n,
+                      _MAGMA_TERMS[MagmaLaw.ASSOCIATIVE]) is not None:
         return None
     inv = [None] * n
     for x in range(n):
@@ -605,8 +550,7 @@ def _lyubashenko_form(d, s) -> Optional[Witness]:
     return None
 
 
-BIMAGMA_BATCH_LAWS = frozenset({BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA,
-                                *RMapLaw})
+BIMAGMA_BATCH_LAWS = frozenset({*BiMagmaLaw, *RMapLaw} - {BiMagmaLaw.SKEW_LEFT_BRACE})
 
 
 def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
@@ -615,51 +559,44 @@ def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
     ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
     bi-magma, true where every law in ``laws`` holds; each verdict agrees
     with ``check_bimagma_law`` or ``check_rmap_law``.  Covers
-    ``BIMAGMA_BATCH_LAWS``: the Plonka and unitary Plonka bi-magma laws and
-    every R-map law, its equations run by the piece evaluator of
-    ``check_rmap_law`` (R R^21 = id makes R onto, so a unitary R needs no
-    bijectivity check here); R is diagonal when both diagonals are the
-    identity and nondegenerate when rows or columns are permutations."""
-    ok = np.ones(len(stack), dtype=bool)
-    n = stack.shape[-1]
+    ``BIMAGMA_BATCH_LAWS``, every law but the skew brace one: the Plonka,
+    unitary Plonka and Yang-Baxter bi-magma laws and every R-map equation
+    through the term table's array evaluator (R R^21 = id makes R onto, so a
+    unitary R needs no bijectivity check here); the Lyubashenko form as dot
+    rows and star columns constant, x.y = f(x) and x*y = g(y), with f and g
+    commuting; R is diagonal when both diagonals are the identity and
+    nondegenerate when rows or columns are permutations."""
+    count, _, n = stack.shape[:3]
+    ok = np.ones(count, dtype=bool)
     dot, star = stack[:, 0], stack[:, 1]
-    d, s = _products(dot), _products(star)
-    x, y, z = _coordinates(n)
+    tables = (dot.reshape(-1), star.reshape(-1))
     points = np.arange(n)
     for law in laws:
-        if law in (BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA):
-            # right Plonka for the dot, left Plonka for the star (right
-            # Plonka of its opposite, whose columns are the star's rows)
-            ok &= _right_plonka_bulk(np.ascontiguousarray(dot.transpose(0, 2, 1)))
-            ok &= _right_plonka_bulk(np.ascontiguousarray(star))
-            ok &= _holds(s(x, d(y, z)) == d(s(x, y), z))   # mixed_star_dot
-            ok &= _holds(s(d(x, z), y) == s(x, y))         # mixed_dot_in_star
-            ok &= _holds(d(x, s(y, z)) == d(x, z))         # mixed_star_in_dot
-            if law is BiMagmaLaw.UNITARY_PLONKA_BIMAGMA:   # unitary_pairing, at (y, z)
-                ok &= _holds(d(s(y, z), y) == z)
-        elif law in _PIECES:
-            ok &= _holds(~_pieces_failures(stack, *_PIECES[law], 0, n))
+        if law not in BIMAGMA_BATCH_LAWS:
+            raise ValueError(f"no batch check for {law!r}")
+        groups = _BIMAGMA_TERMS.get(law) or _RMAP_TERMS.get(law)
+        if groups:
+            ok &= _groups_hold(tables, count, n, groups)
+        elif law is BiMagmaLaw.LYUBASHENKO_FORM:
+            f, g = dot[:, :, :1], star[:, :1]                # x.0 and 0*y
+            ok &= _holds(dot == f) & _holds(star == g)
+            f, g = f.reshape(count, n), g.reshape(count, n)
+            ok &= _holds(np.take_along_axis(f, g, 1) == np.take_along_axis(g, f, 1))
         elif law is RMapLaw.DIAGONAL:
             ok &= _holds(stack[:, :, points, points] == points)   # both diagonals
-        elif law in (RMapLaw.LEFT_RIGHT_NONDEGENERATE, RMapLaw.RIGHT_LEFT_NONDEGENERATE):
+        else:
             # the dot's rows and the star's columns, or the reverse, are injective
             rows, columns = (dot, star) if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE else (star, dot)
             ok &= _holds(np.sort(rows, 2) == points)
             ok &= _holds(np.sort(columns, 1) == points[:, None])
-        else:
-            raise ValueError(f"no batch check for {law!r}")
     return ok
 
 
 def check_bimagma_law(b: BiMagma, law: BiMagmaLaw) -> Verdict:
     """Evaluate one bi-magma law exhaustively over both tables."""
+    if law in _BIMAGMA_TERMS:
+        return _verdict(_first_failure((b.dot.flat(), b.star.flat()), b.n, _BIMAGMA_TERMS[law]))
     d, s = b.dot.table, b.star.table
-    if law is BiMagmaLaw.PLONKA_BIMAGMA:
-        return _verdict(_plonka_bimagma(d, s))
-    if law is BiMagmaLaw.UNITARY_PLONKA_BIMAGMA:
-        return _verdict(_plonka_bimagma(d, s) or _unitary_pairing(d, s))
-    if law is BiMagmaLaw.YANG_BAXTER_BIMAGMA:
-        return _verdict(_yang_baxter_bimagma(d, s))
     if law is BiMagmaLaw.SKEW_LEFT_BRACE:
         return _verdict(_skew_left_brace(d, s))
     if law is BiMagmaLaw.LYUBASHENKO_FORM:

@@ -23,6 +23,7 @@ from ybmag.census import (CensusStats, _bimagma_raw_stream, _centralizer,
                           _perm_from_cycle_type, _relabelling_gather)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
 from ybmag.families import _partitions
+from ybmag.laws import MAGMA_BATCH_LAWS
 from ybmag.plonka import BiPlonkaPartition
 
 from conftest import stack_rows
@@ -757,14 +758,16 @@ _PINNED_STATS = {
         CensusStats((1, 10, 36, 58, 70), 70, 0, 0, 288),
     CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.ASSOCIATIVE)):       # batch rejects
         CensusStats((1, 27, 43, 45), 45, 35, 0, 18),
-    CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.COMMUTATIVE)):       # object rejects
-        CensusStats((1, 27, 43, 45), 45, 0, 42, 6),
+    CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.COMMUTATIVE)):
+        CensusStats((1, 27, 43, 45), 45, 42, 0, 6),
     CensusQuery(3, (MagmaLaw.RIGHT_PLONKA,), predicates=("right_simple",)):
         CensusStats((1, 6, 10, 12), 12, 0, 10, 6),
     CensusQuery(3, rmap_laws=(RMapLaw.BLS, RMapLaw.INVOLUTIVE)):
         CensusStats((1, 141, 237, 249), 249, 203, 0, 96),
     CensusQuery(2, (MagmaLaw.ASSOCIATIVE,)):                              # the generic sweep
         CensusStats((), 16, 8, 0, 10),
+    CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.TOTAL)):             # object rejects
+        CensusStats((1, 27, 43, 45), 45, 0, 21, 42),
 }
 
 
@@ -781,8 +784,9 @@ def test_census_stats_add_up(query):
         assert len(stats.nodes) == n + 1 and stats.nodes[0] == 1
         assert stats.nodes[-1] == stats.raw_tables
     assert (stats.batch_rejects > 0) == (MagmaLaw.ASSOCIATIVE in query.magma_laws
+                                         or MagmaLaw.COMMUTATIVE in query.magma_laws
                                          or bool(query.rmap_laws))
-    assert (stats.object_rejects > 0) == (MagmaLaw.COMMUTATIVE in query.magma_laws
+    assert (stats.object_rejects > 0) == (MagmaLaw.TOTAL in query.magma_laws
                                           or bool(query.predicates))
 
 
@@ -802,6 +806,30 @@ def test_rmap_law_censuses_build_no_rmap(monkeypatch):
     monkeypatch.setattr(RMap, "__post_init__", refuse)
     with pytest.raises(AssertionError):
         RMap(1, ((0, 0),))
+    assert counts() == expected
+
+
+def test_equational_law_censuses_build_no_tables(monkeypatch):
+    # every equational magma and bi-magma law has a batch kernel, so a census
+    # over one builds no CayleyTable or BiMagma, alone on the sweep of every
+    # table or with right_plonka or plonka_bimagma on the search
+    magma = [law for law in MagmaLaw if law in MAGMA_BATCH_LAWS]
+    queries = [CensusQuery(n, laws, k=2 if law is MagmaLaw.K_CYCLIC else None)
+               for law in magma for n, laws in ((2, (law,)), (3, (MagmaLaw.RIGHT_PLONKA, law)))]
+    queries += [CensusQuery(n, bimagma_laws=laws)
+                for law in (BiMagmaLaw.YANG_BAXTER_BIMAGMA, BiMagmaLaw.LYUBASHENKO_FORM)
+                for n, laws in ((2, (law,)), (3, (BiMagmaLaw.PLONKA_BIMAGMA, law)))]
+
+    def counts():
+        return [(row.class_count, row.raw_count)
+                for row in (enumerate_structures(query).row for query in queries)]
+    expected = counts()
+
+    def refuse(self):
+        raise AssertionError("the census built a table")
+    monkeypatch.setattr(CayleyTable, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        CayleyTable(1, ((0,),))
     assert counts() == expected
 
 

@@ -10,12 +10,13 @@ from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily,
                    bi_plonka_partition, canonical_correspondence, flip_map,
                    identity_rmap, lyubashenko_rmap, parse_structure, serialize, serialize_json,
                    trivial_bimagma)
-from ybmag import RMap, census, laws, plonka
-from ybmag.cli import main
+from ybmag import RMap, census, plonka
+from ybmag.cli import main, witness_line
 from ybmag.formats import ParseError
-from ybmag.laws import MagmaLaw
+from ybmag.laws import MagmaLaw, RMapLaw
 
 from conftest import bimagmas, cayley_tables, rmaps, self_maps
+from law_oracles import RMAP_ORACLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -117,19 +118,18 @@ def test_check_fails_with_witness_line(capsys):
     assert len(parts) == 6  # WITNESS x y z lhs rhs
 
 
-def test_check_vectorised_witness_line_matches_loop(capsys, tmp_path, monkeypatch):
-    # a failing R-map above the vectorisation cutoff: the identity on 24
-    # points with one planted cell in its last row
+def test_check_vectorised_witness_line_matches_loop(capsys, tmp_path):
+    # a failing R-map on 24 points, the identity with one planted cell in its
+    # last row: the line names the reference loop's witness
     out = list(identity_rmap(24).out)
     out[23 * 24 + 5] = (0, 0)
+    planted = RMap(24, tuple(out))
     path = tmp_path / "planted.txt"
-    path.write_text(serialize(RMap(24, tuple(out))), encoding="utf-8")
-    with monkeypatch.context() as patch:
-        patch.setattr(laws, "_NUMPY_CUTOFF", 10**9)
-        loop = run(capsys, "check", "--law", "yang-baxter", str(path))
+    path.write_text(serialize(planted), encoding="utf-8")
     code, text, _ = run(capsys, "check", "--law", "yang-baxter", str(path))
-    assert (code, text) == loop[:2]
-    assert code == 1 and text.splitlines()[1].startswith("WITNESS ")
+    expected = RMAP_ORACLES[RMapLaw.YANG_BAXTER](planted)
+    assert code == 1
+    assert text == f"FAILS yang_baxter\n{witness_line(expected)}\n"
 
 
 def test_check_rmap_law_on_bimagma_file(capsys):
