@@ -358,6 +358,46 @@ def test_every_law_matches_its_reference_loop():
     assert late >= {24, 25, 26, 30} and shared
 
 
+TRIPLE_LAWS = (RMapLaw.YANG_BAXTER, RMapLaw.BRAID, RMapLaw.LONG, RMapLaw.COMMUTATIVE,
+               RMapLaw.COCOMMUTATIVE, RMapLaw.BLS)
+
+
+def test_rmap_vectorised_witnesses_match_loop():
+    # lawful builder maps (Yang-Baxter and BLS hold on each), the same maps
+    # with one planted cell, and seeded random maps, on both sides of the
+    # slab boundaries: the array evaluator's verdicts against the reference
+    # loops of law_oracles
+    rng = random.Random(8)
+    lawful = [build_solution(RightPlonkaOppositeSolution(free_k_cyclic(3, 2, False).table)),
+              build_solution(RightPlonkaOppositeSolution(free_k_cyclic(3, 3, True).table)),
+              build_solution(OdometerSolution(OdometerTriple(4, 6, 3))),
+              build_solution(OdometerSolution(OdometerTriple(5, 5, 2))),
+              build_solution(OdometerSolution(OdometerTriple(5, 6, 4)))]
+    lawful += [identity_rmap(n) for n in (24, 25, 30)]
+    assert all(check_rmap_law(r, law).holds
+               for r in lawful for law in (RMapLaw.YANG_BAXTER, RMapLaw.BLS))
+    maps = lawful + [_plant(r, rng) for r in lawful]
+    maps += [RMap(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n * n)))
+             for n in (24, 25, 30)]
+    late, shared = set(), 0
+    for r in maps:
+        for law in TRIPLE_LAWS:
+            v = check_rmap_law(r, law)
+            assert repr(v.witness) == repr(RMAP_ORACLES[law](r)), (r.n, law)
+            w = v.witness
+            if w is None:
+                continue
+            if w.inputs[0] >= laws._SLAB_TRIPLES // (r.n * r.n):
+                late.add(r.n)
+            if law is RMapLaw.BLS:
+                failures = _bls_failures(r, w.inputs)
+                assert failures[0] == (w.kind, w.inputs, w.lhs, w.rhs)
+                shared += len(failures) > 1
+    # on every tested carrier some first failure lies beyond the first slab,
+    # and some BLS witnesses fail more than one piece
+    assert late >= {24, 25, 30} and shared
+
+
 # ---------------------------------------------------------------------------
 # magma laws
 
@@ -485,6 +525,30 @@ def test_vectorised_witnesses_reevaluate():
             else:
                 assert (tab[tab[x][y]][z], tab[y][z]) == (v.witness.lhs, v.witness.rhs)
             assert v.witness.lhs != v.witness.rhs
+
+
+def test_plonka_vectorised_witnesses_match_loop():
+    # random tables, and lawful ones (x.y = f(x) and its opposite) with one
+    # planted cell, at 26 points: the array evaluator's verdicts against the
+    # reference loops of law_oracles
+    rng = random.Random(9)
+    n = 26
+    tables = [CayleyTable.from_flat(n, [rng.randrange(n) for _ in range(n * n)])
+              for _ in range(20)]
+    for _ in range(20):
+        right = magma_from_function(FiniteFunction(n, tuple(rng.randrange(n) for _ in range(n))))
+        for lawful in (right, right.opposite()):
+            cells = list(lawful.flat())
+            cells[rng.randrange(n * n)] = rng.randrange(n)
+            tables.append(CayleyTable.from_flat(n, cells))
+    kinds = set()
+    for t in tables:
+        for law in (MagmaLaw.RIGHT_PLONKA, MagmaLaw.LEFT_PLONKA):
+            v = check_magma_law(t, law)
+            assert repr(v.witness) == repr(MAGMA_ORACLES[law](t.table, None)), law
+            kinds.add(v.witness and v.witness.kind)
+    assert kinds == {None, "right_commutation", "right_reduction",
+                     "left_commutation", "left_reduction"}
 
 
 def test_numpy_path_matches_loop_path():
