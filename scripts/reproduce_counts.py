@@ -6,10 +6,13 @@ elapsed_ms) followed by the simple-solution and conjugacy-class tables.
 The quick set runs the right involutory census for n = 1-6 (164 classes at
 n = 6, checked against the literature value), the Plonka bi-magma and BLS
 censuses, their unitary ones and their Yang-Baxter ones for n = 1-3 and the
-conjugacy classes of self-maps for n = 1-6; --full adds the involutory
-census at n = 7, the bi-magma censuses at n = 4 (1048 classes, 17 unitary
-ones), the simple solutions on t = 9 points (13 by both routes) and the
-conjugacy classes at n = 7 and 8 (343 / 125 and 951 / 329).  Exits 1 if a
+conjugacy classes of self-maps for n = 1-6; --full adds the right Plonka
+census at n = 4 and 5 (65 / 964 and 463 / 34 265 classes / raw tables,
+unverified: no literature value, though the raw counts match the closed
+block-decomposition count), the involutory census at n = 7, the bi-magma
+censuses at n = 4 (1048 classes, 17 unitary ones), the simple solutions on
+t = 9 points (13 by both routes) and the conjugacy classes at n = 7 and 8
+(343 / 125 and 951 / 329).  Exits 1 if a
 Plonka bi-magma census and its BLS census differ in a count or a
 representative: every BLS solution is a Plonka bi-magma and conversely, a
 Plonka bi-magma has a unitary R-map exactly when it is a unitary Plonka
@@ -20,7 +23,7 @@ equation, against each other.
 
 Usage:
   python scripts/reproduce_counts.py            # the quick set, a few seconds
-  python scripts/reproduce_counts.py --full     # adds the n = 7 and 8 runs
+  python scripts/reproduce_counts.py --full     # adds the larger runs, about 20 s
 """
 
 import argparse
@@ -34,15 +37,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--full", action="store_true",
-                        help="include the slower n = 7 right involutory census "
-                             "(849 classes, 5-6 s on a 2-vCPU VM), the bi-magma censuses "
+                        help="include the right Plonka censuses at n = 4 and 5 (about "
+                             "0.6 s), the slower n = 7 right involutory census "
+                             "(849 classes, 4-6 s on a 2-vCPU VM), the bi-magma censuses "
                              "at n = 4 (about 1.5 s for all six), the simple solutions on 9 points "
                              "(under 1 s) and the conjugacy classes of self-maps at n = 7 and 8 "
                              "(about 12 s)")
     args = parser.parse_args()
 
     print("# right Plonka magmas")
-    for n in (1, 2, 3):
+    for n in range(1, 6 if args.full else 4):
         row = enumerate_structures(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,))).row
         print(row.tsv())
 

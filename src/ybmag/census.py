@@ -15,9 +15,12 @@ or the sweep of every table (one stack) to the orbit dedupe.  A table
 failing a law the search guarantees (right Plonka, band, the column order;
 Plonka bi-magma and, by the structure theorem, BLS) raises CrossCheckFailed,
 the query's other laws filter whole stacks through the batch checkers, which
-run every equational law through the term table of ``laws``, and objects are
+run every equational law through the term table of ``laws`` and recheck right
+Plonka and k-cyclic once per distinct column of a stack, and objects are
 built only for representatives, the cancellation, quasigroup and totality
-magma laws, right_simple and skew_left_brace.  Isomorph rejection
+magma laws, right_simple and skew_left_brace.  ``CensusStats`` counts what
+each phase did and times it.  A query of left laws is held to the literature
+and closed counts of its transpose.  Isomorph rejection
 reads a stack's rows as byte strings and gathers each new table's
 relabelling orbit in one numpy operation; the orbits must hold exactly the
 raw tables, and a class's representative is the least table of its orbit.
@@ -49,7 +52,7 @@ from .families import (FunctionFamily, OdometerTriple, _partitions, count_incomp
                        is_incompressible)
 from .ideals import IdealKind, is_simple
 from .laws import (BIMAGMA_BATCH_LAWS, MAGMA_BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw,
-                   _power, check_bimagma_law, check_bimagma_laws_batch,
+                   _codes, _power, check_bimagma_law, check_bimagma_laws_batch,
                    check_magma_law, check_magma_laws_batch)
 from .plonka import UnionFind
 
@@ -338,12 +341,19 @@ class CensusStats:
     per-object checks ``object_rejects`` (of the cancellation, quasigroup
     and totality magma laws, ``right_simple`` and ``skew_left_brace``, which
     are not equations in the products): the row's raw count is what is left.
-    ``orbit_images`` counts the relabelled tables the orbit dedupe gathered."""
+    ``orbit_images`` counts the relabelled tables the orbit dedupe gathered.
+    The seconds spent in each phase, the column search (or the sweep), the
+    batch checks (the searched-law recheck included), the object checks and
+    the orbit dedupe, vary from run to run, so equality ignores them."""
     nodes: tuple[int, ...] = ()
     raw_tables: int = 0
     batch_rejects: int = 0
     object_rejects: int = 0
     orbit_images: int = 0
+    search_s: float = field(default=0.0, compare=False)
+    batch_check_s: float = field(default=0.0, compare=False)
+    object_check_s: float = field(default=0.0, compare=False)
+    dedupe_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -435,14 +445,25 @@ _ONE_GRID_POOL = 6 ** 6
 
 
 def _recorded(stacks: Iterable[np.ndarray], stats: CensusStats) -> Iterator[np.ndarray]:
-    """``stacks``, keeping the column search's frontier sizes in ``stats``."""
-    stats.nodes = tuple((yield from stacks) or ())
+    """``stacks``, keeping the column search's frontier sizes and the time
+    spent producing them in ``stats``."""
+    stacks = iter(stacks)
+    while True:
+        start = time.perf_counter()
+        try:
+            stack = next(stacks)
+        except StopIteration as stop:
+            stats.nodes = tuple(stop.value or ())
+            return
+        finally:
+            stats.search_s += time.perf_counter() - start
+        yield stack
 
 
 def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], shape: tuple[int, ...],
                checks, guaranteed, to_query, stats: Optional[CensusStats]) -> Iterator[np.ndarray]:
     """The raw tables that satisfy the query, in order, as uint8 stacks of
-    flattened tables, counted in ``stats`` (if any).  ``to_query`` puts the
+    flattened tables, counted and timed in ``stats`` (if any).  ``to_query`` puts the
     tables of ``stacks``, of per-table ``shape``, in the query's layout.  A
     table outside a mask of ``checks`` (noun, laws, mask) raises; the query's
     laws not ``guaranteed`` are checked on the whole stack where a kernel
@@ -454,22 +475,27 @@ def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], shape: tuple[in
     batched = [law for law in residual if law in MAGMA_BATCH_LAWS | BIMAGMA_BATCH_LAWS]
     others = [law for law in residual if law not in batched]
     for stack in _recorded(stacks, stats):
+        start = time.perf_counter()
         stack = to_query(stack.reshape(len(stack), *shape))
         for noun, laws, mask in checks:
             if not (passed := mask(stack)).all():
                 table = tuple(stack[int(passed.argmin())].ravel().tolist())
                 raise CrossCheckFailed(f"column search produced {noun} {table} on n={n} "
                                        f"that fails {laws}")
-        ok = check_bimagma_laws_batch(stack, batched) if bimagma else \
-            check_magma_laws_batch(stack, batched, query.k)
-        passed = int(ok.sum())
         stats.raw_tables += len(stack)
-        stats.batch_rejects += len(stack) - passed
-        stack = stack[ok].reshape(passed, math.prod(shape))
+        if batched:
+            ok = check_bimagma_laws_batch(stack, batched) if bimagma else \
+                check_magma_laws_batch(stack, batched, query.k)
+            stats.batch_rejects += len(stack) - int(ok.sum())
+            stack = stack[ok]
+        stack = stack.reshape(len(stack), math.prod(shape))
+        stats.batch_check_s += time.perf_counter() - start
         if others or query.predicates:
+            start, passed = time.perf_counter(), len(stack)
             keep = [_object_holds(query, flat, others) for flat in stack.tolist()]
             stack = stack[np.array(keep, dtype=bool)]
             stats.object_rejects += passed - len(stack)
+            stats.object_check_s += time.perf_counter() - start
         yield stack
 
 
@@ -483,6 +509,11 @@ def _object_holds(query: CensusQuery, flat: Sequence[int], laws) -> bool:
     return all(check_magma_law(table, law, query.k if law is MagmaLaw.K_CYCLIC else None)
                for law in laws) and ("right_simple" not in query.predicates
                                      or is_simple(table, IdealKind.MAGMA_RIGHT))
+
+
+# the left laws, and band, as the right laws their transposes satisfy
+_MIRROR = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND: MagmaLaw.BAND,
+           MagmaLaw.LEFT_INVOLUTORY: MagmaLaw.RIGHT_INVOLUTORY}
 
 
 def _magma_raw_stream(query: CensusQuery, limits: Limits,
@@ -499,9 +530,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
     if transpose:
         # the searched columns are the query's rows, so only its left laws (and
         # band) may cut them; its right laws and right_simple are residual
-        mirror = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND: MagmaLaw.BAND,
-                  MagmaLaw.LEFT_INVOLUTORY: MagmaLaw.RIGHT_INVOLUTORY}
-        laws = {mirror[law] for law in laws if law in mirror}
+        laws = {_MIRROR[law] for law in laws if law in _MIRROR}
     flip = (lambda stack: stack.transpose(0, 2, 1)) if transpose else np.asarray
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
@@ -581,16 +610,25 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     bimagma = bool(query.bimagma_laws or query.rmap_laws)
     stats = CensusStats()
     stream = (_bimagma_raw_stream if bimagma else _magma_raw_stream)(query, limits, stats)
+    dedupe_start = time.perf_counter()
     classes, raw_count = _orbit_dedupe(n, stream)
+    stats.dedupe_s = time.perf_counter() - dedupe_start - stats.search_s - stats.batch_check_s \
+        - stats.object_check_s
     stats.orbit_images = len(classes) * math.factorial(n)   # one gather per class
     reps = tuple((BiMagma if bimagma else CayleyTable).from_flat(n, f) for f in classes) \
         if query.mode == "representatives" else ()
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     label = query.label()
 
+    # a query of left laws is keyed as its transpose, which has the same
+    # classes and raw count
+    laws = set(query.magma_laws)
+    if laws and laws <= _MIRROR.keys() and not query.predicates:
+        laws = {_MIRROR[law] for law in laws}
+
     def once(laws, kind):   # the literature key names each tag once, in declaration order
         return tuple(law for law in kind if law in laws)
-    key = replace(query, magma_laws=once(query.magma_laws, MagmaLaw),
+    key = replace(query, magma_laws=once(laws, MagmaLaw),
                   bimagma_laws=once(query.bimagma_laws, BiMagmaLaw),
                   rmap_laws=once(query.rmap_laws, RMapLaw),
                   predicates=tuple(sorted(set(query.predicates)))).label()
@@ -601,7 +639,7 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
                 f"census {label} at n={n} found {len(classes)} classes, literature says {expected}")
     else:
         label += " [unverified]"
-    if set(query.magma_laws) == {MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY} and \
+    if laws == {MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY} and \
        not query.predicates and raw_count != _involutory_raw_count(n):
         raise CrossCheckFailed(f"census {query.label()} at n={n} found {raw_count} raw tables, "
                                f"the closed count says {_involutory_raw_count(n)}")
@@ -635,17 +673,6 @@ def _permutation_array(n: int) -> np.ndarray:
         rest = np.tile(rows, (k, 1))
         rows = np.concatenate((first, rest + (rest >= first)), 1)
     return rows
-
-
-def _codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row read as a base-n number, first entry most significant: the
-    index of the row in ``_product_rows(n, n)``, and an order-preserving key
-    for lexicographically sorted rows."""
-    codes = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T:
-        codes *= n
-        codes += column
-    return codes
 
 
 def _unseen_indices(unseen: np.ndarray) -> Iterator[int]:

@@ -16,9 +16,13 @@ input (0, ..., 0) on its own, where most failing structures fail, then the
 arrays in slabs of about ``_SLAB_TRIPLES`` inputs, and re-evaluates the
 first failing input on plain ints for the witness.
 
-Two kernels stay outside the term table: right Plonka on census stacks, by
-whole columns, and k-cyclic by repeated squaring of the columns, since a
-k-fold term nests k deep.  Cancellation, totality, bijectivity, diagonality,
+Two kernels stay outside the term table, and on stacks both run once per
+distinct column, the columns told apart by one lexsort: right Plonka by
+whole columns, which must commute (composed once per pair of distinct
+columns that share a table) and name column y at y.z, and k-cyclic by
+repeated squaring of the columns, since a k-fold term nests k deep.  The
+batch checkers refuse a stack with an entry outside the carrier before any
+gather.  Cancellation, totality, bijectivity, diagonality,
 nondegeneracy, the Lyubashenko form and skew braces are not equations in the
 two products and keep checks of their own.
 """
@@ -34,6 +38,7 @@ from .core import (BiMagma, CayleyTable, CrossCheckFailed, RMap, Verdict, Witnes
                    VERDICT_OK, canonical_correspondence)
 
 _SLAB_TRIPLES = 1 << 13  # inputs per array slab of a single check, which bounds its memory
+_MARKS = 1 << 22  # flags, one byte each, of a table marking the column pairs that occur
 
 
 class RMapLaw(enum.Enum):
@@ -346,20 +351,70 @@ def _power(maps: np.ndarray, k: int) -> np.ndarray:
         square = np.take_along_axis(square, square, -1)
 
 
-def _right_plonka_bulk(columns: np.ndarray) -> np.ndarray:
-    """Right Plonka on a stack of tables given by columns: ``columns[b, y, x]``
-    is x.y in table b.  Given rows instead, it checks left Plonka."""
-    tables, n = columns.shape[:2]
-    # column y after column z at [b, y, z, x], that is (x.z).y; the
-    # commutation law swaps y and z
-    starts = np.arange(tables)[:, None, None, None] * (n * n) + np.arange(n)[:, None, None] * n
-    composed = columns.reshape(-1).take(starts + columns[:, None])
-    commutes = (composed == composed.transpose(0, 2, 1, 3)).all((1, 2, 3))
-    # column y.z at [b, y, z, :]; the reduction law says it is column y
-    products = columns.transpose(0, 2, 1)
-    named = columns.reshape(tables * n, n)[np.arange(tables)[:, None, None] * n + products]
-    reduces = (named == columns[:, :, None, :]).all((1, 2, 3))
-    return commutes & reduces
+def _codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row read as a base-n number, first entry most significant: the
+    index of the row in the lexicographic list of all rows of its length,
+    and an order-preserving key for lexicographically sorted rows.  Exact
+    while n ** row length fits in an int64."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        codes *= n
+        codes += column
+    return codes
+
+
+def _distinct_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows``, whose entries lie in 0..n-1, and the
+    index of each row among them.  The rows are cut into pieces short
+    enough for ``_codes``, sorted by one lexsort of the pieces' codes and
+    told apart from their neighbours, so any n works."""
+    width = 1
+    while width < rows.shape[1] and n ** (width + 1) < 1 << 63:
+        width += 1
+    keys = np.stack([_codes(rows[:, s:s + width], n) for s in range(0, rows.shape[1], width)])
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(0)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return rows[order[new]], which
+
+
+def _column_laws_hold(stack: np.ndarray, laws, k: Optional[int]) -> np.ndarray:
+    """Right Plonka and k-cyclic, where ``laws`` names them, per table of a
+    stack (``stack[b, x, y]`` is x.y), on its distinct columns: each column
+    y of table b is the map ``maps[which[b, y]]``, x -> x.y.  The columns
+    must commute, which is composed once per pair of distinct columns that
+    share a table; column y.z must be column y; k-cyclic is the k-th power
+    of each distinct column against the identity."""
+    count, n = stack.shape[:2]
+    ok = np.ones(count, dtype=bool)
+    if not n:
+        return ok
+    maps, which = _distinct_rows(stack.transpose(0, 2, 1).reshape(count * n, n), n)
+    which = which.reshape(count, n)
+    if MagmaLaw.RIGHT_PLONKA in laws:
+        # column y.z of table b, by the index of table b's column y.z
+        named = which.reshape(-1).take(stack + np.arange(0, count * n, n)[:, None, None])
+        ok &= _holds(named == which[:, :, None])
+        # the pairs of columns y, z of each table, by their distinct maps
+        u = len(maps)
+        codes = which[:, :, None] * u + which[:, None, :]
+        if u * u <= _MARKS:   # mark the pairs that occur in a table of flags
+            commutes = np.zeros(u * u, dtype=bool)
+            commutes[codes] = True
+            pairs = slots = np.flatnonzero(commutes)
+        else:                 # too many for a table: sort them
+            pairs, codes = np.unique(codes, return_inverse=True)
+            commutes, slots = np.empty(len(pairs), dtype=bool), slice(None)
+        first, second = maps[pairs // u], maps[pairs % u]
+        commutes[slots] = (np.take_along_axis(first, second, 1) ==
+                           np.take_along_axis(second, first, 1)).all(1)
+        ok &= _holds(commutes.take(codes).reshape(count, n * n))
+    if MagmaLaw.K_CYCLIC in laws:
+        ok &= _holds((_power(maps, k) == np.arange(n)).all(1).take(which))
+    return ok
 
 
 def _check_k(k) -> None:
@@ -384,26 +439,37 @@ def _k_cyclic_witness(m: CayleyTable, k: int) -> Optional[Witness]:
 MAGMA_BATCH_LAWS = frozenset({MagmaLaw.K_CYCLIC, *_MAGMA_TERMS})
 
 
+def _check_entries(stack: np.ndarray, n: int, noun: str) -> None:
+    """Refuse a stack with an entry outside 0..n-1, before any gather, which
+    would read it as a cell of another structure or past the stack's end."""
+    if stack.size and (stack.min() < 0 or stack.max() >= n):
+        bad = ((stack < 0) | (stack >= n)).reshape(len(stack), -1).any(1)
+        raise ValueError(f"{noun} {int(bad.argmax())} of the stack has an entry outside "
+                         f"0..{n - 1}")
+
+
 def check_magma_laws_batch(stack: np.ndarray, laws: Iterable[MagmaLaw],
                            k: Optional[int] = None) -> np.ndarray:
     """Evaluate magma laws on a stack of tables at once: ``stack[b, x, y]``
     is x.y in table b.  Returns a boolean per table, true where every law in
     ``laws`` holds; each law's verdict agrees with ``check_magma_law``.
-    Covers ``MAGMA_BATCH_LAWS``, every equational magma law: k-cyclic (which
-    needs ``k``) by repeated squaring of the columns, right Plonka by whole
-    columns and the others through the term table's array evaluator."""
+    Covers ``MAGMA_BATCH_LAWS``, every equational magma law: right Plonka by
+    whole columns and k-cyclic (which needs ``k``) by repeated squaring of
+    the columns, both once per distinct column of the stack, and the others
+    through the term table's array evaluator.  A stack with an entry outside
+    0..n-1 raises ``ValueError``."""
     count, n = stack.shape[:2]
-    ok = np.ones(count, dtype=bool)
-    columns = np.ascontiguousarray(stack.transpose(0, 2, 1))
+    laws = list(laws)
     for law in laws:
         if law not in MAGMA_BATCH_LAWS:
             raise ValueError(f"no batch check for {law!r}")
         if law is MagmaLaw.K_CYCLIC:
             _check_k(k)
-            ok &= _holds(_power(columns, k) == np.arange(n))
-        elif law is MagmaLaw.RIGHT_PLONKA:
-            ok &= _right_plonka_bulk(columns)
-        else:
+    _check_entries(stack, n, "table")
+    by_columns = {MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC} & set(laws)
+    ok = _column_laws_hold(stack, by_columns, k) if by_columns else np.ones(count, dtype=bool)
+    for law in laws:
+        if law not in by_columns:
             ok &= _groups_hold((stack.reshape(-1),), count, n, _MAGMA_TERMS[law])
     return ok
 
@@ -567,13 +633,16 @@ def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
     commuting; R is diagonal when both diagonals are the identity and
     nondegenerate when rows or columns are permutations."""
     count, _, n = stack.shape[:3]
+    laws = list(laws)
+    for law in laws:
+        if law not in BIMAGMA_BATCH_LAWS:
+            raise ValueError(f"no batch check for {law!r}")
+    _check_entries(stack, n, "bi-magma")
     ok = np.ones(count, dtype=bool)
     dot, star = stack[:, 0], stack[:, 1]
     tables = (dot.reshape(-1), star.reshape(-1))
     points = np.arange(n)
     for law in laws:
-        if law not in BIMAGMA_BATCH_LAWS:
-            raise ValueError(f"no batch check for {law!r}")
         groups = _BIMAGMA_TERMS.get(law) or _RMAP_TERMS.get(law)
         if groups:
             ok &= _groups_hold(tables, count, n, groups)

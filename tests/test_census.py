@@ -752,6 +752,41 @@ def test_involutory_raw_count_mismatch_is_typed(monkeypatch):
     enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_PLONKA,)))
 
 
+def test_left_mirror_is_held_to_the_right_counts(monkeypatch):
+    # the transpose is a bijection of labelled tables and of classes
+    left = (MagmaLaw.LEFT_PLONKA, MagmaLaw.LEFT_INVOLUTORY)
+    for n, classes, raw in ((4, 12, 70), (5, 37, 916)):
+        row = enumerate_structures(CensusQuery(n, left)).row
+        assert (row.label, row.class_count, row.raw_count) == \
+            ("left_plonka+left_involutory", classes, raw)
+    assert enumerate_structures(CensusQuery(3, (MagmaLaw.LEFT_PLONKA,))).row.label == \
+        "left_plonka"
+    # a right law, a predicate or a law without a mirror keeps the row unverified
+    for query in (CensusQuery(3, (MagmaLaw.LEFT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)),
+                  CensusQuery(3, (MagmaLaw.LEFT_PLONKA,), predicates=("right_simple",)),
+                  CensusQuery(3, (MagmaLaw.LEFT_PLONKA, MagmaLaw.ASSOCIATIVE))):
+        assert enumerate_structures(query).row.label.endswith(" [unverified]")
+    monkeypatch.setitem(census.KNOWN_COUNTS, ("right_plonka+right_involutory", 4), 13)
+    with pytest.raises(CrossCheckFailed, match=r"census left_plonka\+left_involutory at n=4 "
+                                               "found 12 classes, literature says 13"):
+        enumerate_structures(CensusQuery(4, left))
+    monkeypatch.setattr(census, "_involutory_raw_count", lambda n: 917)
+    with pytest.raises(CrossCheckFailed, match="found 916 raw tables, the closed count says 917"):
+        enumerate_structures(CensusQuery(5, (MagmaLaw.LEFT_INVOLUTORY, MagmaLaw.LEFT_PLONKA)))
+
+
+def test_census_phase_times():
+    query = CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.TOTAL))
+    start = time.perf_counter()
+    stats = enumerate_structures(query).stats
+    elapsed = time.perf_counter() - start
+    phases = (stats.search_s, stats.batch_check_s, stats.object_check_s, stats.dedupe_s)
+    assert all(t > 0 for t in phases) and sum(phases) <= elapsed
+    # equality ignores the times
+    assert stats == CensusStats(stats.nodes, stats.raw_tables, stats.batch_rejects,
+                                stats.object_rejects, stats.orbit_images)
+
+
 # each census's exact counters, which do not depend on how its tables are batched
 _PINNED_STATS = {
     CensusQuery(4, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)):

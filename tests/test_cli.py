@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import types
@@ -412,8 +413,28 @@ def test_census_stats_leave_stdout_alone(capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--stats")
     assert code == 0 and out == plain
     assert err.count("\n") == 1
+    # the frozen clock gives every phase zero seconds
     assert json.loads(err) == {"nodes": [1, 27, 43, 45], "raw_tables": 45, "batch_rejects": 35,
-                               "object_rejects": 0, "orbit_images": 18}
+                               "object_rejects": 0, "orbit_images": 18, "search_s": 0.0,
+                               "batch_check_s": 0.0, "object_check_s": 0.0, "dedupe_s": 0.0}
+
+
+def test_census_phase_times_go_to_stderr(capsys, monkeypatch):
+    # a clock that ticks a millisecond a reading: both runs read it equally
+    # often, so their rows agree, and every phase takes some time
+    argv = ["census", "--n", "3", "--laws", "right-plonka,total", "--mode", "representatives"]
+    runs = []
+    for extra in ((), ("--stats",)):
+        ticks = itertools.count()
+        monkeypatch.setattr(census, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(ticks) / 1000))
+        runs.append(run(capsys, *argv, *extra))
+    (code, plain, err), (stats_code, out, stats_err) = runs
+    assert code == stats_code == 0 and err == "" and out == plain
+    phases = {name: value for name, value in json.loads(stats_err).items()
+              if name.endswith("_s")}
+    assert sorted(phases) == ["batch_check_s", "dedupe_s", "object_check_s", "search_s"]
+    assert all(value > 0 for value in phases.values())
 
 
 @pytest.mark.parametrize("laws", ["plonka-bimagma", "bls"])

@@ -753,6 +753,110 @@ def test_batch_checks_on_uint8_stacks_past_255_cells(n):
         assert check_bimagma_laws_batch(stack, (law,)).tolist() == expected, law
 
 
+# the laws checked on a stack's distinct columns
+_COLUMN_CASES = [(MagmaLaw.RIGHT_PLONKA, None)] + [(MagmaLaw.K_CYCLIC, k) for k in (1, 2, 3, 6)]
+
+
+def _single_cell_mutants(stack):
+    """Every table of a (T, n, n) stack with one cell moved to each other value."""
+    count, n = stack.shape[:2]
+    mutants = np.repeat(stack.reshape(count, 1, 1, n * n), n * n * (n - 1), 1)
+    mutants = mutants.reshape(count, n * n, n - 1, n * n)
+    cells = np.arange(n * n)
+    mutants[:, cells, :, cells] = (mutants[:, cells, :, cells] + np.arange(1, n)) % n
+    return mutants.reshape(-1, n, n)
+
+
+def _shared_column_stack(n, rng):
+    """Tables whose columns come from a few maps, so that they share columns
+    with each other and repeat them: powers of one map, involutions and
+    random maps."""
+    f = [rng.randrange(n) for _ in range(n)]
+    powers = [list(range(n))]
+    for _ in range(5):
+        powers.append([f[v] for v in powers[-1]])
+    swaps = [list(range(n)) for _ in range(3)]
+    for swap in swaps[1:]:
+        a, b = rng.sample(range(n), 2)
+        swap[a], swap[b] = b, a
+    maps = powers + swaps + [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
+    tables = []
+    for _ in range(300):
+        kind = rng.choice((powers, swaps, maps))
+        columns = [rng.choice(kind) for _ in range(n)]
+        tables.append([[columns[y][x] for y in range(n)] for x in range(n)])
+    return np.array(tables, dtype=np.uint8)
+
+
+def _column_corpus(name):
+    """Stacks on which the distinct-column kernels are checked."""
+    rng = random.Random(name)
+    if name == "empty":
+        return [np.zeros((0, n, n), dtype=np.uint8) for n in (0, 1, 2, 5)] + \
+            [np.zeros((3, 0, 0), dtype=np.uint8), np.zeros((2, 1, 1), dtype=np.int64)]
+    if name == "random":
+        stacks = [np.array([[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                            for _ in range(200)], dtype=np.uint8) for n in range(1, 9)]
+        for n in (17, 20):
+            tables = _uint8_stacks(n, rng)[0]
+            stacks.append(np.array([t.flat() for t in tables], dtype=np.uint8).reshape(-1, n, n))
+        return stacks
+    if name == "mutants":
+        # every searched table passes, so these carry the failing verdicts
+        stacks = []
+        for n, laws in ((5, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)),
+                        (4, (MagmaLaw.RIGHT_PLONKA,))):
+            lawful = np.concatenate(list(_magma_raw_stream(CensusQuery(n, laws),
+                                                           DEFAULT_LIMITS))).reshape(-1, n, n)
+            stacks += [lawful, _single_cell_mutants(lawful)]
+        return stacks
+    return [_shared_column_stack(n, rng) for n in (2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("name", ["empty", "random", "mutants", "shared"])
+def test_column_kernels_match_oracles(name, monkeypatch):
+    seen = {case: set() for case in _COLUMN_CASES}
+    for stack in _column_corpus(name):
+        tables = stack.tolist()
+        for law, k in _COLUMN_CASES:
+            expected = [MAGMA_ORACLES[law](t, k) is None for t in tables]
+            # with no marks the column pairs that occur are found by a sort
+            for marks in (laws._MARKS, 0):
+                monkeypatch.setattr(laws, "_MARKS", marks)
+                assert check_magma_laws_batch(stack, (law,), k).tolist() == expected, \
+                    (name, stack.shape, law, k, marks)
+            seen[law, k].update(expected)
+    if name != "empty":   # every verdict is met on both sides
+        assert all(verdicts == {True, False} for verdicts in seen.values()), seen
+
+
+def test_single_cell_mutants():
+    stack = np.array([[[0, 1], [1, 0]]], dtype=np.uint8)
+    assert _single_cell_mutants(stack).tolist() == [
+        [[1, 1], [1, 0]], [[0, 0], [1, 0]], [[0, 1], [0, 0]], [[0, 1], [1, 1]]]
+
+
+@pytest.mark.parametrize("dtype, entry", [(np.uint8, 3), (np.uint8, 255), (np.int8, -1),
+                                          (np.int64, -1), (np.int64, 3)])
+def test_batch_checks_refuse_entries_outside_the_carrier(dtype, entry):
+    # an entry outside 0..n-1 in an early table would read another table's
+    # cells, in the last one past the stack's end
+    for bad in (0, 3):
+        magmas = np.zeros((4, 3, 3), dtype=dtype)
+        magmas[bad, 2, 1] = entry
+        for law, k in ((MagmaLaw.RIGHT_PLONKA, None), (MagmaLaw.ASSOCIATIVE, None),
+                       (MagmaLaw.K_CYCLIC, 2)):
+            with pytest.raises(ValueError, match=f"^table {bad} of the stack has an entry "
+                                                 r"outside 0\.\.2$"):
+                check_magma_laws_batch(magmas, (law,), k)
+        bimagmas = np.zeros((4, 2, 3, 3), dtype=dtype)
+        bimagmas[bad, 1, 2, 1] = entry
+        for law in (BiMagmaLaw.PLONKA_BIMAGMA, RMapLaw.BLS):
+            with pytest.raises(ValueError, match=f"^bi-magma {bad} of the stack has an entry "
+                                                 r"outside 0\.\.2$"):
+                check_bimagma_laws_batch(bimagmas, (law,))
+
+
 def test_trivial_bimagma_is_unitary_plonka():
     assert check_bimagma_law(trivial_bimagma(3), BiMagmaLaw.UNITARY_PLONKA_BIMAGMA).holds
 
