@@ -19,7 +19,14 @@ Plonka bi-magma has a unitary R-map exactly when it is a unitary Plonka
 bi-magma, and a bi-magma is a Yang-Baxter bi-magma exactly when its R-map
 solves the Yang-Baxter equation.  The last pair checks the Yang-Baxter
 bi-magma laws and the Yang-Baxter R-map chains, two term tables of one
-equation, against each other.
+equation, against each other.  Then, for each n of those censuses, the BLS
+representatives that are bi-connected are counted by two routes: the
+finest partition closed on squares of ``decomposition_report`` is one
+block, and the paper's classification, a coarsest bi-Plonka partition of
+one block whose Lyubashenko pair is connected; the script exits 1 if the
+two counts differ.  The rows are n, bi-connected, ESS-indecomposable, the
+last by ``decomposition_report`` alone (1, 6, 24 bi-connected at n = 1-3
+and 114 at n = 4, and as many ESS-indecomposable).
 
 Usage:
   python scripts/reproduce_counts.py            # the quick set, a few seconds
@@ -29,8 +36,17 @@ Usage:
 import argparse
 import sys
 
-from ybmag import (BiMagmaLaw, CensusQuery, MagmaLaw, RMapLaw, census_simple_bls,
-                   enumerate_structures, function_conjugacy_census)
+from ybmag import (BiMagmaLaw, CensusQuery, MagmaLaw, RMapLaw, bi_plonka_partition,
+                   canonical_correspondence, census_simple_bls, connected_components,
+                   decomposition_report, enumerate_structures, function_conjugacy_census)
+
+
+def connected_lyubashenko(b) -> bool:
+    """Whether a Plonka bi-magma's coarsest bi-Plonka partition is one block
+    whose pair of endomaps (x.y = f(x), x*y = g(y)) is connected."""
+    p = bi_plonka_partition(b, "coarsest")
+    return len(p.partition) == 1 and \
+        len(connected_components(b.n, [p.f_endomaps[0][0], p.g_endomaps[0][0]])) == 1
 
 
 def main() -> int:
@@ -40,7 +56,8 @@ def main() -> int:
                         help="include the right Plonka censuses at n = 4 and 5 (about "
                              "0.6 s), the slower n = 7 right involutory census "
                              "(849 classes, 4-6 s on a 2-vCPU VM), the bi-magma censuses "
-                             "at n = 4 (about 1.5 s for all six), the simple solutions on 9 points "
+                             "and the bi-connected BLS solutions at n = 4 (about 2 s for "
+                             "all of them), the simple solutions on 9 points "
                              "(under 1 s) and the conjugacy classes of self-maps at n = 7 and 8 "
                              "(about 12 s)")
     args = parser.parse_args()
@@ -64,6 +81,7 @@ def main() -> int:
         print(row.tsv())
 
     agree = True
+    bls_representatives = {}
     for heading, bimagma_laws, rmap_laws in (
             ("Plonka bi-magmas and BLS solutions", (BiMagmaLaw.PLONKA_BIMAGMA,), (RMapLaw.BLS,)),
             ("unitary Plonka bi-magmas and unitary BLS solutions",
@@ -79,11 +97,24 @@ def main() -> int:
                 print(result.row.tsv())
             plonka, bls = ((r.row.class_count, r.row.raw_count, r.representatives)
                            for r in results)
+            if rmap_laws == (RMapLaw.BLS,):
+                bls_representatives[n] = results[1].representatives
             if plonka != bls:
                 print(f"error: {'+'.join(law.value for law in bimagma_laws)} and "
                       f"{'+'.join(law.value for law in rmap_laws)} censuses differ at n = {n}",
                       file=sys.stderr)
                 agree = False
+
+    print("# bi-connected BLS solutions (two routes) and ESS-indecomposable ones (one route)")
+    for n, representatives in bls_representatives.items():
+        reports = [decomposition_report(canonical_correspondence(b)) for b in representatives]
+        biconnected = sum(rep.biconnected for rep in reports)
+        classified = sum(map(connected_lyubashenko, representatives))
+        print(f"{n}\t{biconnected}\t{sum(rep.ess_indecomposable for rep in reports)}")
+        if biconnected != classified:
+            print(f"error: {biconnected} bi-connected BLS solutions at n = {n}, but "
+                  f"{classified} connected Lyubashenko ones", file=sys.stderr)
+            agree = False
 
     print("# simple solutions on t points (two routes)")
     for t in range(1, 10 if args.full else 9):

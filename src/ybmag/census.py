@@ -277,9 +277,9 @@ def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
 class CensusQuery:
     """A conjunction of law tags plus optional structural predicates.
 
-    Magma queries sweep every table (n <= 3) without ``right_plonka``, ``left_plonka``
-    or ``two_cyclic``, bi-magma and R-map queries (n <= 2) without ``plonka_bimagma``,
-    ``unitary_plonka_bimagma`` or ``bls`` (searched to n = 4); predicates are for magmas.
+    Queries without a searched law (``right_plonka``, ``left_plonka``, ``two_cyclic``;
+    ``plonka_bimagma``, ``unitary_plonka_bimagma``, ``bls``, searched to n = 4) sweep
+    every table, at most 3**9 (magmas to n = 3, bi-magmas to n = 2); predicates are for magmas.
     """
 
     n: int
@@ -434,12 +434,12 @@ def _involutory_raw_count(n: int) -> int:
 
 
 _BATCH = 1024  # tables per batch law check; uint8 keeps its (1024, n, n, n) temporaries small
-# carrier limits of the sweeps of every table and of the two-grid search (71 565 pairs at n = 5)
-_GENERIC_MAGMA_SWEEP = 3
-_GENERIC_BIMAGMA_SWEEP = 2
+# tables a sweep of every table may build (magmas on 3 points, bi-magmas on 2)
+# and carrier limit of the two-grid search (71 565 pairs at n = 5)
+_GENERIC_SWEEP = 3 ** 9
 _TWO_GRID_SEARCH = 4
-# maps in a one-grid column pool: all 6**6 self-maps on 6 points pass, 7**7 =
-# 823 543 do not; measured on a 2-vCPU VM, right_plonka at n = 6 (1 897 296 raw
+# entries of a one-grid column pool: all 6**6 self-maps pass, not 7**7 nor the 9!
+# permutations; measured on a 2-vCPU VM, right_plonka at n = 6 (1 897 296 raw
 # tables) takes 139 s and 533 MB max RSS, of which the commute rows are 272 MB
 _ONE_GRID_POOL = 6 ** 6
 
@@ -543,6 +543,9 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
             raise GuardExceeded(f"column search over all {n ** n} self-maps refused; "
                                 f"the pool limit is {_ONE_GRID_POOL} maps")
         pool = _function_pool(n, orders, permutations)
+        if len(pool) > _ONE_GRID_POOL:
+            raise GuardExceeded(f"column search over {len(pool)} permutations refused; "
+                                f"the pool limit is {_ONE_GRID_POOL} maps")
         tables = _iter_plonka_tables(n, pool, band)
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
@@ -557,9 +560,9 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
             if orders == query.k:   # the pool was cut by k itself
                 guaranteed.add(MagmaLaw.K_CYCLIC)
     else:
-        if n > _GENERIC_MAGMA_SWEEP:
-            raise GuardExceeded(f"generic table sweep limited to n <= {_GENERIC_MAGMA_SWEEP}; "
-                                "add right_plonka for the pruned search")
+        if n ** (n * n) > _GENERIC_SWEEP:
+            raise GuardExceeded(f"generic table sweep of {n ** (n * n)} tables refused (limit "
+                                f"{_GENERIC_SWEEP}); add right_plonka for the pruned search")
         tables, checks, guaranteed = [_product_rows(n, n * n)], [], set()
     return _survivors(query, tables, (n, n), checks, guaranteed, flip, stats)
 
@@ -590,8 +593,9 @@ def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
         def split(stack: np.ndarray) -> np.ndarray:   # cell (x, y) is dot[x][y], star[y][x]
             return np.stack((stack[..., 0], stack[..., 1].transpose(0, 2, 1)), 1)
     else:
-        if n > _GENERIC_BIMAGMA_SWEEP:
-            raise GuardExceeded(f"generic bi-magma sweep limited to n <= {_GENERIC_BIMAGMA_SWEEP}")
+        if n ** (2 * n * n) > _GENERIC_SWEEP:
+            raise GuardExceeded(f"generic bi-magma sweep of {n ** (2 * n * n)} tables refused "
+                                f"(limit {_GENERIC_SWEEP})")
         tables, shape, split = [_product_rows(n, 2 * n * n)], (2, n, n), np.asarray
         checks, guaranteed = [], []
     return _survivors(query, tables, shape, checks, guaranteed, split, stats)

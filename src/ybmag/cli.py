@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -338,6 +339,7 @@ def _cmd_morphisms(args) -> int:
     return 0
 
 
+@functools.cache   # built on the first call, then shared by every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybmag",

@@ -29,7 +29,7 @@ class Limits:
     sn_sweep: int = 8            # n! sweeps over the symmetric group
     hom_space: int = 10**7       # |B|**|A| function sweeps
     subset_listing: int = 16     # 2**n ideal listings
-    two_part_split: int = 16     # 2**n bipartition searches
+    two_part_split: int = 16     # 2**(k-1) groupings of k finest blocks
     # exhaustive route of the simple-solution census; measured on a 2-vCPU
     # VM: t = 9 takes 0.25 s and 56 MB max RSS, t = 10 takes 2.8 s and 291 MB
     simple_bls_brute: int = 9

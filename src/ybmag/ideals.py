@@ -5,12 +5,15 @@ R(X x I) inside X x I; equivalently a right ideal of the dot magma that is
 also a left ideal of the star magma.  Every ideal kind is a set that a
 family of translations carries into itself, so a structure is simple exactly
 when that family is incompressible; simplicity is decided by per-element
-closure so it scales past the subset-listing guard.
+closure so it scales past the subset-listing guard.  The two-part splits
+of decomposability are searched as groupings of the blocks of the finest
+partition closed on squares, so their guard counts blocks, not points.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -126,7 +129,7 @@ def rees_quotient(m: CayleyTable, ideal: tuple[int, ...] | frozenset[int]) -> Ca
 class DecompositionReport:
     """Finest partition into parts closed under R on their squares, plus the
     two derived booleans.  ``ess_indecomposable`` refers to two-part splits
-    only and is None when the subset search was guarded off."""
+    only and is None above ``Limits.two_part_split`` blocks."""
 
     finest_valid_partition: SetPartition
     biconnected: bool
@@ -136,51 +139,40 @@ class DecompositionReport:
 def decomposition_report(r: RMap, limits: Limits = DEFAULT_LIMITS) -> DecompositionReport:
     """Least fixpoint of block closure under (a, b in B) => R(a, b) in B x B,
     starting from singletons; merges are forced, so the result is the finest
-    partition whose parts are closed on their squares."""
-    n = r.n
-    uf = UnionFind(max(n, 1))
-    changed = n > 0
+    partition whose parts are closed on their squares.  It refines every such
+    partition, as their meets are such partitions, so a split of X into two
+    such parts (Etingof-Schedler-Soloviev decomposability) groups its k
+    blocks, and the 2**(k-1) groupings are searched."""
+    cells = list(zip(itertools.product(range(r.n), repeat=2), r.out))
+    uf = UnionFind(r.n)
+    changed = True
     while changed:
         changed = False
-        for a in range(n):
-            ra = uf.find(a)
-            for b in range(n):
-                if uf.find(b) != ra:
-                    continue
-                u, v = r.apply(a, b)
-                for w in (u, v):
-                    if uf.find(w) != ra:
-                        uf.union(ra, w)
-                        ra = uf.find(a)
-                        changed = True
+        for (a, b), pair in cells:
+            root = uf.find(a)
+            for w in pair if root == uf.find(b) else ():
+                if uf.find(w) != root:
+                    uf.union(root, w)
+                    root = uf.find(a)
+                    changed = True
     groups: dict[int, list[int]] = {}
-    for x in range(n):
+    for x in range(r.n):
         groups.setdefault(uf.find(x), []).append(x)
-    partition = SetPartition(n, tuple(tuple(g) for g in groups.values()))
-    biconnected = len(partition) == 1 and n >= 1
-
-    ess: Optional[bool]
-    if n > limits.two_part_split:
-        ess = None
-    else:
-        ess = True
-        full = (1 << n) - 1
-        for mask in range(1, 1 << (n - 1) if n else 1):
-            other = full ^ mask
-            if other == 0:
-                continue
-            if _two_part_closed(r, mask) and _two_part_closed(r, other):
-                ess = False
-                break
-    return DecompositionReport(partition, biconnected, ess)
+    partition = SetPartition(r.n, tuple(tuple(g) for g in groups.values()))
+    k = len(partition)
+    ess = None if k > limits.two_part_split else k <= 1 or not _splits(cells, partition)
+    return DecompositionReport(partition, k == 1, ess)
 
 
-def _two_part_closed(r: RMap, mask: int) -> bool:
-    n = r.n
-    members = [x for x in range(n) if mask >> x & 1]
-    for a in members:
-        for b in members:
-            u, v = r.apply(a, b)
-            if not (mask >> u & 1) or not (mask >> v & 1):
-                return False
-    return True
+def _splits(cells, partition: SetPartition) -> bool:
+    # reach[i][j]: the blocks, as a bit mask, that R sends block i x block j into
+    k, owner = len(partition), partition.block_of()
+    reach = [[0] * k for _ in range(k)]
+    for (a, b), (u, v) in cells:
+        reach[owner[a]][owner[b]] |= 1 << owner[u] | 1 << owner[v]
+
+    def closed(mask: int) -> bool:
+        members = [i for i in range(k) if mask >> i & 1]
+        return not any(reach[i][j] & ~mask for i in members for j in members)
+    full = (1 << k) - 1
+    return any(closed(mask) and closed(full ^ mask) for mask in range(1, 1 << k >> 1))

@@ -736,6 +736,28 @@ def test_one_grid_pool_guard_refuses_before_building():
         assert next(_magma_raw_stream(query, DEFAULT_LIMITS)).shape[1] == query.n ** 2
 
 
+def test_one_grid_pool_guard_counts_every_pool(monkeypatch):
+    monkeypatch.setattr(census, "_ONE_GRID_POOL", 100)
+    # the 120 permutations on 5 points are over the limit, the 76 involutions on 6 are not
+    with pytest.raises(GuardExceeded, match="over 120 permutations refused; the pool limit is 100"):
+        enumerate_structures(CensusQuery(5, (MagmaLaw.RIGHT_PLONKA,), predicates=("right_simple",)))
+    query = CensusQuery(6, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))
+    assert enumerate_structures(query).row.class_count == 164
+    with pytest.raises(GuardExceeded, match="all 256 self-maps refused"):
+        enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_PLONKA,)))
+
+
+def test_generic_sweeps_are_bounded_by_their_tables():
+    # 3**9 magma tables on 3 points and 2**8 bi-magmas on 2 points are swept
+    assert enumerate_structures(CensusQuery(3, (MagmaLaw.ASSOCIATIVE,))).row.raw_count > 0
+    query = CensusQuery(2, bimagma_laws=(BiMagmaLaw.YANG_BAXTER_BIMAGMA,))
+    assert enumerate_structures(query).row.raw_count > 0
+    with pytest.raises(GuardExceeded, match=f"generic table sweep of {4 ** 16} tables refused"):
+        enumerate_structures(CensusQuery(4, (MagmaLaw.ASSOCIATIVE,)))
+    with pytest.raises(GuardExceeded, match=f"generic bi-magma sweep of {3 ** 18} tables refused"):
+        enumerate_structures(CensusQuery(3, bimagma_laws=(BiMagmaLaw.YANG_BAXTER_BIMAGMA,)))
+
+
 def test_involutory_raw_count_closed_form():
     assert [census._involutory_raw_count(n) for n in range(1, 9)] == \
         [1, 2, 10, 70, 916, 16636, 494824, 20486432]

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily,
-                   bi_plonka_partition, canonical_correspondence, flip_map,
-                   identity_rmap, lyubashenko_rmap, parse_structure, serialize, serialize_json,
-                   trivial_bimagma)
-from ybmag import RMap, census, plonka
+from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, OdometerSolution,
+                   OdometerTriple, bi_plonka_partition, build_solution,
+                   canonical_correspondence, flip_map, identity_rmap, lyubashenko_rmap,
+                   parse_structure, serialize, serialize_json, trivial_bimagma)
+from ybmag import RMap, census, cli, plonka
 from ybmag.cli import main, witness_line
 from ybmag.formats import ParseError
 from ybmag.laws import MagmaLaw, RMapLaw
@@ -229,6 +229,46 @@ def test_report_command(capsys):
     lines = out.splitlines()
     assert lines[0] == "biconnected false"
     assert lines[1] == "ess_indecomposable false"
+
+
+def test_report_answers_above_sixteen_points(capsys, tmp_path):
+    # one finest block on 18 points: the split search has nothing to group
+    path = tmp_path / "odometer18.txt"
+    path.write_text(serialize(build_solution(OdometerSolution(OdometerTriple(6, 3, 1)))))
+    code, out, _ = run(capsys, "report", str(path))
+    assert code == 0
+    assert out.splitlines() == ["biconnected true", "ess_indecomposable true",
+                                "block 0: " + " ".join(map(str, range(18)))]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    argvs = [["check", "--law", "right-plonka", str(GOLDEN / "left_zero_2.txt")],
+             ["report", str(GOLDEN / "flip_2.txt")],
+             ["check", "--law", "no-such-law", str(GOLDEN / "flip_2.txt")],
+             ["census", "--n", "two"],
+             ["simple", "--help"],
+             ["decompose", "--extremity", "finest", str(GOLDEN / "left_zero_2.txt")],
+             ["--help"],
+             ["simple", str(GOLDEN / "flip_2.txt")]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    shared = [call(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0, 0]
+    assert "usage: ybmag census" in shared[3][2] and "usage: ybmag simple" in shared[4][1]
 
 
 def test_classify_odometer_command(capsys):

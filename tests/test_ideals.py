@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, IdealKind,
-                   RMap, Verdict, Witness, canonical_correspondence,
+                   OdometerSolution, OdometerTriple, RMap, RightPlonkaOppositeSolution,
+                   Verdict, Witness, build_solution, canonical_correspondence,
                    cyclic_group_table, decomposition_report, element_closure,
-                   flip_map, identity_rmap, ideals, is_incompressible,
+                   flip_map, free_k_cyclic, identity_rmap, ideals, is_incompressible,
                    is_simple, left_zero_table, lyubashenko_rmap,
                    magma_from_function, rees_quotient)
 from ybmag.core import VERDICT_OK, GuardExceeded, Limits
@@ -278,6 +279,128 @@ def test_biconnected_iff_connected_lyubashenko_pair(plonka_corpus):
     f, g = (1, 0, 2), (0, 2, 1)  # x.y = f(x) and x*y = g(y), but fg != gf
     shaped = BiMagma(CayleyTable(3, tuple((v,) * 3 for v in f)), CayleyTable(3, (g,) * 3))
     assert lyubashenko_pair(shaped) is None
+
+
+# ---------------------------------------------------------------------------
+# the block-grouping split search against the search of every point subset
+
+
+def _point_subset_report(r: RMap):
+    """(blocks, biconnected, ess_indecomposable) by the search of every
+    subset of points: the finest partition closed on squares by merging
+    labels, and a split wherever a subset and its complement are both
+    closed on their squares.  2**(n-1) subsets, so only for n <= 16."""
+    n = r.n
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.product(range(n), repeat=2):
+            for w in r.apply(a, b) if label[a] == label[b] else ():
+                if label[w] != label[a]:
+                    label = [label[a] if v == label[w] else v for v in label]
+                    changed = True
+    blocks = sorted(tuple(x for x in range(n) if label[x] == v) for v in set(label))
+
+    def closed(mask):
+        members = [x for x in range(n) if mask >> x & 1]
+        return all(mask >> w & 1 for a in members for b in members for w in r.apply(a, b))
+    full = (1 << n) - 1
+    ess = not any(closed(mask) and closed(full ^ mask) for mask in range(1, 1 << n >> 1))
+    return tuple(blocks), len(blocks) == 1, ess
+
+
+def _report(r: RMap, limits: Limits = Limits()):
+    rep = decomposition_report(r, limits)
+    return rep.finest_valid_partition.blocks, rep.biconnected, rep.ess_indecomposable
+
+
+def _planted_blocks(rng: random.Random, sizes, local: float) -> RMap:
+    """An R-map whose finest blocks are consecutive runs of the given sizes:
+    on a block's square R(a, b) is (the next point of the block, a random
+    one), which merges the block and stays in it; a pair across two blocks
+    goes into their union with probability ``local``, else anywhere."""
+    n = sum(sizes)
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    members = [[x for x in range(n) if block[x] == i] for i in range(len(sizes))]
+    out = []
+    for a, b in itertools.product(range(n), repeat=2):
+        if block[a] == block[b]:
+            run = members[block[a]]
+            out.append((run[(run.index(a) + 1) % len(run)], rng.choice(run)))
+        else:
+            pool = members[block[a]] + members[block[b]] if rng.random() < local else range(n)
+            out.append((rng.choice(pool), rng.choice(pool)))
+    return RMap(n, tuple(out))
+
+
+def test_split_search_matches_point_subsets_on_two_points():
+    for cells in itertools.product(itertools.product(range(2), repeat=2), repeat=4):
+        r = RMap(2, cells)
+        assert _report(r) == _point_subset_report(r), r
+
+
+def test_split_search_matches_point_subsets_on_random_rmaps():
+    rng = random.Random(22)
+    for n in range(3, 8):
+        for _ in range(60):
+            r = RMap(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n * n)))
+            assert _report(r) == _point_subset_report(r), r
+
+
+def test_split_search_matches_point_subsets_on_planted_blocks():
+    rng = random.Random(23)
+    kinds = set()
+    for k in (2, 3, 4):
+        for _ in range(120):
+            sizes = [rng.randint(1, 3) for _ in range(k)]
+            r = _planted_blocks(rng, sizes, rng.choice((0.5, 0.8, 0.95)))
+            expected = _point_subset_report(r)
+            assert _report(r) == expected, r
+            assert len(expected[0]) == k
+            kinds.add((k, expected[2]))
+    # two blocks are always a split; from three on, some pair of blocks may
+    # reach a third, so both answers occur
+    assert kinds == {(2, False), (3, False), (3, True), (4, False), (4, True)}
+
+
+def test_split_search_matches_point_subsets_on_builders():
+    structures = [build_solution(RightPlonkaOppositeSolution(free_k_cyclic(*spec).table))
+                  for spec in ((1, 5, False), (2, 2, True), (2, 2, False), (2, 3, True),
+                               (2, 4, True), (2, 5, True), (3, 2, True))]
+    structures += [build_solution(OdometerSolution(OdometerTriple(m, n, d)))
+                   for m in range(1, 9) for n in range(1, 9 // m + 1) for d in range(1, m + 1)]
+    structures += [build_solution(OdometerSolution(OdometerTriple(*t)))
+                   for t in ((3, 4, 2), (4, 3, 3), (4, 4, 1), (2, 8, 2), (16, 1, 5), (1, 16, 1))]
+    for r in structures:
+        assert _report(r) == _point_subset_report(r), r
+
+
+@given(rmaps(max_n=6))
+@settings(max_examples=200)
+def test_split_search_matches_point_subsets_property(r):
+    assert _report(r) == _point_subset_report(r)
+
+
+def test_split_search_counts_blocks_above_sixteen_points():
+    odometer = decomposition_report(build_solution(OdometerSolution(OdometerTriple(6, 3, 1))))
+    assert odometer.finest_valid_partition.n == 18
+    assert odometer.biconnected and odometer.ess_indecomposable is True
+    for r in (identity_rmap(17), flip_map(17)):   # 17 singleton blocks
+        assert decomposition_report(r).ess_indecomposable is None
+    rng = random.Random(24)
+    answers = set()
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            sizes = [rng.randint(1, 20 // k) for _ in range(k)]
+            sizes[0] += max(0, 17 - sum(sizes))   # above 16 points
+            r = _planted_blocks(rng, sizes, rng.choice((0.5, 0.95)))
+            assert decomposition_report(r, Limits(two_part_split=k - 1)).ess_indecomposable is None
+            rep = decomposition_report(r, Limits(two_part_split=k))
+            assert len(rep.finest_valid_partition) == k and rep.biconnected == (k == 1)
+            assert rep.ess_indecomposable in (True, False)
+            answers.add((k > 1, rep.ess_indecomposable))
+    assert answers == {(False, True), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------
