@@ -8,17 +8,19 @@ search runs one column at a time over numpy frontiers of partial tables,
 each with its chosen and forced pool indices and the packed bit mask of
 the pool entries that commute with every chosen column; a forced column
 costs one bit test, and only the free states' masks are unpacked into
-candidates.  A one-grid pool is refused above 6**6 maps, and the raw count
-of right involutory Plonka magmas is checked against a closed labelled
-count.  Tables travel as uint8 stacks from the search (up to 1024 a stack)
-or the sweep of every table (one stack) to the orbit dedupe.  A table
-failing a law the search guarantees (right Plonka, band, the column order;
-Plonka bi-magma and, by the structure theorem, BLS) raises CrossCheckFailed,
-the query's other laws filter whole stacks through the batch checkers, which
-run every equational law through the term table of ``laws`` and recheck right
-Plonka and k-cyclic once per distinct column of a stack, and objects are
-built only for representatives, the cancellation, quasigroup and totality
-magma laws, right_simple and skew_left_brace.  ``CensusStats`` counts what
+candidates.  A one-grid pool is counted before any row is built and refused
+above 6**6 maps, and the raw count of right involutory Plonka magmas is
+checked against a closed labelled count.  Tables travel as uint8 stacks
+from the search (up to 1024 a stack) or the sweep of every table (one
+stack) to the orbit dedupe, a magma stack as (T, 1, n, n), the one-grid
+case of a bi-magma stack (T, 2, n, n).  A table failing a law the search
+guarantees (right Plonka, band, the column order; Plonka bi-magma and, by
+the structure theorem, BLS) raises CrossCheckFailed, the query's other laws
+filter whole stacks, both through the one batch checker of ``laws``, which
+runs every equational law through its term table and rechecks right Plonka
+and k-cyclic once per distinct column of a stack, and objects are built
+only for representatives, the cancellation, quasigroup and totality magma
+laws, right_simple and skew_left_brace.  ``CensusStats`` counts what
 each phase did and times it.  A query of left laws is held to the literature
 and closed counts of its transpose.  Isomorph rejection
 reads a stack's rows as byte strings and gathers each new table's
@@ -51,10 +53,9 @@ from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits
 from .families import (FunctionFamily, OdometerTriple, _partitions, count_incompressible,
                        is_incompressible)
 from .ideals import IdealKind, is_simple
-from .laws import (BIMAGMA_BATCH_LAWS, MAGMA_BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw,
-                   _codes, _power, check_bimagma_law, check_bimagma_laws_batch,
-                   check_magma_law, check_magma_laws_batch)
-from .plonka import UnionFind
+from .laws import (BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw, _codes, _distinct_rows, _power,
+                   check_bimagma_law, check_laws_batch, check_magma_law)
+from .plonka import connected_components
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +142,19 @@ def _function_pool(n: int, orders_dividing: Optional[int], permutations_only: bo
     return perms[(_power(perms, orders_dividing) == np.arange(n)).all(1)]
 
 
+def _pool_size(n: int, orders_dividing: Optional[int], permutations_only: bool) -> int:
+    """The number of rows ``_function_pool`` returns, counted without
+    building any: n^n self-maps, n! permutations, or the permutations whose
+    cycle lengths all divide ``orders_dividing``, n!/z for each such cycle
+    type, z the order of its centralizer."""
+    if orders_dividing is None:
+        return math.factorial(n) if permutations_only else n ** n
+    return sum(math.factorial(n) // math.prod(c ** m * math.factorial(m)
+                                              for _, c, m in _cycle_blocks(cycle_type))
+               for cycle_type in _partitions(n)
+               if all(orders_dividing % c == 0 for c in cycle_type))
+
+
 # bytes per frontier chunk, a state costing its packed commute mask and some
 # 32 bytes per cell of its column for its own and its children's index arrays;
 # composed map cells per batch of commute rows
@@ -179,10 +193,9 @@ def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
     size, k = grid.shape[:2]
     # the distinct maps of all grids (entries commute when all their maps
     # do), with fixed points added up to a multiple of 8 points
-    every = grid.reshape(size * k, n)
-    _, first, which = np.unique(_codes(every, n), return_index=True, return_inverse=True)
+    distinct, which = _distinct_rows(grid.reshape(size * k, n), n)
     pad = np.arange(n, -(-n // 8) * 8, dtype=np.uint8)
-    maps = np.concatenate((every[first], np.broadcast_to(pad, (len(first), len(pad)))), 1)
+    maps = np.concatenate((distinct, np.broadcast_to(pad, (len(distinct), len(pad)))), 1)
     which = which.reshape(size, k)
     width = -(-size // 8)
     rows = np.empty((size, width), dtype=np.uint8)   # commute rows, filled as needed
@@ -468,11 +481,11 @@ def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], shape: tuple[in
     table outside a mask of ``checks`` (noun, laws, mask) raises; the query's
     laws not ``guaranteed`` are checked on the whole stack where a kernel
     covers them, else on an object built per table."""
-    n, bimagma = query.n, bool(query.bimagma_laws or query.rmap_laws)
+    n = query.n
     stats = CensusStats() if stats is None else stats
     residual = [law for law in query.magma_laws + query.bimagma_laws + query.rmap_laws
                 if law not in guaranteed]
-    batched = [law for law in residual if law in MAGMA_BATCH_LAWS | BIMAGMA_BATCH_LAWS]
+    batched = [law for law in residual if law in BATCH_LAWS]
     others = [law for law in residual if law not in batched]
     for stack in _recorded(stacks, stats):
         start = time.perf_counter()
@@ -484,8 +497,7 @@ def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], shape: tuple[in
                                        f"that fails {laws}")
         stats.raw_tables += len(stack)
         if batched:
-            ok = check_bimagma_laws_batch(stack, batched) if bimagma else \
-                check_magma_laws_batch(stack, batched, query.k)
+            ok = check_laws_batch(stack, batched, query.k)
             stats.batch_rejects += len(stack) - int(ok.sum())
             stack = stack[ok]
         stack = stack.reshape(len(stack), math.prod(shape))
@@ -531,7 +543,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
         # the searched columns are the query's rows, so only its left laws (and
         # band) may cut them; its right laws and right_simple are residual
         laws = {_MIRROR[law] for law in laws if law in _MIRROR}
-    flip = (lambda stack: stack.transpose(0, 2, 1)) if transpose else np.asarray
+    flip = (lambda stack: stack.transpose(0, 1, 3, 2)) if transpose else np.asarray
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
             raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
@@ -539,18 +551,16 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
                   else query.k if MagmaLaw.K_CYCLIC in laws else None)
         band = MagmaLaw.BAND in laws or MagmaLaw.TWO_CYCLIC in laws
         permutations = "right_simple" in query.predicates and not transpose
-        if orders is None and not permutations and n ** n > _ONE_GRID_POOL:
-            raise GuardExceeded(f"column search over all {n ** n} self-maps refused; "
+        if (size := _pool_size(n, orders, permutations)) > _ONE_GRID_POOL:
+            maps = f"all {size} self-maps" if orders is None and not permutations \
+                else f"{size} permutations"
+            raise GuardExceeded(f"column search over {maps} refused; "
                                 f"the pool limit is {_ONE_GRID_POOL} maps")
-        pool = _function_pool(n, orders, permutations)
-        if len(pool) > _ONE_GRID_POOL:
-            raise GuardExceeded(f"column search over {len(pool)} permutations refused; "
-                                f"the pool limit is {_ONE_GRID_POOL} maps")
-        tables = _iter_plonka_tables(n, pool, band)
+        tables = _iter_plonka_tables(n, _function_pool(n, orders, permutations), band)
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
         checks = [("table", "+".join(law.value for law in searched), lambda stack:
-                   check_magma_laws_batch(flip(stack), searched, orders))]
+                   check_laws_batch(flip(stack), searched, orders))]
         # the query's laws that the searched ones imply when present
         if transpose:
             guaranteed = {MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND, MagmaLaw.LEFT_INVOLUTORY}
@@ -564,7 +574,7 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
             raise GuardExceeded(f"generic table sweep of {n ** (n * n)} tables refused (limit "
                                 f"{_GENERIC_SWEEP}); add right_plonka for the pruned search")
         tables, checks, guaranteed = [_product_rows(n, n * n)], [], set()
-    return _survivors(query, tables, (n, n), checks, guaranteed, flip, stats)
+    return _survivors(query, tables, (1, n, n), checks, guaranteed, flip, stats)
 
 
 def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
@@ -587,7 +597,7 @@ def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
         shape = (n, n, 2)
         guaranteed = [BiMagmaLaw.PLONKA_BIMAGMA] + [RMapLaw.BLS] * (RMapLaw.BLS in query.rmap_laws)
         checks = [("Plonka bi-magma" if law is RMapLaw.BLS else "bi-magma", law.value,
-                   lambda stack, law=law: check_bimagma_laws_batch(stack, (law,)))
+                   lambda stack, law=law: check_laws_batch(stack, (law,)))
                   for law in guaranteed]
 
         def split(stack: np.ndarray) -> np.ndarray:   # cell (x, y) is dot[x][y], star[y][x]
@@ -857,13 +867,6 @@ def _connected_mapping_patterns(limit: int) -> list[int]:
     return connected.tolist()
 
 
-def _is_connected_map(f: tuple[int, ...], n: int) -> bool:
-    uf = UnionFind(n)
-    for x in range(n):
-        uf.union(x, f[x])
-    return n == 0 or len({uf.find(x) for x in range(n)}) == 1
-
-
 def function_conjugacy_census(n: int, connected_only: bool = False,
                               limits: Limits = DEFAULT_LIMITS) -> int:
     """Conjugacy classes of self-maps on n points (n = 0 counts the empty
@@ -884,7 +887,8 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
     orbit_count = 0
     for code in _unseen_indices(unseen):
         f = np.array(np.unravel_index(code, (n,) * n), dtype=np.uint8)
-        if not connected_only or _is_connected_map(tuple(f.tolist()), n):
+        if not connected_only or \
+                len(connected_components(n, [FiniteFunction(n, tuple(f.tolist()))]).blocks) <= 1:
             orbit_count += 1
         # the images p f p^-1 under every relabelling p
         unseen[_codes(np.take_along_axis(perms, f[inverses], 1), n)] = False

@@ -7,24 +7,24 @@ applied to slots of a pair or triple read as the tuple of terms it leaves in
 the slots.  A law is a list of groups of pieces over pairs, triples or single
 points, each group compiled once into a register program whose dot and star
 reads share one cell index.  One array evaluator runs these programs on
-stacks of tables: for ``check_magma_laws_batch`` and
-``check_bimagma_laws_batch`` on census stacks, and for every single check,
-on carriers of any size.  A failing check returns the lexicographically
-first violating input together with both evaluated sides, so a failure
-message is self-contained and reproducible: a single check evaluates the
-input (0, ..., 0) on its own, where most failing structures fail, then the
-arrays in slabs of about ``_SLAB_TRIPLES`` inputs, and re-evaluates the
-first failing input on plain ints for the witness.
+stacks of tables: for ``check_laws_batch`` on census stacks of shape
+(T, grids, n, n), a magma being the one-grid case of a bi-magma, and for
+every single check, on carriers of any size.  A failing check returns the
+lexicographically first violating input together with both evaluated sides,
+so a failure message is self-contained and reproducible: a single check
+evaluates the input (0, ..., 0) on its own, where most failing structures
+fail, then the arrays in slabs of about ``_SLAB_TRIPLES`` inputs, and
+re-evaluates the first failing input on plain ints for the witness.
 
 Two kernels stay outside the term table, and on stacks both run once per
 distinct column, the columns told apart by one lexsort: right Plonka by
 whole columns, which must commute (composed once per pair of distinct
 columns that share a table) and name column y at y.z, and k-cyclic by
 repeated squaring of the columns, since a k-fold term nests k deep.  The
-batch checkers refuse a stack with an entry outside the carrier before any
-gather.  Cancellation, totality, bijectivity, diagonality,
-nondegeneracy, the Lyubashenko form and skew braces are not equations in the
-two products and keep checks of their own.
+batch checker refuses a stack with an entry outside the carrier before any
+gather.  Cancellation, totality, bijectivity, nondegeneracy, the Lyubashenko
+form and skew braces are not equations in the two products and keep checks
+of their own.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def _compiled(table: dict) -> dict:
 # each equational law as its groups, each group an arity and its (kind, lhs,
 # rhs) pieces; a law holds when every group does, and its witness is that of
 # the first failing group
-_MAGMA_TERMS = _compiled({
+_TERMS = _compiled({
     MagmaLaw.RIGHT_PLONKA: [(3, [
         _equation("right_commutation", _dot(_dot(_X, _Y), _Z), _dot(_dot(_X, _Z), _Y)),
         _equation("right_reduction", _dot(_X, _dot(_Y, _Z)), _dot(_X, _Y))])],
@@ -277,10 +277,6 @@ _MAGMA_TERMS = _compiled({
         _equation("associative", _dot(_dot(_X, _Y), _Z), _dot(_X, _dot(_Y, _Z)))])],
     # a failing pair (y, x) with x < y comes after the failing pair (x, y)
     MagmaLaw.COMMUTATIVE: [(2, [_equation("commutative", _dot(_X, _Y), _dot(_Y, _X))])],
-})
-_MAGMA_TERMS[MagmaLaw.TWO_CYCLIC] = sum((_MAGMA_TERMS[law] for law in (
-    MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.RIGHT_INVOLUTORY)), ())
-_BIMAGMA_TERMS = _compiled({
     BiMagmaLaw.PLONKA_BIMAGMA: [(3, [
         _equation("dot_right_commutation", _dot(_dot(_X, _Y), _Z), _dot(_dot(_X, _Z), _Y)),
         _equation("dot_right_reduction", _dot(_X, _dot(_Y, _Z)), _dot(_X, _Y)),
@@ -297,20 +293,21 @@ _BIMAGMA_TERMS = _compiled({
                   _dot(_star(_X, _Y), _star(_dot(_X, _Y), _Z))),
         _equation("yb3", _star(_X, _star(_Y, _Z)),
                   _star(_star(_X, _Y), _star(_dot(_X, _Y), _Z)))])],
-})
-_BIMAGMA_TERMS[BiMagmaLaw.UNITARY_PLONKA_BIMAGMA] = _BIMAGMA_TERMS[BiMagmaLaw.PLONKA_BIMAGMA] + (
-    _compile(2, [_equation("unitary_pairing", _dot(_star(_X, _Y), _X), _Y)]),)
-# The BLS law is the commutative, cocommutative and long laws together; a
-# pair law compares a chain with the empty one: involutive is R R = id,
-# unitary R R^21 = id, after a bijectivity check.
-_RMAP_TERMS = _compiled({
+    # the BLS law is the commutative, cocommutative and long laws together; a
+    # pair law compares a chain with the empty one: involutive is R R = id,
+    # unitary R R^21 = id, after a bijectivity check
     **{law: [(3, [(law.value, _chain(lhs, 3), _chain(rhs, 3))])]
        for law, (lhs, rhs) in _TRIPLE_LAWS.items()},
     RMapLaw.BLS: [(3, [(f"bls:{law.value}", *(_chain(side, 3) for side in _TRIPLE_LAWS[law]))
                        for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)])],
     RMapLaw.INVOLUTIVE: [(2, [("involutive", _chain((_R12, _R12), 2), _chain((), 2))])],
     RMapLaw.UNITARY: [(2, [("unitary", _chain(((1, 0), _R12), 2), _chain((), 2))])],
+    RMapLaw.DIAGONAL: [(1, [("diagonal", (_dot(_X, _X), _star(_X, _X)), (_X, _X))])],
 })
+_TERMS[MagmaLaw.TWO_CYCLIC] = sum((_TERMS[law] for law in (
+    MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.RIGHT_INVOLUTORY)), ())
+_TERMS[BiMagmaLaw.UNITARY_PLONKA_BIMAGMA] = _TERMS[BiMagmaLaw.PLONKA_BIMAGMA] + (
+    _compile(2, [_equation("unitary_pairing", _dot(_star(_X, _Y), _X), _Y)]),)
 
 
 # ---------------------------------------------------------------------------
@@ -435,45 +432,6 @@ def _k_cyclic_witness(m: CayleyTable, k: int) -> Optional[Witness]:
     return Witness(f"k_cyclic[{k}]", (x, y), int(power[x, y]), x)
 
 
-# the laws the batch checkers cover
-MAGMA_BATCH_LAWS = frozenset({MagmaLaw.K_CYCLIC, *_MAGMA_TERMS})
-
-
-def _check_entries(stack: np.ndarray, n: int, noun: str) -> None:
-    """Refuse a stack with an entry outside 0..n-1, before any gather, which
-    would read it as a cell of another structure or past the stack's end."""
-    if stack.size and (stack.min() < 0 or stack.max() >= n):
-        bad = ((stack < 0) | (stack >= n)).reshape(len(stack), -1).any(1)
-        raise ValueError(f"{noun} {int(bad.argmax())} of the stack has an entry outside "
-                         f"0..{n - 1}")
-
-
-def check_magma_laws_batch(stack: np.ndarray, laws: Iterable[MagmaLaw],
-                           k: Optional[int] = None) -> np.ndarray:
-    """Evaluate magma laws on a stack of tables at once: ``stack[b, x, y]``
-    is x.y in table b.  Returns a boolean per table, true where every law in
-    ``laws`` holds; each law's verdict agrees with ``check_magma_law``.
-    Covers ``MAGMA_BATCH_LAWS``, every equational magma law: right Plonka by
-    whole columns and k-cyclic (which needs ``k``) by repeated squaring of
-    the columns, both once per distinct column of the stack, and the others
-    through the term table's array evaluator.  A stack with an entry outside
-    0..n-1 raises ``ValueError``."""
-    count, n = stack.shape[:2]
-    laws = list(laws)
-    for law in laws:
-        if law not in MAGMA_BATCH_LAWS:
-            raise ValueError(f"no batch check for {law!r}")
-        if law is MagmaLaw.K_CYCLIC:
-            _check_k(k)
-    _check_entries(stack, n, "table")
-    by_columns = {MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC} & set(laws)
-    ok = _column_laws_hold(stack, by_columns, k) if by_columns else np.ones(count, dtype=bool)
-    for law in laws:
-        if law not in by_columns:
-            ok &= _groups_hold((stack.reshape(-1),), count, n, _MAGMA_TERMS[law])
-    return ok
-
-
 def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> Verdict:
     """Evaluate one magma law exhaustively over the table."""
     if law is MagmaLaw.K_CYCLIC:
@@ -481,8 +439,8 @@ def check_magma_law(m: CayleyTable, law: MagmaLaw, k: Optional[int] = None) -> V
         return _verdict(_k_cyclic_witness(m, k))
     if k is not None:
         raise ValueError("only k_cyclic takes a k parameter")
-    if law in _MAGMA_TERMS:
-        return _verdict(_first_failure((m.flat(),), m.n, _MAGMA_TERMS[law]))
+    if isinstance(law, MagmaLaw) and law in _TERMS:
+        return _verdict(_first_failure((m.flat(),), m.n, _TERMS[law]))
     t = m.table
     if law in (MagmaLaw.LEFT_CANCELLATIVE, MagmaLaw.LEFT_QUASIGROUP):
         return _verdict(_row_injective(t, law.value))
@@ -509,13 +467,6 @@ def _bijectivity_witness(r: RMap) -> Optional[Witness]:
     return None
 
 
-def _diagonal(r: RMap) -> Optional[Witness]:
-    for x in range(r.n):
-        if r.apply(x, x) != (x, x):
-            return Witness("diagonal", (x,), r.apply(x, x), (x, x))
-    return None
-
-
 def _nondegenerate(r: RMap, left_right: bool) -> Optional[Witness]:
     """Row injectivity of the dot and star tables of R(x, y) = (x.y, x*y):
     left translations are rows, right translations rows of the transpose."""
@@ -532,10 +483,8 @@ def check_rmap_law(r: RMap, law: RMapLaw) -> Verdict:
     """Evaluate one R-map law exhaustively (triple laws run over all n**3 inputs)."""
     if law is RMapLaw.UNITARY and (w := _bijectivity_witness(r)) is not None:
         return _verdict(w)
-    if law in _RMAP_TERMS:
-        return _verdict(_first_failure(tuple(zip(*r.out)), r.n, _RMAP_TERMS[law]))
-    if law is RMapLaw.DIAGONAL:
-        return _verdict(_diagonal(r))
+    if isinstance(law, RMapLaw) and law in _TERMS:
+        return _verdict(_first_failure(tuple(zip(*r.out)), r.n, _TERMS[law]))
     if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE:
         return _verdict(_nondegenerate(r, True))
     if law is RMapLaw.RIGHT_LEFT_NONDEGENERATE:
@@ -558,7 +507,7 @@ def group_structure(t) -> Optional[tuple[int, tuple[int, ...]]]:
     if identity is None:
         return None
     if _first_failure((tuple(v for row in t for v in row),), n,
-                      _MAGMA_TERMS[MagmaLaw.ASSOCIATIVE]) is not None:
+                      _TERMS[MagmaLaw.ASSOCIATIVE]) is not None:
         return None
     inv = [None] * n
     for x in range(n):
@@ -616,58 +565,86 @@ def _lyubashenko_form(d, s) -> Optional[Witness]:
     return None
 
 
-BIMAGMA_BATCH_LAWS = frozenset({*BiMagmaLaw, *RMapLaw} - {BiMagmaLaw.SKEW_LEFT_BRACE})
-
-
-def check_bimagma_laws_batch(stack: np.ndarray, laws: Iterable) -> np.ndarray:
-    """Evaluate bi-magma laws, and the R-map laws of R(x, y) = (x.y, x*y), on
-    a stack of bi-magmas at once: ``stack[b, 0, x, y]`` is x.y and
-    ``stack[b, 1, x, y]`` is x*y in bi-magma b.  Returns a boolean per
-    bi-magma, true where every law in ``laws`` holds; each verdict agrees
-    with ``check_bimagma_law`` or ``check_rmap_law``.  Covers
-    ``BIMAGMA_BATCH_LAWS``, every law but the skew brace one: the Plonka,
-    unitary Plonka and Yang-Baxter bi-magma laws and every R-map equation
-    through the term table's array evaluator (R R^21 = id makes R onto, so a
-    unitary R needs no bijectivity check here); the Lyubashenko form as dot
-    rows and star columns constant, x.y = f(x) and x*y = g(y), with f and g
-    commuting; R is diagonal when both diagonals are the identity and
-    nondegenerate when rows or columns are permutations."""
-    count, _, n = stack.shape[:3]
-    laws = list(laws)
-    for law in laws:
-        if law not in BIMAGMA_BATCH_LAWS:
-            raise ValueError(f"no batch check for {law!r}")
-    _check_entries(stack, n, "bi-magma")
-    ok = np.ones(count, dtype=bool)
-    dot, star = stack[:, 0], stack[:, 1]
-    tables = (dot.reshape(-1), star.reshape(-1))
-    points = np.arange(n)
-    for law in laws:
-        groups = _BIMAGMA_TERMS.get(law) or _RMAP_TERMS.get(law)
-        if groups:
-            ok &= _groups_hold(tables, count, n, groups)
-        elif law is BiMagmaLaw.LYUBASHENKO_FORM:
-            f, g = dot[:, :, :1], star[:, :1]                # x.0 and 0*y
-            ok &= _holds(dot == f) & _holds(star == g)
-            f, g = f.reshape(count, n), g.reshape(count, n)
-            ok &= _holds(np.take_along_axis(f, g, 1) == np.take_along_axis(g, f, 1))
-        elif law is RMapLaw.DIAGONAL:
-            ok &= _holds(stack[:, :, points, points] == points)   # both diagonals
-        else:
-            # the dot's rows and the star's columns, or the reverse, are injective
-            rows, columns = (dot, star) if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE else (star, dot)
-            ok &= _holds(np.sort(rows, 2) == points)
-            ok &= _holds(np.sort(columns, 1) == points[:, None])
-    return ok
-
-
 def check_bimagma_law(b: BiMagma, law: BiMagmaLaw) -> Verdict:
     """Evaluate one bi-magma law exhaustively over both tables."""
-    if law in _BIMAGMA_TERMS:
-        return _verdict(_first_failure((b.dot.flat(), b.star.flat()), b.n, _BIMAGMA_TERMS[law]))
+    if isinstance(law, BiMagmaLaw) and law in _TERMS:
+        return _verdict(_first_failure((b.dot.flat(), b.star.flat()), b.n, _TERMS[law]))
     d, s = b.dot.table, b.star.table
     if law is BiMagmaLaw.SKEW_LEFT_BRACE:
         return _verdict(_skew_left_brace(d, s))
     if law is BiMagmaLaw.LYUBASHENKO_FORM:
         return _verdict(_lyubashenko_form(d, s))
     raise ValueError(f"unknown bi-magma law {law!r}")
+
+
+# ---------------------------------------------------------------------------
+# batch checks on stacks of one or two grids
+
+
+def _check_entries(stack: np.ndarray, n: int, noun: str) -> None:
+    """Refuse a stack with an entry outside 0..n-1, before any gather, which
+    would read it as a cell of another structure or past the stack's end."""
+    if stack.size and (stack.min() < 0 or stack.max() >= n):
+        bad = ((stack < 0) | (stack >= n)).reshape(len(stack), -1).any(1)
+        raise ValueError(f"{noun} {int(bad.argmax())} of the stack has an entry outside "
+                         f"0..{n - 1}")
+
+
+# the laws the batch checker covers
+BATCH_LAWS = frozenset({MagmaLaw.K_CYCLIC, *_TERMS, *BiMagmaLaw, *RMapLaw}
+                       - {BiMagmaLaw.SKEW_LEFT_BRACE})
+
+
+def check_laws_batch(stack: np.ndarray, laws: Iterable, k: Optional[int] = None) -> np.ndarray:
+    """Evaluate laws on a stack of structures at once: ``stack[b, g, x, y]``
+    is x.y in grid g of structure b, a magma's one table or a bi-magma's dot
+    (g = 0) and star (g = 1) tables.  A magma law needs one grid, a
+    bi-magma law or an R-map law of R(x, y) = (x.y, x*y) two.  Returns a
+    boolean per structure, true where every law in ``laws`` holds; each
+    verdict agrees with ``check_magma_law``, ``check_bimagma_law`` or
+    ``check_rmap_law``.  Covers ``BATCH_LAWS``: every magma law that is an
+    equation and every bi-magma and R-map law but the skew brace one.
+    Right Plonka is checked by whole columns and k-cyclic (which needs
+    ``k``) by repeated squaring of the columns, both once per distinct
+    column of the stack; the other equations through the term table's array
+    evaluator (R R^21 = id makes R onto, so a unitary R needs no bijectivity
+    check here); the Lyubashenko form as dot rows and star columns
+    constant, x.y = f(x) and x*y = g(y), with f and g commuting; R is
+    nondegenerate when rows or columns are permutations.  Any other pairing
+    of laws and grids, or a stack with an entry outside 0..n-1, raises
+    ``ValueError``."""
+    if stack.ndim != 4:
+        raise ValueError(f"a stack has shape (T, grids, n, n), got {stack.shape}")
+    count, grids, n = stack.shape[:3]
+    laws = list(laws)
+    for law in laws:
+        if law not in BATCH_LAWS:
+            raise ValueError(f"no batch check for {law!r}")
+        if grids != (1 if isinstance(law, MagmaLaw) else 2):
+            raise ValueError(f"{law!r} has no batch check on {grids} grids")
+        if law is MagmaLaw.K_CYCLIC:
+            _check_k(k)
+    _check_entries(stack, n, "table" if grids == 1 else "bi-magma")
+    by_columns = {MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC} & set(laws)
+    ok = _column_laws_hold(stack[:, 0], by_columns, k) if by_columns else \
+        np.ones(count, dtype=bool)
+    tables = tuple(stack[:, g].reshape(-1) for g in range(grids))
+    points = np.arange(n)
+    for law in laws:
+        if law in by_columns:
+            continue
+        if law in _TERMS:
+            ok &= _groups_hold(tables, count, n, _TERMS[law])
+            continue
+        dot, star = stack[:, 0], stack[:, 1]
+        if law is BiMagmaLaw.LYUBASHENKO_FORM:
+            f, g = dot[:, :, :1], star[:, :1]                # x.0 and 0*y
+            ok &= _holds(dot == f) & _holds(star == g)
+            f, g = f.reshape(count, n), g.reshape(count, n)
+            ok &= _holds(np.take_along_axis(f, g, 1) == np.take_along_axis(g, f, 1))
+        else:
+            # the dot's rows and the star's columns, or the reverse, are injective
+            rows, columns = (dot, star) if law is RMapLaw.LEFT_RIGHT_NONDEGENERATE else (star, dot)
+            ok &= _holds(np.sort(rows, 2) == points)
+            ok &= _holds(np.sort(columns, 1) == points[:, None])
+    return ok

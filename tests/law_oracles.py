@@ -244,6 +244,14 @@ def involutive(r):
     return None
 
 
+def diagonal(r):
+    """R at each pair (x, x)."""
+    for x in range(r.n):
+        if r.apply(x, x) != (x, x):
+            return Witness("diagonal", (x,), r.apply(x, x), (x, x))
+    return None
+
+
 RMAP_ORACLES = {
     **{law: (lambda r, law=law: chain_law(r, 3, [(law.value, *TRIPLE_CHAINS[law])]))
        for law in TRIPLE_CHAINS},
@@ -252,4 +260,5 @@ RMAP_ORACLES = {
         for law in (RMapLaw.COMMUTATIVE, RMapLaw.COCOMMUTATIVE, RMapLaw.LONG)]),
     RMapLaw.INVOLUTIVE: involutive,
     RMapLaw.UNITARY: unitary,
+    RMapLaw.DIAGONAL: diagonal,
 }

@@ -18,13 +18,13 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    minimal_image, rebuild, structured_iso)
 from ybmag import census
 from ybmag.census import (CensusStats, _bimagma_raw_stream, _centralizer,
-                          _centralizer_generators, _function_pool, _is_connected_map,
-                          _iter_plonka_tables, _magma_raw_stream, _orbit, _orbit_dedupe,
-                          _perm_from_cycle_type, _relabelling_gather)
+                          _centralizer_generators, _function_pool, _iter_plonka_tables,
+                          _magma_raw_stream, _orbit, _orbit_dedupe, _perm_from_cycle_type,
+                          _relabelling_gather)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
 from ybmag.families import _partitions
-from ybmag.laws import MAGMA_BATCH_LAWS
-from ybmag.plonka import BiPlonkaPartition
+from ybmag.laws import BATCH_LAWS
+from ybmag.plonka import BiPlonkaPartition, connected_components
 
 from conftest import stack_rows
 
@@ -699,9 +699,9 @@ def test_two_grid_search_result_failing_bls_is_typed(monkeypatch):
     # bi-magma that fails both
     b = _bimagma(2, (1, 0, 0, 1, 0, 0, 0, 0))
     assert not check_rmap_law(canonical_correspondence(b), RMapLaw.BLS).holds
-    real = census.check_bimagma_laws_batch
-    monkeypatch.setattr(census, "check_bimagma_laws_batch", lambda stack, laws: real(
-        stack, [law for law in laws if law is not BiMagmaLaw.PLONKA_BIMAGMA]))
+    real = census.check_laws_batch
+    monkeypatch.setattr(census, "check_laws_batch", lambda stack, laws, *k: real(
+        stack, [law for law in laws if law is not BiMagmaLaw.PLONKA_BIMAGMA], *k))
     monkeypatch.setattr(census, "_iter_plonka_tables",
                         lambda n, pool, band: iter([_stack(_NOT_PLONKA_BIMAGMA)]))
     with pytest.raises(CrossCheckFailed, match="Plonka bi-magma .* that fails bls"):
@@ -745,6 +745,22 @@ def test_one_grid_pool_guard_counts_every_pool(monkeypatch):
     assert enumerate_structures(query).row.class_count == 164
     with pytest.raises(GuardExceeded, match="all 256 self-maps refused"):
         enumerate_structures(CensusQuery(4, (MagmaLaw.RIGHT_PLONKA,)))
+
+
+def test_one_grid_pool_guard_counts_before_building(monkeypatch):
+    # the counted pool sizes are the built ones
+    for n in range(8):
+        for orders, permutations in [(None, False), (None, True)] + \
+                [(k, False) for k in range(1, 13)]:
+            assert census._pool_size(n, orders, permutations) == \
+                len(_function_pool(n, orders, permutations)), (n, orders, permutations)
+    # the 232 involutions on 7 points are refused before any permutation row exists
+    def refuse(n):
+        raise AssertionError("the guard built permutation rows")
+    monkeypatch.setattr(census, "_ONE_GRID_POOL", 100)
+    monkeypatch.setattr(census, "_permutation_array", refuse)
+    with pytest.raises(GuardExceeded, match="over 232 permutations refused; the pool limit is 100"):
+        enumerate_structures(CensusQuery(7, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)))
 
 
 def test_generic_sweeps_are_bounded_by_their_tables():
@@ -870,7 +886,7 @@ def test_equational_law_censuses_build_no_tables(monkeypatch):
     # every equational magma and bi-magma law has a batch kernel, so a census
     # over one builds no CayleyTable or BiMagma, alone on the sweep of every
     # table or with right_plonka or plonka_bimagma on the search
-    magma = [law for law in MagmaLaw if law in MAGMA_BATCH_LAWS]
+    magma = [law for law in MagmaLaw if law in BATCH_LAWS]
     queries = [CensusQuery(n, laws, k=2 if law is MagmaLaw.K_CYCLIC else None)
                for law in magma for n, laws in ((2, (law,)), (3, (MagmaLaw.RIGHT_PLONKA, law)))]
     queries += [CensusQuery(n, bimagma_laws=laws)
@@ -1039,7 +1055,7 @@ def _orbit_partition_oracle(n, connected_only):
     for f in itertools.product(range(n), repeat=n):
         if f in seen:
             continue
-        if not connected_only or _is_connected_map(f, n):
+        if not connected_only or len(connected_components(n, [FiniteFunction(n, f)]).blocks) <= 1:
             count += 1
         seen.update(_conjugate(p, f) for p in perms)
     return count

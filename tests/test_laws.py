@@ -16,8 +16,7 @@ from ybmag.build import (EssSolution, OdometerSolution, RightPlonkaOppositeSolut
 from ybmag.families import OdometerTriple
 from ybmag.census import _magma_raw_stream
 from ybmag.core import DEFAULT_LIMITS
-from ybmag.laws import (BIMAGMA_BATCH_LAWS, MAGMA_BATCH_LAWS, check_bimagma_laws_batch,
-                        check_magma_laws_batch)
+from ybmag.laws import BATCH_LAWS, check_laws_batch
 
 import law_oracles
 from conftest import cayley_tables, rmaps, stack_rows
@@ -354,7 +353,7 @@ def test_every_law_matches_its_reference_loop():
         "star_left_commutation", "star_left_reduction", "mixed_star_dot", "mixed_dot_in_star",
         "mixed_star_in_dot", "unitary_pairing", "yb1", "yb2", "yb3", "yang_baxter", "braid",
         "long", "commutative", "cocommutative", "bls:commutative", "bls:cocommutative",
-        "bls:long", "involutive", "unitary", "not_bijective"}
+        "bls:long", "involutive", "unitary", "not_bijective", "diagonal"}
     assert late >= {24, 25, 26, 30} and shared
 
 
@@ -482,9 +481,9 @@ def test_k_cyclic_takes_huge_k():
     one, more = (check_magma_law(z3, MagmaLaw.K_CYCLIC, j).witness for j in (1, k + 1))
     assert more == laws.Witness(f"k_cyclic[{k + 1}]", one.inputs, one.lhs, one.rhs)
     assert one == laws.Witness("k_cyclic[1]", (0, 1), 1, 0)
-    stack = np.array(z3.flat(), dtype=np.uint8).reshape(1, 3, 3)
-    assert check_magma_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k).tolist() == [True]
-    assert check_magma_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k + 1).tolist() == [False]
+    stack = np.array(z3.flat(), dtype=np.uint8).reshape(1, 1, 3, 3)
+    assert check_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k).tolist() == [True]
+    assert check_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k + 1).tolist() == [False]
 
 
 def test_two_cyclic_equals_conjunction_exhaustively():
@@ -625,40 +624,47 @@ def test_batch_check_matches_per_table_check():
     for generators, k in ((2, 2), (2, 3), (1, 3)):
         built = free_k_cyclic(generators, k, generators > 1).table
         corpora.setdefault(built.n, []).append(built)
-    cases = [(law, k) for law in MagmaLaw if law in MAGMA_BATCH_LAWS
+    cases = [(law, k) for law in MagmaLaw if law in BATCH_LAWS
              for k in ((2, 3) if law is MagmaLaw.K_CYCLIC else (None,))]
     seen = {case: set() for case in cases}
     for n, tables in corpora.items():
-        stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(len(tables), n, n)
+        stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(len(tables), 1, n, n)
         for law, k in cases:
             expected = [MAGMA_ORACLES[law](t.table, k) is None for t in tables]
-            assert check_magma_laws_batch(stack, (law,), k).tolist() == expected, (n, law, k)
+            assert check_laws_batch(stack, (law,), k).tolist() == expected, (n, law, k)
             seen[law, k].update(expected)
         both = [MAGMA_ORACLES[MagmaLaw.RIGHT_PLONKA](t.table, None) is None
                 and MAGMA_ORACLES[MagmaLaw.K_CYCLIC](t.table, 2) is None for t in tables]
-        assert check_magma_laws_batch(
+        assert check_laws_batch(
             stack, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC), 2).tolist() == both
     # every verdict is met on both sides
     assert all(verdicts == {True, False} for verdicts in seen.values())
 
 
 def test_batch_check_rejects_what_it_does_not_cover():
-    stack = np.zeros((1, 2, 2), dtype=np.uint8)
-    for law in (MagmaLaw.LEFT_CANCELLATIVE, MagmaLaw.TOTAL, RMapLaw.BLS):
+    # a magma law needs one grid, a bi-magma or R-map law two
+    stack = np.zeros((1, 1, 2, 2), dtype=np.uint8)
+    for law in (MagmaLaw.LEFT_CANCELLATIVE, MagmaLaw.TOTAL, RMapLaw.BLS,
+                BiMagmaLaw.PLONKA_BIMAGMA, RMapLaw.DIAGONAL):
         with pytest.raises(ValueError):
-            check_magma_laws_batch(stack, (law,))
+            check_laws_batch(stack, (law,))
     for k in (None, 0, True, 2.0):
         with pytest.raises(ValueError):
-            check_magma_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k)
-    for law in (BiMagmaLaw.SKEW_LEFT_BRACE, MagmaLaw.RIGHT_PLONKA, MagmaLaw.LEFT_CANCELLATIVE):
+            check_laws_batch(stack, (MagmaLaw.K_CYCLIC,), k)
+    for law in (BiMagmaLaw.SKEW_LEFT_BRACE, MagmaLaw.RIGHT_PLONKA, MagmaLaw.LEFT_CANCELLATIVE,
+                MagmaLaw.ASSOCIATIVE):
         with pytest.raises(ValueError):
-            check_bimagma_laws_batch(np.zeros((1, 2, 2, 2), dtype=np.uint8), (law,))
+            check_laws_batch(np.zeros((1, 2, 2, 2), dtype=np.uint8), (law,))
+    # a stack without its grid axis, or of three grids
+    for shape in ((1, 2, 2), (1, 3, 2, 2)):
+        for law in (MagmaLaw.ASSOCIATIVE, RMapLaw.BLS):
+            with pytest.raises(ValueError):
+                check_laws_batch(np.zeros(shape, dtype=np.uint8), (law,))
 
 
 def _bimagma_holds(b, law):
-    """The reference loop's verdict; diagonality, nondegeneracy and the
-    Lyubashenko form, which have no kernel shared with the batch, by the
-    single checks."""
+    """The reference loop's verdict; nondegeneracy and the Lyubashenko
+    form, which have no kernel shared with the batch, by the single checks."""
     if law in BIMAGMA_ORACLES:
         return BIMAGMA_ORACLES[law](b.dot.table, b.star.table) is None
     if law in RMAP_ORACLES:
@@ -695,7 +701,7 @@ def _bimagma_batch_corpus(n, rng):
 
 def test_bimagma_batch_check_matches_per_object_checks():
     rng = random.Random(20232)
-    laws = [law for law in (*BiMagmaLaw, *RMapLaw) if law in BIMAGMA_BATCH_LAWS]
+    laws = [law for law in (*BiMagmaLaw, *RMapLaw) if law in BATCH_LAWS]
     seen = {law: set() for law in laws}
     for n in (0, 1, 2, 3, 4):
         corpus = _bimagma_batch_corpus(n, rng)
@@ -703,11 +709,11 @@ def test_bimagma_batch_check_matches_per_object_checks():
         bimagmas = [BiMagma.from_flat(n, flat) for flat in corpus]
         for law in laws:
             expected = [_bimagma_holds(b, law) for b in bimagmas]
-            assert check_bimagma_laws_batch(stack, (law,)).tolist() == expected, (n, law)
+            assert check_laws_batch(stack, (law,)).tolist() == expected, (n, law)
             seen[law].update(expected)
         both = [_bimagma_holds(b, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA)
                 and _bimagma_holds(b, RMapLaw.BLS) for b in bimagmas]
-        assert check_bimagma_laws_batch(
+        assert check_laws_batch(
             stack, (BiMagmaLaw.UNITARY_PLONKA_BIMAGMA, RMapLaw.BLS)).tolist() == both
     # every verdict is met on both sides
     assert all(verdicts == {True, False} for verdicts in seen.values())
@@ -740,17 +746,17 @@ def _uint8_stacks(n, rng):
 def test_batch_checks_on_uint8_stacks_past_255_cells(n):
     # from 17 points a cell index x n + y passes 255, the largest uint8
     tables, bimagmas = _uint8_stacks(n, random.Random(n))
-    stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(-1, n, n)
-    for law in MAGMA_BATCH_LAWS:
+    stack = np.array([t.flat() for t in tables], dtype=np.uint8).reshape(-1, 1, n, n)
+    for law in [law for law in MagmaLaw if law in BATCH_LAWS]:
         for k in ((2, 3, 4) if law is MagmaLaw.K_CYCLIC else (None,)):
             expected = [check_magma_law(t, law, k).holds for t in tables]
-            assert check_magma_laws_batch(stack, (law,), k).tolist() == expected, (law, k)
+            assert check_laws_batch(stack, (law,), k).tolist() == expected, (law, k)
     stack = np.array([b.dot.flat() + b.star.flat() for b in bimagmas],
                      dtype=np.uint8).reshape(-1, 2, n, n)
-    for law in BIMAGMA_BATCH_LAWS:
+    for law in [law for law in (*BiMagmaLaw, *RMapLaw) if law in BATCH_LAWS]:
         expected = [(check_rmap_law(canonical_correspondence(b), law) if isinstance(law, RMapLaw)
                      else check_bimagma_law(b, law)).holds for b in bimagmas]
-        assert check_bimagma_laws_batch(stack, (law,)).tolist() == expected, law
+        assert check_laws_batch(stack, (law,)).tolist() == expected, law
 
 
 # the laws checked on a stack's distinct columns
@@ -823,7 +829,7 @@ def test_column_kernels_match_oracles(name, monkeypatch):
             # with no marks the column pairs that occur are found by a sort
             for marks in (laws._MARKS, 0):
                 monkeypatch.setattr(laws, "_MARKS", marks)
-                assert check_magma_laws_batch(stack, (law,), k).tolist() == expected, \
+                assert check_laws_batch(stack[:, None], (law,), k).tolist() == expected, \
                     (name, stack.shape, law, k, marks)
             seen[law, k].update(expected)
     if name != "empty":   # every verdict is met on both sides
@@ -848,13 +854,13 @@ def test_batch_checks_refuse_entries_outside_the_carrier(dtype, entry):
                        (MagmaLaw.K_CYCLIC, 2)):
             with pytest.raises(ValueError, match=f"^table {bad} of the stack has an entry "
                                                  r"outside 0\.\.2$"):
-                check_magma_laws_batch(magmas, (law,), k)
+                check_laws_batch(magmas[:, None], (law,), k)
         bimagmas = np.zeros((4, 2, 3, 3), dtype=dtype)
         bimagmas[bad, 1, 2, 1] = entry
         for law in (BiMagmaLaw.PLONKA_BIMAGMA, RMapLaw.BLS):
             with pytest.raises(ValueError, match=f"^bi-magma {bad} of the stack has an entry "
                                                  r"outside 0\.\.2$"):
-                check_bimagma_laws_batch(bimagmas, (law,))
+                check_laws_batch(bimagmas, (law,))
 
 
 def test_trivial_bimagma_is_unitary_plonka():
