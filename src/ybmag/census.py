@@ -1,31 +1,30 @@
 """Symmetry-reduced exhaustive enumeration of constrained finite structures.
 
-The magma engine searches over table columns: the two right Plonka laws
-say precisely that the columns pairwise commute and that column r_z(y)
-equals column y, so partial assignments prune hard.  A Plonka bi-magma is
-the two-grid case, column y joining dot column y and star row y.  The
-search runs one column at a time over numpy frontiers of partial tables,
-each with its chosen and forced pool indices and the packed bit mask of
-the pool entries that commute with every chosen column; a forced column
-costs one bit test, and only the free states' masks are unpacked into
-candidates.  A one-grid pool is counted before any row is built and refused
-above 6**6 maps, and the raw count of right involutory Plonka magmas is
-checked against a closed labelled count.  Tables travel as uint8 stacks
-from the search (up to 1024 a stack) or the sweep of every table (one
-stack) to the orbit dedupe, a magma stack as (T, 1, n, n), the one-grid
-case of a bi-magma stack (T, 2, n, n).  A table failing a law the search
-guarantees (right Plonka, band, the column order; Plonka bi-magma and, by
-the structure theorem, BLS) raises CrossCheckFailed, the query's other laws
-filter whole stacks, both through the one batch checker of ``laws``, which
-runs every equational law through its term table and rechecks right Plonka
-and k-cyclic once per distinct column of a stack, and objects are built
-only for representatives, the cancellation, quasigroup and totality magma
-laws, right_simple and skew_left_brace.  ``CensusStats`` counts what
-each phase did and times it.  A query of left laws is held to the literature
-and closed counts of its transpose.  Isomorph rejection
-reads a stack's rows as byte strings and gathers each new table's
-relabelling orbit in one numpy operation; the orbits must hold exactly the
-raw tables, and a class's representative is the least table of its orbit.
+A census is one stream of tables, each stack of them in the batch checker's
+layout (T, grids, n, n) of uint8: one grid for magma laws, two (dot and
+star) for bi-magma or R-map laws, a magma being the one-grid case of a
+bi-magma.  The tables come from one of three sources.  The one-grid column
+search finds right Plonka magmas: the two right Plonka laws say precisely
+that the columns pairwise commute and that column r_z(y) equals column y,
+so partial assignments prune hard; a query of left laws is searched on its
+transpose.  The two-grid search runs over commuting self-map pairs, column
+y joining dot column y and star row y, and yields the Plonka bi-magmas,
+which by the structure theorem are the BLS solutions.  Any other query
+sweeps every table.  The search runs one depth at a time over numpy
+frontiers of partial tables (``_iter_plonka_tables``); it lays out a
+transposed query's table and a bi-magma's star transposed, and the stream
+puts those grids back.  A one-grid pool is counted before any row is built
+and refused above 6**6 maps.  A table failing a law the search guarantees
+raises CrossCheckFailed; the query's other laws filter whole stacks through
+the one batch checker of ``laws``, and objects are built only for
+representatives and the laws that are not equations.  ``CensusStats``
+counts what each phase did and times it.  A query of left laws is held to
+the literature and closed counts of its transpose, and k_cyclic at k = 2
+to those of the right involutory law, whose raw count is checked against a
+closed labelled count.  Isomorph rejection reads a stack's rows as byte
+strings and gathers each new table's relabelling orbit in one numpy
+operation; the orbits must hold exactly the raw tables, and a class's
+representative is the least table of its orbit.
 
 The sweep of commuting permutation pairs builds each centralizer as a
 wreath product of cyclic and symmetric groups, turns each of its generators
@@ -53,8 +52,8 @@ from .core import (BiMagma, CayleyTable, CrossCheckFailed, GuardExceeded, Limits
 from .families import (FunctionFamily, OdometerTriple, _partitions, count_incompressible,
                        is_incompressible)
 from .ideals import IdealKind, is_simple
-from .laws import (BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw, _codes, _distinct_rows, _power,
-                   check_bimagma_law, check_laws_batch, check_magma_law)
+from .laws import (BATCH_LAWS, BiMagmaLaw, MagmaLaw, RMapLaw, _check_k, _codes, _distinct_rows,
+                   _power, check_bimagma_law, check_laws_batch, check_magma_law)
 from .plonka import connected_components
 
 
@@ -318,8 +317,7 @@ class CensusQuery:
             if p not in ("right_simple",):
                 raise ValueError(f"unknown predicate {p!r}")
         if MagmaLaw.K_CYCLIC in self.magma_laws:
-            if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-                raise ValueError(f"k_cyclic needs an integer k >= 1, got {self.k!r}")
+            _check_k(self.k)
         elif self.k is not None:
             raise ValueError("k only applies to the k_cyclic law")
 
@@ -457,50 +455,52 @@ _TWO_GRID_SEARCH = 4
 _ONE_GRID_POOL = 6 ** 6
 
 
-def _recorded(stacks: Iterable[np.ndarray], stats: CensusStats) -> Iterator[np.ndarray]:
-    """``stacks``, keeping the column search's frontier sizes and the time
-    spent producing them in ``stats``."""
-    stacks = iter(stacks)
+def _searched(tables: Iterable[np.ndarray], n: int, flipped: tuple[bool, ...],
+              stats: CensusStats) -> Iterator[np.ndarray]:
+    """The column search's stacks in the batch checker's layout (T, grids,
+    n, n), keeping its frontier sizes and the time spent in it in ``stats``.
+    The search lists cell (x, y) of each grid in turn, and lays out each
+    grid marked in ``flipped`` transposed; those are put back."""
+    tables = iter(tables)
     while True:
         start = time.perf_counter()
         try:
-            stack = next(stacks)
+            stack = next(tables)
         except StopIteration as stop:
             stats.nodes = tuple(stop.value or ())
             return
         finally:
             stats.search_s += time.perf_counter() - start
-        yield stack
+        cells = stack.reshape(len(stack), n, n, len(flipped))
+        yield np.stack([cells[..., g].swapaxes(1, 2) if flip else cells[..., g]
+                        for g, flip in enumerate(flipped)], 1)
 
 
-def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], shape: tuple[int, ...],
-               checks, guaranteed, to_query, stats: Optional[CensusStats]) -> Iterator[np.ndarray]:
+def _survivors(query: CensusQuery, stacks: Iterable[np.ndarray], checks, guaranteed,
+               stats: CensusStats) -> Iterator[np.ndarray]:
     """The raw tables that satisfy the query, in order, as uint8 stacks of
-    flattened tables, counted and timed in ``stats`` (if any).  ``to_query`` puts the
-    tables of ``stacks``, of per-table ``shape``, in the query's layout.  A
-    table outside a mask of ``checks`` (noun, laws, mask) raises; the query's
-    laws not ``guaranteed`` are checked on the whole stack where a kernel
-    covers them, else on an object built per table."""
-    n = query.n
-    stats = CensusStats() if stats is None else stats
+    flattened tables, counted and timed in ``stats``.  ``stacks`` are in the
+    batch checker's layout (T, grids, n, n).  A table outside a mask of
+    ``checks`` (noun, laws, mask) raises; the query's laws not ``guaranteed``
+    are checked on the whole stack where a kernel covers them, else on an
+    object built per table."""
     residual = [law for law in query.magma_laws + query.bimagma_laws + query.rmap_laws
                 if law not in guaranteed]
     batched = [law for law in residual if law in BATCH_LAWS]
     others = [law for law in residual if law not in batched]
-    for stack in _recorded(stacks, stats):
+    for stack in stacks:
         start = time.perf_counter()
-        stack = to_query(stack.reshape(len(stack), *shape))
         for noun, laws, mask in checks:
             if not (passed := mask(stack)).all():
                 table = tuple(stack[int(passed.argmin())].ravel().tolist())
-                raise CrossCheckFailed(f"column search produced {noun} {table} on n={n} "
+                raise CrossCheckFailed(f"column search produced {noun} {table} on n={query.n} "
                                        f"that fails {laws}")
         stats.raw_tables += len(stack)
         if batched:
             ok = check_laws_batch(stack, batched, query.k)
             stats.batch_rejects += len(stack) - int(ok.sum())
             stack = stack[ok]
-        stack = stack.reshape(len(stack), math.prod(shape))
+        stack = stack.reshape(len(stack), math.prod(stack.shape[1:]))
         stats.batch_check_s += time.perf_counter() - start
         if others or query.predicates:
             start, passed = time.perf_counter(), len(stack)
@@ -528,22 +528,28 @@ _MIRROR = {MagmaLaw.LEFT_PLONKA: MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND: MagmaLaw.
            MagmaLaw.LEFT_INVOLUTORY: MagmaLaw.RIGHT_INVOLUTORY}
 
 
-def _magma_raw_stream(query: CensusQuery, limits: Limits,
-                      stats: Optional[CensusStats] = None) -> Iterator[np.ndarray]:
-    """The flattened tables that satisfy a magma query, in search order, as
-    uint8 stacks counted in ``stats``.  A query with left Plonka but neither
-    right Plonka nor two_cyclic (which implies it) is searched on the
-    transpose, its left laws read as right ones; a query that implies no
-    Plonka law needs the generic table sweep."""
-    n = query.n
-    laws = set(query.magma_laws)
+def _raw_stream(query: CensusQuery, limits: Limits,
+                stats: Optional[CensusStats] = None) -> Iterator[np.ndarray]:
+    """The flattened tables that satisfy a query, in search order (a
+    bi-magma's dot table, then its star table), as uint8 stacks counted in
+    ``stats``.  Every source hands ``_survivors`` stacks of shape (T, grids,
+    n, n), one grid for magma laws and two for bi-magma or R-map laws: the
+    one-grid column search for a query that implies right Plonka, or, on the
+    transpose with its left laws read as right ones, for a query with left
+    Plonka but neither right Plonka nor two_cyclic (which implies it); the
+    two-grid search over commuting self-map pairs for a Plonka bi-magma or
+    BLS query, which yields the Plonka bi-magmas, by the structure theorem
+    the BLS solutions, so a searched table failing either raises
+    CrossCheckFailed; else the generic sweep of every table."""
+    n, stats = query.n, CensusStats() if stats is None else stats
+    grids = 2 if query.bimagma_laws or query.rmap_laws else 1
+    laws = set(query.magma_laws + query.bimagma_laws + query.rmap_laws)
     transpose = MagmaLaw.LEFT_PLONKA in laws and \
         not laws & {MagmaLaw.RIGHT_PLONKA, MagmaLaw.TWO_CYCLIC}
     if transpose:
         # the searched columns are the query's rows, so only its left laws (and
         # band) may cut them; its right laws and right_simple are residual
         laws = {_MIRROR[law] for law in laws if law in _MIRROR}
-    flip = (lambda stack: stack.transpose(0, 1, 3, 2)) if transpose else np.asarray
     if MagmaLaw.RIGHT_PLONKA in laws or MagmaLaw.TWO_CYCLIC in laws:
         if n > limits.census_carrier:
             raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
@@ -557,58 +563,40 @@ def _magma_raw_stream(query: CensusQuery, limits: Limits,
             raise GuardExceeded(f"column search over {maps} refused; "
                                 f"the pool limit is {_ONE_GRID_POOL} maps")
         tables = _iter_plonka_tables(n, _function_pool(n, orders, permutations), band)
+        flipped = (transpose,)
         searched = [MagmaLaw.RIGHT_PLONKA] + [MagmaLaw.BAND] * band \
             + [MagmaLaw.K_CYCLIC] * (orders is not None)
         checks = [("table", "+".join(law.value for law in searched), lambda stack:
-                   check_laws_batch(flip(stack), searched, orders))]
-        # the query's laws that the searched ones imply when present
-        if transpose:
-            guaranteed = {MagmaLaw.LEFT_PLONKA, MagmaLaw.BAND, MagmaLaw.LEFT_INVOLUTORY}
-        else:
-            guaranteed = {MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND, MagmaLaw.RIGHT_INVOLUTORY,
-                          MagmaLaw.TWO_CYCLIC}
-            if orders == query.k:   # the pool was cut by k itself
-                guaranteed.add(MagmaLaw.K_CYCLIC)
-    else:
-        if n ** (n * n) > _GENERIC_SWEEP:
-            raise GuardExceeded(f"generic table sweep of {n ** (n * n)} tables refused (limit "
-                                f"{_GENERIC_SWEEP}); add right_plonka for the pruned search")
-        tables, checks, guaranteed = [_product_rows(n, n * n)], [], set()
-    return _survivors(query, tables, (1, n, n), checks, guaranteed, flip, stats)
-
-
-def _bimagma_raw_stream(query: CensusQuery, limits: Limits,
-                        stats: Optional[CensusStats] = None) -> Iterator[np.ndarray]:
-    """The flattened dot + star tables that satisfy a bi-magma or R-map
-    query, in search order, as uint8 stacks counted in ``stats``.  The two-grid
-    search yields Plonka bi-magmas, which by the structure theorem are the
-    BLS solutions: a searched table that fails either raises CrossCheckFailed."""
-    n = query.n
-    if RMapLaw.BLS in query.rmap_laws or \
-       {BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA} & set(query.bimagma_laws):
+                   check_laws_batch(stack.swapaxes(2, 3) if transpose else stack,
+                                    searched, orders))]
+        # the query's laws that the searched ones imply when present; k_cyclic
+        # when the pool was cut by k itself
+        guaranteed = set(_MIRROR) if transpose else \
+            {*_MIRROR.values(), MagmaLaw.TWO_CYCLIC, *[MagmaLaw.K_CYCLIC] * (orders == query.k)}
+    elif laws & {BiMagmaLaw.PLONKA_BIMAGMA, BiMagmaLaw.UNITARY_PLONKA_BIMAGMA, RMapLaw.BLS}:
         limit = min(limits.census_carrier, _TWO_GRID_SEARCH)
         if n > limit:
             raise GuardExceeded(f"Plonka bi-magma search limited to n <= {limit}")
-        # the pairs (f, g) of commuting self-maps, f then g in lexicographic order
+        # the pairs (f, g) of commuting self-maps, f then g in lexicographic order;
+        # column y joins dot column y and star row y
         maps = _function_pool(n, None, False)
         after = np.take_along_axis(maps[:, None], maps[None], 2)   # [f, g, x] is f(g(x))
         f, g = np.nonzero((after == after.transpose(1, 0, 2)).all(2))
         tables = _iter_plonka_tables(n, np.concatenate((maps[f], maps[g]), 1), False)
-        shape = (n, n, 2)
-        guaranteed = [BiMagmaLaw.PLONKA_BIMAGMA] + [RMapLaw.BLS] * (RMapLaw.BLS in query.rmap_laws)
+        flipped = (False, True)
+        guaranteed = [BiMagmaLaw.PLONKA_BIMAGMA] + [RMapLaw.BLS] * (RMapLaw.BLS in laws)
         checks = [("Plonka bi-magma" if law is RMapLaw.BLS else "bi-magma", law.value,
                    lambda stack, law=law: check_laws_batch(stack, (law,)))
                   for law in guaranteed]
-
-        def split(stack: np.ndarray) -> np.ndarray:   # cell (x, y) is dot[x][y], star[y][x]
-            return np.stack((stack[..., 0], stack[..., 1].transpose(0, 2, 1)), 1)
     else:
-        if n ** (2 * n * n) > _GENERIC_SWEEP:
-            raise GuardExceeded(f"generic bi-magma sweep of {n ** (2 * n * n)} tables refused "
-                                f"(limit {_GENERIC_SWEEP})")
-        tables, shape, split = [_product_rows(n, 2 * n * n)], (2, n, n), np.asarray
-        checks, guaranteed = [], []
-    return _survivors(query, tables, shape, checks, guaranteed, split, stats)
+        if (size := n ** (grids * n * n)) > _GENERIC_SWEEP:
+            noun, hint = ("table", "; add right_plonka for the pruned search") if grids == 1 \
+                else ("bi-magma", "")
+            raise GuardExceeded(f"generic {noun} sweep of {size} tables refused "
+                                f"(limit {_GENERIC_SWEEP}){hint}")
+        stacks = [_product_rows(n, grids * n * n).reshape(size, grids, n, n)]
+        return _survivors(query, stacks, [], set(), stats)
+    return _survivors(query, _searched(tables, n, flipped, stats), checks, guaranteed, stats)
 
 
 def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
@@ -623,7 +611,7 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     n = query.n
     bimagma = bool(query.bimagma_laws or query.rmap_laws)
     stats = CensusStats()
-    stream = (_bimagma_raw_stream if bimagma else _magma_raw_stream)(query, limits, stats)
+    stream = _raw_stream(query, limits, stats)
     dedupe_start = time.perf_counter()
     classes, raw_count = _orbit_dedupe(n, stream)
     stats.dedupe_s = time.perf_counter() - dedupe_start - stats.search_s - stats.batch_check_s \
@@ -635,14 +623,16 @@ def enumerate_structures(query: CensusQuery, limits: Limits = DEFAULT_LIMITS,
     label = query.label()
 
     # a query of left laws is keyed as its transpose, which has the same
-    # classes and raw count
+    # classes and raw count, and k_cyclic at k = 2 as the right involutory law
     laws = set(query.magma_laws)
     if laws and laws <= _MIRROR.keys() and not query.predicates:
         laws = {_MIRROR[law] for law in laws}
+    if query.k == 2:
+        laws = {MagmaLaw.RIGHT_INVOLUTORY if law is MagmaLaw.K_CYCLIC else law for law in laws}
 
     def once(laws, kind):   # the literature key names each tag once, in declaration order
         return tuple(law for law in kind if law in laws)
-    key = replace(query, magma_laws=once(laws, MagmaLaw),
+    key = replace(query, magma_laws=once(laws, MagmaLaw), k=None if query.k == 2 else query.k,
                   bimagma_laws=once(query.bimagma_laws, BiMagmaLaw),
                   rmap_laws=once(query.rmap_laws, RMapLaw),
                   predicates=tuple(sorted(set(query.predicates)))).label()

@@ -271,6 +271,20 @@ _RMAP_LOOKUP = {law.value: law for law in RMapLaw}
 
 def _cmd_census(args) -> int:
     start = time.perf_counter()
+    by_laws = args.n is not None or args.laws is not None
+    chosen = [flag for flag, given in (("--n/--laws", by_laws),
+                                       ("--simple-bls", args.simple_bls is not None),
+                                       ("--function-classes", args.function_classes is not None))
+              if given]
+    if len(chosen) > 1:
+        raise ValueError("census takes exactly one of --n/--laws, --simple-bls and "
+                         f"--function-classes, got {' and '.join(chosen)}")
+    if args.connected_only and args.function_classes is None:
+        raise ValueError("--connected-only goes only with --function-classes")
+    for flag, given in (("--stats", args.stats), ("--k", args.k is not None),
+                        ("--predicates", args.predicates is not None)):
+        if given and not by_laws:
+            raise ValueError(f"{flag} goes only with --n/--laws")
     if args.simple_bls is not None:
         result = census_simple_bls(args.simple_bls)
         elapsed_ms = int((time.perf_counter() - start) * 1000)

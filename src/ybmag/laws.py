@@ -415,7 +415,7 @@ def _column_laws_hold(stack: np.ndarray, laws, k: Optional[int]) -> np.ndarray:
 
 
 def _check_k(k) -> None:
-    # exactly int, as in CensusQuery: True would name the law k_cyclic[True]
+    # exactly int: True would name a census row k_cyclic[True]
     if type(k) is not int or k < 1:
         raise ValueError(f"k_cyclic needs an integer k >= 1, got {k!r}")
 

@@ -245,14 +245,14 @@ def test_criterion_10_uniqueness_results():
 def test_criterion_11_oracle_soundness():
     ok = True
     # structured vs brute-force isomorphism on right Plonka magmas
-    from ybmag.census import _magma_raw_stream
+    from ybmag.census import _raw_stream
     from ybmag.core import DEFAULT_LIMITS
     tables_by_n: dict[int, list[CayleyTable]] = {}
     for n in (1, 2, 3):
         tables_by_n[n] = [
             CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-            for flat in stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
-                                                     DEFAULT_LIMITS))]
+            for flat in stack_rows(_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
+                                               DEFAULT_LIMITS))]
     for n, tables in tables_by_n.items():
         for a in tables:
             for b in tables:

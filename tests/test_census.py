@@ -1,3 +1,4 @@
+import enum
 import itertools
 import math
 import multiprocessing
@@ -17,10 +18,9 @@ from ybmag import (BiMagma, BiMagmaLaw, CayleyTable, CensusQuery, FiniteFunction
                    enumerate_structures, function_conjugacy_census,
                    minimal_image, rebuild, structured_iso)
 from ybmag import census
-from ybmag.census import (CensusStats, _bimagma_raw_stream, _centralizer,
-                          _centralizer_generators, _function_pool, _iter_plonka_tables,
-                          _magma_raw_stream, _orbit, _orbit_dedupe, _perm_from_cycle_type,
-                          _relabelling_gather)
+from ybmag.census import (CensusStats, _centralizer, _centralizer_generators, _function_pool,
+                          _iter_plonka_tables, _orbit, _orbit_dedupe, _perm_from_cycle_type,
+                          _raw_stream, _relabelling_gather)
 from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed, GuardExceeded
 from ybmag.families import _partitions
 from ybmag.laws import BATCH_LAWS
@@ -277,7 +277,7 @@ _STREAM_CASES = [
 def test_raw_stream_matches_per_table_recheck(laws, k, predicates):
     for n in (0, 1, 2, 3, 4):
         query = CensusQuery(n, laws, k=k, predicates=predicates)
-        assert stack_rows(_magma_raw_stream(query, DEFAULT_LIMITS)) == \
+        assert stack_rows(_raw_stream(query, DEFAULT_LIMITS)) == \
             list(_recheck_route(query)), n
 
 
@@ -312,12 +312,12 @@ def test_left_plonka_queries_match_table_sweep(left_plonka_tables, laws, k, pred
             if all(check_magma_law(t, law, k if law is MagmaLaw.K_CYCLIC else None).holds
                    for law in laws)
             and ("right_simple" not in predicates or _columns_incompressible(t)))
-        assert sorted(stack_rows(_magma_raw_stream(query, DEFAULT_LIMITS))) == expected, n
+        assert sorted(stack_rows(_raw_stream(query, DEFAULT_LIMITS))) == expected, n
 
 
 def test_involutory_raw_stream_matches_per_table_recheck_n5():
     query = CensusQuery(5, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))
-    stream = stack_rows(_magma_raw_stream(query, DEFAULT_LIMITS))
+    stream = stack_rows(_raw_stream(query, DEFAULT_LIMITS))
     assert stream == list(_recheck_route(query))
     assert len(stream) > 0
 
@@ -336,8 +336,12 @@ def test_column_search_table_failing_its_laws_is_typed(monkeypatch, laws, table)
         enumerate_structures(CensusQuery(n, laws))
 
 
+class _K(enum.IntEnum):
+    TWO = 2
+
+
 def test_k_is_validated_up_front():
-    for k in (None, 0, -1, 2.0, True):
+    for k in (None, 0, -1, 2.0, True, _K.TWO):
         with pytest.raises(ValueError, match="k_cyclic needs"):
             CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC), k=k)
     with pytest.raises(ValueError, match="k only applies"):
@@ -362,8 +366,8 @@ def test_isomorph_rejection_matches_pairwise_oracle():
     # canonical-form class counting vs the brute-force pairwise oracle
     for n in (1, 2, 3):
         raw = [CayleyTable(n, tuple(tuple(f[i * n:(i + 1) * n]) for i in range(n)))
-               for f in stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
-                                                     DEFAULT_LIMITS))]
+               for f in stack_rows(_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)),
+                                               DEFAULT_LIMITS))]
         reps: list[CayleyTable] = []
         for table in raw:
             if not any(are_isomorphic(table, rep) for rep in reps):
@@ -436,13 +440,13 @@ def _census_streams():
     for laws, k, predicates in _STREAM_CASES:
         for n in (0, 1, 2, 3, 4):
             query = CensusQuery(n, laws, k=k, predicates=predicates)
-            yield n, list(_magma_raw_stream(query, DEFAULT_LIMITS))
+            yield n, list(_raw_stream(query, DEFAULT_LIMITS))
     query = CensusQuery(5, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))
-    yield 5, list(_magma_raw_stream(query, DEFAULT_LIMITS))
+    yield 5, list(_raw_stream(query, DEFAULT_LIMITS))
     for n in (0, 1, 2, 3):
-        yield n, list(_magma_raw_stream(CensusQuery(n, (MagmaLaw.ASSOCIATIVE,)), DEFAULT_LIMITS))
+        yield n, list(_raw_stream(CensusQuery(n, (MagmaLaw.ASSOCIATIVE,)), DEFAULT_LIMITS))
         query = CensusQuery(n, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,))
-        yield n, list(_bimagma_raw_stream(query, DEFAULT_LIMITS))
+        yield n, list(_raw_stream(query, DEFAULT_LIMITS))
 
 
 def test_orbit_dedupe_and_minimal_image_match_reference_on_census_streams():
@@ -658,7 +662,7 @@ def _dot_star_route(query):
     """The raw bi-magmas by the pair route: every right Plonka dot with every
     left Plonka star, the pair kept when it passes every law of the query."""
     n = query.n
-    dots = stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
+    dots = stack_rows(_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
     for d in dots:
         for s in map(_transpose_flat, dots, itertools.repeat(n)):
             b = _bimagma(n, d + s)
@@ -673,7 +677,7 @@ def _dot_star_route(query):
 def test_two_grid_search_matches_dot_star_pairs(laws):
     for n in (0, 1, 2, 3):
         query = CensusQuery(n, **laws)
-        stream = stack_rows(_bimagma_raw_stream(query, DEFAULT_LIMITS))
+        stream = stack_rows(_raw_stream(query, DEFAULT_LIMITS))
         assert sorted(stream) == sorted(_dot_star_route(query)), n
         assert len(stream) == {0: 1, 1: 1, 2: 10, 3: 249}[n]
 
@@ -708,7 +712,7 @@ def test_two_grid_search_result_failing_bls_is_typed(monkeypatch):
         enumerate_structures(CensusQuery(2, rmap_laws=(RMapLaw.BLS,)))
     # without bls in the query the table is not checked for it
     query = CensusQuery(2, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,))
-    assert stack_rows(_bimagma_raw_stream(query, DEFAULT_LIMITS)) == [(1, 0, 0, 1, 0, 0, 0, 0)]
+    assert stack_rows(_raw_stream(query, DEFAULT_LIMITS)) == [(1, 0, 0, 1, 0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("laws", [{"rmap_laws": (RMapLaw.BLS, RMapLaw.UNITARY)},
@@ -719,7 +723,7 @@ def test_two_grid_search_result_failing_bls_is_typed(monkeypatch):
 def test_two_grid_search_filters_the_other_laws(laws):
     for n in (0, 1, 2, 3):
         query = CensusQuery(n, **laws)
-        stream = stack_rows(_bimagma_raw_stream(query, DEFAULT_LIMITS))
+        stream = stack_rows(_raw_stream(query, DEFAULT_LIMITS))
         assert sorted(stream) == sorted(_dot_star_route(query)), n
         assert n < 2 or 0 < len(stream) < 249
 
@@ -733,7 +737,7 @@ def test_one_grid_pool_guard_refuses_before_building():
     # all 6**6 maps pass, and so do the involutions on 7 points
     for query in (CensusQuery(6, (MagmaLaw.RIGHT_PLONKA,)),
                   CensusQuery(7, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY))):
-        assert next(_magma_raw_stream(query, DEFAULT_LIMITS)).shape[1] == query.n ** 2
+        assert next(_raw_stream(query, DEFAULT_LIMITS)).shape[1] == query.n ** 2
 
 
 def test_one_grid_pool_guard_counts_every_pool(monkeypatch):
@@ -772,6 +776,25 @@ def test_generic_sweeps_are_bounded_by_their_tables():
         enumerate_structures(CensusQuery(4, (MagmaLaw.ASSOCIATIVE,)))
     with pytest.raises(GuardExceeded, match=f"generic bi-magma sweep of {3 ** 18} tables refused"):
         enumerate_structures(CensusQuery(3, bimagma_laws=(BiMagmaLaw.YANG_BAXTER_BIMAGMA,)))
+
+
+@pytest.mark.parametrize("laws", [{"rmap_laws": (RMapLaw.YANG_BAXTER,)},
+                                  {"rmap_laws": (RMapLaw.INVOLUTIVE,)},
+                                  {"bimagma_laws": (BiMagmaLaw.YANG_BAXTER_BIMAGMA,)},
+                                  {"bimagma_laws": (BiMagmaLaw.LYUBASHENKO_FORM,)}])
+def test_generic_bimagma_sweep_matches_product_filter(laws):
+    # the sweep yields, in order, the dot + star flats of itertools.product that pass
+    for n in (0, 1, 2):
+        query = CensusQuery(n, **laws)
+        expected = []
+        for flat in itertools.product(range(n), repeat=2 * n * n):
+            b = BiMagma.from_flat(n, flat)
+            if all(check_bimagma_law(b, law).holds for law in query.bimagma_laws) and \
+               all(check_rmap_law(canonical_correspondence(b), law).holds
+                   for law in query.rmap_laws):
+                expected.append(flat)
+        assert stack_rows(_raw_stream(query, DEFAULT_LIMITS)) == expected, n
+        assert n < 2 or 0 < len(expected) < 2 ** 8
 
 
 def test_involutory_raw_count_closed_form():
@@ -813,6 +836,25 @@ def test_left_mirror_is_held_to_the_right_counts(monkeypatch):
         enumerate_structures(CensusQuery(5, (MagmaLaw.LEFT_INVOLUTORY, MagmaLaw.LEFT_PLONKA)))
 
 
+def test_k_cyclic_at_two_is_held_to_the_right_involutory_counts(monkeypatch):
+    # k_cyclic at k = 2 is the right involutory law: the same pool, classes and raw tables
+    laws = (MagmaLaw.RIGHT_PLONKA, MagmaLaw.K_CYCLIC)
+    for n, classes, raw in ((1, 1, 1), (2, 2, 2), (3, 4, 10), (4, 12, 70), (5, 37, 916),
+                            (6, 164, 16636)):
+        row = enumerate_structures(CensusQuery(n, laws, k=2)).row
+        assert (row.label, row.class_count, row.raw_count) == \
+            ("right_plonka+k_cyclic[2]", classes, raw)
+    assert enumerate_structures(CensusQuery(4, laws, k=3)).row.label.endswith(" [unverified]")
+    monkeypatch.setitem(census.KNOWN_COUNTS, ("right_plonka+right_involutory", 4), 13)
+    with pytest.raises(CrossCheckFailed, match=r"census right_plonka\+k_cyclic\[2\] at n=4 "
+                                               "found 12 classes, literature says 13"):
+        enumerate_structures(CensusQuery(4, laws, k=2))
+    monkeypatch.setattr(census, "_involutory_raw_count", lambda n: 917)
+    with pytest.raises(CrossCheckFailed, match=r"census right_plonka\+k_cyclic\[2\] at n=5 "
+                                               "found 916 raw tables, the closed count says 917"):
+        enumerate_structures(CensusQuery(5, laws, k=2))
+
+
 def test_census_phase_times():
     query = CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.TOTAL))
     start = time.perf_counter()
@@ -837,8 +879,10 @@ _PINNED_STATS = {
         CensusStats((1, 6, 10, 12), 12, 0, 10, 6),
     CensusQuery(3, rmap_laws=(RMapLaw.BLS, RMapLaw.INVOLUTIVE)):
         CensusStats((1, 141, 237, 249), 249, 203, 0, 96),
-    CensusQuery(2, (MagmaLaw.ASSOCIATIVE,)):                              # the generic sweep
+    CensusQuery(2, (MagmaLaw.ASSOCIATIVE,)):                              # the generic sweeps
         CensusStats((), 16, 8, 0, 10),
+    CensusQuery(2, rmap_laws=(RMapLaw.YANG_BAXTER,)):
+        CensusStats((), 256, 213, 0, 52),
     CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.TOTAL)):             # object rejects
         CensusStats((1, 27, 43, 45), 45, 0, 21, 42),
 }
@@ -851,8 +895,9 @@ def test_census_stats_add_up(query):
     assert stats == _PINNED_STATS[query]
     assert stats.raw_tables - stats.batch_rejects - stats.object_rejects == res.row.raw_count
     assert stats.orbit_images == res.row.class_count * math.factorial(n)
-    if query.magma_laws == (MagmaLaw.ASSOCIATIVE,):
-        assert stats.nodes == () and stats.raw_tables == n ** (n * n)
+    if query.magma_laws == (MagmaLaw.ASSOCIATIVE,) or query.rmap_laws == (RMapLaw.YANG_BAXTER,):
+        grids = 1 if query.magma_laws else 2
+        assert stats.nodes == () and stats.raw_tables == n ** (grids * n * n)
     else:
         assert len(stats.nodes) == n + 1 and stats.nodes[0] == 1
         assert stats.nodes[-1] == stats.raw_tables

@@ -499,6 +499,30 @@ def test_simple_bls_cross_check_failure_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "3", "--laws", "right-plonka", "--simple-bls", "2"),
+     "census takes exactly one of --n/--laws, --simple-bls and --function-classes, "
+     "got --n/--laws and --simple-bls"),
+    (("--laws", "right-plonka", "--function-classes", "3"),
+     "got --n/--laws and --function-classes"),
+    (("--simple-bls", "2", "--function-classes", "3"),
+     "got --simple-bls and --function-classes"),
+    (("--n", "3", "--laws", "right-plonka", "--connected-only"),
+     "--connected-only goes only with --function-classes"),
+    (("--simple-bls", "2", "--connected-only"),
+     "--connected-only goes only with --function-classes"),
+    (("--simple-bls", "2", "--stats"), "--stats goes only with --n/--laws"),
+    (("--function-classes", "3", "--stats"), "--stats goes only with --n/--laws"),
+    (("--simple-bls", "2", "--k", "2"), "--k goes only with --n/--laws"),
+    (("--function-classes", "3", "--predicates", "right-simple"),
+     "--predicates goes only with --n/--laws"),
+])
+def test_census_conflicting_selectors_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, "census", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err.splitlines()[0]
+
+
 def test_census_simple_bls_command(capsys):
     code, out, _ = run(capsys, "census", "--simple-bls", "6")
     assert code == 0

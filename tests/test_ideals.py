@@ -408,11 +408,11 @@ def test_split_search_counts_blocks_above_sixteen_points():
 
 
 def test_right_simple_iff_full_cycle():
-    from ybmag.census import _magma_raw_stream, CensusQuery
+    from ybmag.census import _raw_stream, CensusQuery
     from ybmag.core import DEFAULT_LIMITS
     for n in (1, 2, 3, 4):
         query = CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,))
-        for flat in stack_rows(_magma_raw_stream(query, DEFAULT_LIMITS)):
+        for flat in stack_rows(_raw_stream(query, DEFAULT_LIMITS)):
             m = CayleyTable(n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
             right_simple = is_simple(m, IdealKind.MAGMA_RIGHT).holds
             cols = [FiniteFunction(n, m.column(y)) for y in range(n)]

@@ -14,7 +14,7 @@ from ybmag import laws
 from ybmag.build import (EssSolution, OdometerSolution, RightPlonkaOppositeSolution,
                          build_solution)
 from ybmag.families import OdometerTriple
-from ybmag.census import _magma_raw_stream
+from ybmag.census import _raw_stream
 from ybmag.core import DEFAULT_LIMITS
 from ybmag.laws import BATCH_LAWS, check_laws_batch
 
@@ -684,7 +684,7 @@ def _bimagma_batch_corpus(n, rng):
     or not."""
     def transpose(flat):
         return tuple(flat[y * n + x] for x in range(n) for y in range(n))
-    dots = stack_rows(_magma_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
+    dots = stack_rows(_raw_stream(CensusQuery(n, (MagmaLaw.RIGHT_PLONKA,)), DEFAULT_LIMITS))
     if n <= 3:
         out = [d + transpose(s) for d in dots for s in dots]
     else:
@@ -812,8 +812,8 @@ def _column_corpus(name):
         stacks = []
         for n, laws in ((5, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.RIGHT_INVOLUTORY)),
                         (4, (MagmaLaw.RIGHT_PLONKA,))):
-            lawful = np.concatenate(list(_magma_raw_stream(CensusQuery(n, laws),
-                                                           DEFAULT_LIMITS))).reshape(-1, n, n)
+            lawful = np.concatenate(list(_raw_stream(CensusQuery(n, laws),
+                                                     DEFAULT_LIMITS))).reshape(-1, n, n)
             stacks += [lawful, _single_cell_mutants(lawful)]
         return stacks
     return [_shared_column_stack(n, rng) for n in (2, 3, 4, 5, 6)]
