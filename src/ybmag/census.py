@@ -10,14 +10,16 @@ so partial assignments prune hard; a query of left laws is searched on its
 transpose.  The two-grid search runs over commuting self-map pairs, column
 y joining dot column y and star row y, and yields the Plonka bi-magmas,
 which by the structure theorem are the BLS solutions.  Any other query
-sweeps every table.  The search runs one depth at a time over numpy
-frontiers of partial tables (``_iter_plonka_tables``); it lays out a
-transposed query's table and a bi-magma's star transposed, and the stream
-puts those grids back.  A one-grid pool is counted before any row is built
-and refused above 6**6 maps.  A table failing a law the search guarantees
-raises CrossCheckFailed; the query's other laws filter whole stacks through
-the one batch checker of ``laws``, and objects are built only for
-representatives and the laws that are not equations.  ``CensusStats``
+sweeps every table.  Both searches read the packed commute relation of
+their pool, built once (``_commute_rows``); the two-grid pool is read off
+the same relation over the self-maps.  The search runs one depth at a time
+over numpy frontiers of partial tables (``_iter_plonka_tables``); it lays
+out a transposed query's table and a bi-magma's star transposed, and the
+stream puts those grids back.  A one-grid pool is counted before any row is
+built and refused above 6**6 maps.  A table failing a law the search
+guarantees raises CrossCheckFailed; the query's other laws filter whole
+stacks through the one batch checker of ``laws``, and objects are built
+only for representatives and the laws that are not equations.  ``CensusStats``
 counts what each phase did and times it.  A query of left laws is held to
 the literature and closed counts of its transpose, and k_cyclic at k = 2
 to those of the right involutory law, whose raw count is checked against a
@@ -155,18 +157,36 @@ def _pool_size(n: int, orders_dividing: Optional[int], permutations_only: bool) 
 
 
 # bytes per frontier chunk, a state costing its packed commute mask and some
-# 32 bytes per cell of its column for its own and its children's index arrays;
-# composed map cells per batch of commute rows
+# 32 bytes per cell of its column for its own and its children's index arrays,
+# and per slab of commute rows, a row costing its composed map cells
 _FRONTIER_BYTES = 1 << 20
-_ROW_CELLS = 1 << 20
 
 
-def _commuting(maps: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """[i, j]: whether the uint8 self-maps maps[i] and others[j] commute.
-    Their points are a multiple of 8, so composites compare as uint64 words."""
-    a_of_b = np.take(maps, others, axis=1).view(np.uint64)                      # [i, j, word]
-    b_of_a = np.take(others, maps, axis=1).view(np.uint64).transpose(1, 0, 2)
-    return (a_of_b == b_of_a).all(2)
+def _commute_rows(grid: np.ndarray) -> np.ndarray:
+    """The commute relation of a pool, entries of k self-maps (grid[i, g, x]),
+    as packed rows: bit j (little-endian) of row i is set when every map of
+    entry i commutes with every map of entry j.  The distinct maps of all
+    grids are composed one slab of rows at a time, f(m(x)) against m(f(x))
+    for each map f of the slab and every distinct map m, laid out [f, x, m]
+    so that each point's images of all maps m are one contiguous row."""
+    size, k, n = grid.shape
+    distinct, which = _distinct_rows(grid.reshape(size * k, n), n)
+    which = which.reshape(size, k)
+    images = np.ascontiguousarray(distinct.T)   # [x, m]: m(x)
+    points = images.astype(np.intp)             # take converts uint8 indices per call
+    rows = np.empty((size, -(-size // 8)), dtype=np.uint8)
+    step = max(1, _FRONTIER_BYTES // max(1, distinct.size * k))   # no map cells at n = 0
+    for s in range(0, size, step):
+        needed, position = np.unique(which[s:s + step], return_inverse=True)
+        position = position.reshape(-1, k)
+        f = distinct[needed]
+        commute = (np.take(f, points, axis=1) == images[f]).all(1)   # [f, m]
+        ok = np.ones((len(position), size), dtype=bool)
+        for g in range(k):
+            for h in range(k):
+                ok &= np.take(commute[position[:, g]], which[:, h], axis=1)
+        rows[s:s + step] = np.packbits(ok, axis=1, bitorder="little")
+    return rows
 
 
 def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
@@ -175,52 +195,30 @@ def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
     k maps (k = len(entry) // n) is a column of k grids; a cell lists k entries.
     Yields uint8 stacks of at most ``_BATCH`` flattened tables, (T, n * n * k).
 
-    The search runs one depth at a time over frontier chunks.  A state holds
-    its pool indices, chosen for positions below its depth y and forced (or
-    -1) from y on, and the packed mask of the pool entries that commute with
-    every chosen column.  The (y, b) rule pins column y to the column at each
-    image b of y under a chosen map; the (a, y) rule is checked for the new
-    column on all children at once.  Children are pushed as chunks, last
-    first, so tables come out in lexicographic order of their pool indices.
-    Commute rows are built for an index the first time a state needs them.
-    Returns, as the generator's value, the number of states at each depth
-    0..n that passed every check."""
+    Column y of a band table fixes y, so a band search first drops the
+    entries that fix no point.  The pool's commute rows are then built once,
+    before the first depth.  The search runs one depth at a time over
+    frontier chunks.  A state holds its pool indices, chosen for positions
+    below its depth y and forced (or -1) from y on, and the packed mask of
+    the pool entries that commute with every chosen column.  The (y, b) rule
+    pins column y to the column at each image b of y under a chosen map; the
+    (a, y) rule is checked for the new column on all children at once.
+    Children are pushed as chunks, last first, so tables come out in
+    lexicographic order of their pool indices.  Returns, as the generator's
+    value, the number of states at each depth 0..n that passed every check."""
     if n == 0:
         yield np.zeros((1, 0), dtype=np.uint8)
         return [1]
     grid = np.asarray(pool, dtype=np.uint8).reshape(len(pool), -1, n)   # [i, g, x]
-    size, k = grid.shape[:2]
-    # the distinct maps of all grids (entries commute when all their maps
-    # do), with fixed points added up to a multiple of 8 points
-    distinct, which = _distinct_rows(grid.reshape(size * k, n), n)
-    pad = np.arange(n, -(-n // 8) * 8, dtype=np.uint8)
-    maps = np.concatenate((distinct, np.broadcast_to(pad, (len(distinct), len(pad)))), 1)
-    which = which.reshape(size, k)
-    width = -(-size // 8)
-    rows = np.empty((size, width), dtype=np.uint8)   # commute rows, filled as needed
-    built = np.zeros(size, dtype=bool)
-    index = np.int16 if size < 1 << 15 else np.int32
     fixes = (grid == np.arange(n, dtype=np.uint8)).all(1)   # [i, y]: the band law
+    if band:
+        used = fixes.any(1)
+        grid, fixes = grid[used], fixes[used]
+    size, k = grid.shape[:2]
+    rows = _commute_rows(grid)
     band_rows = np.packbits(fixes.T, axis=1, bitorder="little")
-    per_chunk = max(1, _FRONTIER_BYTES // (width + 32 * n * k))
+    per_chunk = max(1, _FRONTIER_BYTES // (rows.shape[1] + 32 * n * k))
     nodes = [1] + [0] * n
-
-    def build(chosen: np.ndarray) -> None:
-        wanted = np.zeros(size, dtype=bool)
-        wanted[chosen] = True
-        fresh = np.flatnonzero(wanted & ~built)
-        step = max(1, _ROW_CELLS // (len(maps) * maps.shape[1] * k))
-        for s in range(0, len(fresh), step):
-            batch = fresh[s:s + step]
-            needed, position = np.unique(which[batch], return_inverse=True)
-            position = position.reshape(len(batch), k)
-            commute = _commuting(maps[needed], maps)
-            ok = np.ones((len(batch), size), dtype=bool)
-            for g in range(k):
-                for h in range(k):
-                    ok &= commute[position[:, g]][:, which[:, h]]
-            rows[batch] = np.packbits(ok, axis=1, bitorder="little")
-            built[batch] = True
 
     def expand(y: int, cols: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The children of the states ``cols`` at depth y that pass the
@@ -245,7 +243,7 @@ def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
         bit_row, bit = np.nonzero(np.unpackbits(allowed[row, byte][:, None], axis=1,
                                                  bitorder="little"))
         parent = np.concatenate((pinned, free[row[bit_row]]))
-        choice = np.concatenate((pin, (byte[bit_row] * 8 + bit).astype(index)))
+        choice = np.concatenate((pin, (byte[bit_row] * 8 + bit).astype(np.int32)))
         order = np.argsort(parent, kind="stable")
         parent, choice = parent[order], choice[order]
         children = cols[parent]
@@ -263,12 +261,11 @@ def _iter_plonka_tables(n: int, pool, band: bool) -> Iterator[np.ndarray]:
         return children[good], parent[good]
 
     root = np.packbits(np.ones(size, dtype=bool), bitorder="little")[None]
-    stack = [(0, np.full((1, n), -1, dtype=index), root, np.zeros(1, dtype=np.intp))]
+    stack = [(0, np.full((1, n), -1, dtype=np.int32), root, np.zeros(1, dtype=np.intp))]
     while stack:
         y, cols, parent_masks, parents = stack.pop()
         masks = parent_masks[parents]
         if y:
-            build(cols[:, y - 1])
             masks &= rows[cols[:, y - 1]]
         children, parent = expand(y, cols, masks)
         nodes[y + 1] += len(children)
@@ -580,8 +577,8 @@ def _raw_stream(query: CensusQuery, limits: Limits,
         # the pairs (f, g) of commuting self-maps, f then g in lexicographic order;
         # column y joins dot column y and star row y
         maps = _function_pool(n, None, False)
-        after = np.take_along_axis(maps[:, None], maps[None], 2)   # [f, g, x] is f(g(x))
-        f, g = np.nonzero((after == after.transpose(1, 0, 2)).all(2))
+        f, g = np.nonzero(np.unpackbits(_commute_rows(maps[:, None]), axis=1, count=len(maps),
+                                        bitorder="little"))
         tables = _iter_plonka_tables(n, np.concatenate((maps[f], maps[g]), 1), False)
         flipped = (False, True)
         guaranteed = [BiMagmaLaw.PLONKA_BIMAGMA] + [RMapLaw.BLS] * (RMapLaw.BLS in laws)

@@ -55,33 +55,27 @@ def _read_structure(path: str):
         return parse_structure(fh.read())
 
 
+def _law_named(name: str, kinds: tuple):
+    """The law called ``name`` in the first of the law enums ``kinds`` that
+    has one, or None."""
+    return next((law for kind in kinds for law in kind if law.value == name), None)
+
+
 def _resolve_law(structure, name: str):
     """Pick the law enum for the structure kind, converting between R-maps
     and bi-magmas when the law lives on the other side."""
     name = name.replace("-", "_")
-    if isinstance(structure, CayleyTable):
-        try:
-            return structure, MagmaLaw(name), check_magma_law
-        except ValueError:
-            raise ValueError(f"{name!r} is not a magma law") from None
-    if isinstance(structure, BiMagma):
-        try:
-            return structure, BiMagmaLaw(name), check_bimagma_law
-        except ValueError:
-            pass
-        try:
-            return canonical_correspondence(structure), RMapLaw(name), check_rmap_law
-        except ValueError:
-            raise ValueError(f"{name!r} is not a bi-magma or R-map law") from None
-    if isinstance(structure, RMap):
-        try:
-            return structure, RMapLaw(name), check_rmap_law
-        except ValueError:
-            pass
-        try:
-            return canonical_correspondence(structure), BiMagmaLaw(name), check_bimagma_law
-        except ValueError:
-            raise ValueError(f"{name!r} is not an R-map or bi-magma law") from None
+    for kind, kinds, noun in ((CayleyTable, (MagmaLaw,), "a magma law"),
+                              (BiMagma, (BiMagmaLaw, RMapLaw), "a bi-magma or R-map law"),
+                              (RMap, (RMapLaw, BiMagmaLaw), "an R-map or bi-magma law")):
+        if isinstance(structure, kind):
+            law = _law_named(name, kinds)
+            if law is None:
+                raise ValueError(f"{name!r} is not {noun}")
+            if not isinstance(law, kinds[0]):
+                structure = canonical_correspondence(structure)
+            return structure, law, {MagmaLaw: check_magma_law, BiMagmaLaw: check_bimagma_law,
+                                    RMapLaw: check_rmap_law}[type(law)]
     raise ValueError("check expects a magma, bimagma or rmap file")
 
 
@@ -264,11 +258,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-_LAW_LOOKUP = {law.value: law for law in MagmaLaw}
-_BIMAGMA_LOOKUP = {law.value: law for law in BiMagmaLaw}
-_RMAP_LOOKUP = {law.value: law for law in RMapLaw}
-
-
 def _cmd_census(args) -> int:
     start = time.perf_counter()
     by_laws = args.n is not None or args.laws is not None
@@ -282,9 +271,12 @@ def _cmd_census(args) -> int:
     if args.connected_only and args.function_classes is None:
         raise ValueError("--connected-only goes only with --function-classes")
     for flag, given in (("--stats", args.stats), ("--k", args.k is not None),
-                        ("--predicates", args.predicates is not None)):
+                        ("--predicates", args.predicates is not None),
+                        ("--workers", args.workers is not None)):
         if given and not by_laws:
             raise ValueError(f"{flag} goes only with --n/--laws")
+    if args.mode is not None and not (by_laws or args.simple_bls is not None):
+        raise ValueError("--mode goes only with --n/--laws or --simple-bls")
     if args.simple_bls is not None:
         result = census_simple_bls(args.simple_bls)
         elapsed_ms = int((time.perf_counter() - start) * 1000)
@@ -304,22 +296,17 @@ def _cmd_census(args) -> int:
         return 0
     if args.n is None or not args.laws:
         raise ValueError("census needs --n and --laws (or --simple-bls / --function-classes)")
-    magma_laws, bimagma_laws, rmap_laws = [], [], []
+    kinds, laws = (MagmaLaw, BiMagmaLaw, RMapLaw), []
     for name in args.laws.split(","):
         name = name.strip().replace("-", "_")
-        if name in _LAW_LOOKUP:
-            magma_laws.append(_LAW_LOOKUP[name])
-        elif name in _BIMAGMA_LOOKUP:
-            bimagma_laws.append(_BIMAGMA_LOOKUP[name])
-        elif name in _RMAP_LOOKUP:
-            rmap_laws.append(_RMAP_LOOKUP[name])
-        else:
+        if (law := _law_named(name, kinds)) is None:
             raise ValueError(f"unknown law {name!r}")
+        laws.append(law)
     predicates = tuple(p.strip().replace("-", "_") for p in args.predicates.split(",")) \
         if args.predicates else ()
-    query = CensusQuery(args.n, tuple(magma_laws), tuple(bimagma_laws), tuple(rmap_laws),
-                        args.k, predicates, args.mode)
-    result = enumerate_structures(query, workers=args.workers)
+    query = CensusQuery(args.n, *(tuple(law for law in laws if isinstance(law, kind))
+                                  for kind in kinds), args.k, predicates, args.mode or "count")
+    result = enumerate_structures(query, workers=1 if args.workers is None else args.workers)
     if args.stats:
         print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
     print(result.row.tsv())
@@ -419,10 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--laws", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--predicates", default=None)
-    p.add_argument("--mode", choices=("count", "representatives"), default="count")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility: every census runs in one process; "
-                        "a value below 1 is a usage error")
+    p.add_argument("--mode", choices=("count", "representatives"), default=None,
+                   help="count (the default) or representatives; with --n/--laws or --simple-bls")
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted with --n/--laws for compatibility: every census runs in one "
+                        "process; a value below 1 is a usage error")
     p.add_argument("--simple-bls", type=int, default=None)
     p.add_argument("--function-classes", type=int, default=None)
     p.add_argument("--connected-only", action="store_true")

@@ -361,18 +361,21 @@ def _codes(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _distinct_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``rows``, whose entries lie in 0..n-1, and the
-    index of each row among them.  The rows are cut into pieces short
-    enough for ``_codes``, sorted by one lexsort of the pieces' codes and
-    told apart from their neighbours, so any n works."""
+    """The distinct rows of ``rows``, whose entries lie in 0..n-1, in
+    lexicographic order, and the index of each row among them.  The rows are
+    cut into pieces short enough for ``_codes``, sorted by one lexsort of the
+    pieces' codes, the first piece the primary key, and told apart from
+    their neighbours, so any n works."""
     width = 1
     while width < rows.shape[1] and n ** (width + 1) < 1 << 63:
         width += 1
-    keys = np.stack([_codes(rows[:, s:s + width], n) for s in range(0, rows.shape[1], width)])
-    order = np.lexsort(keys)
-    keys = keys[:, order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(0)
+    keys = [_codes(rows[:, s:s + width], n) for s in range(0, rows.shape[1] or 1, width)]
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(rows), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
     which = np.empty(len(rows), dtype=np.intp)
     which[order] = np.cumsum(new) - 1
     return rows[order[new]], which

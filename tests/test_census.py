@@ -156,7 +156,7 @@ def test_two_grid_column_search_matches_product_filter(n):
 
 
 def test_frontier_chunks_keep_the_order(monkeypatch):
-    # one state per frontier chunk and one commute row per batch: the same
+    # one state per frontier chunk and one commute row per slab: the same
     # tables in the same order as the default sizes
     cases = [(n, _function_pool(n, orders, permutations_only), band)
              for n in range(5) for orders in (None, 2, 3)
@@ -164,7 +164,6 @@ def test_frontier_chunks_keep_the_order(monkeypatch):
     cases.append((3, _pair_pool(3), False))
     expected = [stack_rows(_iter_plonka_tables(*case)) for case in cases]
     monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
-    monkeypatch.setattr(census, "_ROW_CELLS", 1)
     for case, tables in zip(cases, expected):
         assert stack_rows(_iter_plonka_tables(*case)) == tables, case[0]
 
@@ -885,6 +884,12 @@ _PINNED_STATS = {
         CensusStats((), 256, 213, 0, 52),
     CensusQuery(3, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.TOTAL)):             # object rejects
         CensusStats((1, 27, 43, 45), 45, 0, 21, 42),
+    CensusQuery(4, (MagmaLaw.RIGHT_PLONKA, MagmaLaw.BAND)):              # band-cut pools
+        CensusStats((1, 64, 218, 196, 150), 150, 0, 0, 288),
+    CensusQuery(4, (MagmaLaw.TWO_CYCLIC,)):
+        CensusStats((1, 4, 10, 16, 22), 22, 0, 0, 96),
+    CensusQuery(3, bimagma_laws=(BiMagmaLaw.PLONKA_BIMAGMA,)):          # the two-grid search
+        CensusStats((1, 141, 237, 249), 249, 0, 0, 330),
 }
 
 

@@ -516,6 +516,13 @@ def test_simple_bls_cross_check_failure_exit_code(capsys, monkeypatch):
     (("--simple-bls", "2", "--k", "2"), "--k goes only with --n/--laws"),
     (("--function-classes", "3", "--predicates", "right-simple"),
      "--predicates goes only with --n/--laws"),
+    (("--simple-bls", "3", "--workers", "0"), "--workers goes only with --n/--laws"),
+    (("--function-classes", "3", "--workers", "1"), "--workers goes only with --n/--laws"),
+    (("--function-classes", "3", "--mode", "representatives"),
+     "--mode goes only with --n/--laws or --simple-bls"),
+    (("--function-classes", "3", "--mode", "count"),
+     "--mode goes only with --n/--laws or --simple-bls"),
+    (("--mode", "count"), "--mode goes only with --n/--laws or --simple-bls"),
 ])
 def test_census_conflicting_selectors_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, "census", *argv)
@@ -528,6 +535,13 @@ def test_census_simple_bls_command(capsys):
     assert code == 0
     fields = out.strip().split("\t")
     assert fields[2] == "12"
+
+
+def test_census_simple_bls_lists_its_triples(capsys):
+    code, out, _ = run(capsys, "census", "--simple-bls", "4", "--mode", "representatives")
+    row, *triples = out.splitlines()
+    assert code == 0 and row.split("\t")[2] == "7"
+    assert triples == ["1 4 1", "2 2 1", "2 2 2", "4 1 1", "4 1 2", "4 1 3", "4 1 4"]
 
 
 def test_census_function_classes_command(capsys):

@@ -842,6 +842,17 @@ def test_single_cell_mutants():
         [[1, 1], [1, 0]], [[0, 0], [1, 0]], [[0, 1], [0, 0]], [[0, 1], [1, 1]]]
 
 
+def test_distinct_rows_are_lexicographic_in_two_pieces():
+    # from 16 points a row is coded in two pieces; random rows differ in
+    # both, and repeated rows must map back to their distinct row
+    rng = np.random.default_rng(17)
+    rows = rng.integers(0, 17, (200, 17), dtype=np.uint8)
+    rows = np.concatenate((rows, rows[::-3]))
+    distinct, which = laws._distinct_rows(rows, 17)
+    assert np.array_equal(distinct, np.unique(rows, axis=0))
+    assert np.array_equal(distinct[which], rows)
+
+
 @pytest.mark.parametrize("dtype, entry", [(np.uint8, 3), (np.uint8, 255), (np.int8, -1),
                                           (np.int64, -1), (np.int64, 3)])
 def test_batch_checks_refuse_entries_outside_the_carrier(dtype, entry):
