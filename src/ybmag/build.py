@@ -18,8 +18,15 @@ from .laws import BiMagmaLaw, check_bimagma_law, group_structure
 from .plonka import BiPlonkaPartition, rebuild
 
 
-# largest carrier free_k_cyclic builds
+# largest carrier a builder makes: free_k_cyclic and every builder sized by n
 _FREE_MAGMA_LIMIT = 4096
+
+
+def _check_elements(what: str, size: int) -> None:
+    """Refuse, before anything is built, a structure of more than
+    ``_FREE_MAGMA_LIMIT`` elements."""
+    if size > _FREE_MAGMA_LIMIT:
+        raise GuardExceeded(f"{what} would have {size} elements (limit {_FREE_MAGMA_LIMIT})")
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,10 @@ def build_solution(spec: SolutionSpec) -> RMap:
     between the conventions.
     """
     if isinstance(spec, IdentitySolution):
+        _check_elements("identity solution", spec.n)
         return identity_rmap(spec.n)
     if isinstance(spec, FlipSolution):
+        _check_elements("flip solution", spec.n)
         return flip_map(spec.n)
     if isinstance(spec, LyubashenkoSolution):
         return lyubashenko_rmap(spec.f, spec.g)
@@ -169,9 +178,7 @@ def free_k_cyclic(generators: int, k: int, idempotent: bool) -> FreeMagmaResult:
     if generators < 1 or k < 1:
         raise ValueError("need at least one generator and k >= 1")
     size = generators * k ** (generators - 1 if idempotent else generators)
-    if size > _FREE_MAGMA_LIMIT:
-        raise GuardExceeded(f"free magma would have {size} elements "
-                            f"(limit {_FREE_MAGMA_LIMIT})")
+    _check_elements("free magma", size)
     elements: list[FreeKCyclicElement] = []
     for base in range(generators):
         slots = [range(k) if (i != base or not idempotent) else range(1)
@@ -214,6 +221,7 @@ def right_zero_table(n: int) -> CayleyTable:
 
 def trivial_bimagma(n: int) -> BiMagma:
     """Left-zero dot with right-zero star; the unitary baseline structure."""
+    _check_elements("trivial bi-magma", n)
     return BiMagma(left_zero_table(n), right_zero_table(n))
 
 
@@ -225,6 +233,7 @@ def trivial_brace(group: CayleyTable) -> BiMagma:
 
 
 def cyclic_group_table(n: int) -> CayleyTable:
+    _check_elements("cyclic group", n)
     return CayleyTable(n, tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
 
 

@@ -29,13 +29,17 @@ operation; the orbits must hold exactly the raw tables, and a class's
 representative is the least table of its orbit.
 
 The sweep of commuting permutation pairs builds each centralizer as a
-wreath product of cyclic and symmetric groups, turns each of its generators
-into an index permutation of the centralizer's rows and labels the
-conjugation orbits by min-label propagation; its class count is checked
+wreath product of cyclic and symmetric groups, sorted by its rows' base-n
+codes; each of its generators h becomes an index permutation g -> h g h^-1
+of those rows, a ``searchsorted`` of the conjugates' codes, and min-label
+propagation labels the conjugation orbits; its class count is checked
 against the Euler transform of the divisor sums.  The sweep of self-map
-conjugation orbits runs on numpy arrays of permutation rows, one array
-operation per orbit; its orbit count is checked against a Polya count of
-mapping patterns, cycles of rooted trees and their Euler transform.
+conjugation orbits walks the n^n maps in base-n code order; with the
+permutation rows, their inverses, the row offsets and the base-n place
+values built once per call, each orbit costs a few array calls, its
+conjugates p f p^-1 two flat gathers and their codes one matrix product;
+its orbit count is checked against a Polya count of mapping patterns,
+cycles of rooted trees and their Euler transform.
 """
 
 from __future__ import annotations
@@ -701,11 +705,12 @@ def _cycle_blocks(cycle_type: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         start += c * m
 
 
-def _centralizer(cycle_type: Sequence[int], n: int) -> np.ndarray:
+def _centralizer(cycle_type: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The centralizer of ``_perm_from_cycle_type(cycle_type, n)`` as uint8
-    permutation rows in lexicographic order: the product over cycle lengths
-    c of Z_c wr S_m, which permutes the m cycles of length c among
-    themselves and rotates each one."""
+    permutation rows in lexicographic order, and their base-n codes
+    (``_codes``), ascending: the product over cycle lengths c of Z_c wr S_m,
+    which permutes the m cycles of length c among themselves and rotates
+    each one."""
     rows = np.zeros((1, 0), dtype=np.uint8)
     for start, c, m in _cycle_blocks(cycle_type):
         cycles = _permutation_array(m)                                  # [p, i]
@@ -715,7 +720,9 @@ def _centralizer(cycle_type: Sequence[int], n: int) -> np.ndarray:
                  + (shifts[None, :, :, None] + np.arange(c, dtype=np.uint8)) % c)
         block = block.reshape(len(cycles) * len(shifts), m * c)
         rows = np.concatenate((np.repeat(rows, len(block), 0), np.tile(block, (len(rows), 1))), 1)
-    return rows[np.argsort(_codes(rows, n))]
+    codes = _codes(rows, n)
+    order = np.argsort(codes)   # distinct rows have distinct codes: one order
+    return rows[order], codes[order]
 
 
 def _centralizer_generators(cycle_type: Sequence[int], n: int) -> list[np.ndarray]:
@@ -751,8 +758,7 @@ def commuting_permutation_pairs_up_to_conjugacy(n: int) -> Iterator[tuple[tuple[
     classes = 0
     for cycle_type in _partitions(n):
         f = _perm_from_cycle_type(cycle_type, n)
-        centralizer = _centralizer(cycle_type, n)
-        codes = _codes(centralizer, n)
+        centralizer, codes = _centralizer(cycle_type, n)
         steps = []
         for h in _centralizer_generators(cycle_type, n):
             if not (h[list(f)] == np.array(f)[h]).all():
@@ -804,14 +810,22 @@ def census_simple_bls(t: int, limits: Limits = DEFAULT_LIMITS) -> SimpleSolution
     simultaneous conjugation and keeps the incompressible ones; members of
     an incompressible commuting pair are forced to be bijective because the
     image of a non-surjective member would be a proper invariant subset.
-    The two counts must agree whenever the sweep runs.
+    The two counts must agree whenever the sweep runs.  There are sigma(t)
+    triples, and more than ``limits.family_enum`` are refused; since
+    sigma(t) >= t, a larger t is refused before its divisors are listed.
     """
     _check_carrier(t)
     if t < 1:
         raise ValueError("carrier must be non-empty")
-    triples = tuple(OdometerTriple(m, t // m, d)
-                    for m in range(1, t + 1) if t % m == 0
-                    for d in range(1, m + 1))
+    if t > limits.family_enum:
+        raise GuardExceeded(f"simple-solution census at t={t} would list at least {t} triples "
+                            f"(limit {limits.family_enum})")
+    low = [m for m in range(1, math.isqrt(t) + 1) if t % m == 0]
+    divisors = low + [t // m for m in reversed(low) if m * m != t]
+    if (sigma := sum(divisors)) > limits.family_enum:
+        raise GuardExceeded(f"simple-solution census at t={t} would list {sigma} triples "
+                            f"(limit {limits.family_enum})")
+    triples = tuple(OdometerTriple(m, t // m, d) for m in divisors for d in range(1, m + 1))
     pair_count: Optional[int] = None
     if t <= limits.simple_bls_brute:
         pair_count = 0
@@ -868,17 +882,19 @@ def function_conjugacy_census(n: int, connected_only: bool = False,
     if n == 0:
         return 1
 
-    perms = _permutation_array(n)
-    inverses = np.argsort(perms, axis=1).astype(np.uint8)
+    rows = _permutation_array(n)
+    perms, inverses = rows.astype(np.intp), np.argsort(rows, axis=1)
+    offsets = np.arange(len(perms))[:, None] * n    # row p of perms starts at p n
+    weights = n ** np.arange(n - 1, -1, -1)          # base-n place values, first entry first
     unseen = np.ones(n ** n, dtype=bool)   # by base-n code: lexicographic order
     orbit_count = 0
     for code in _unseen_indices(unseen):
-        f = np.array(np.unravel_index(code, (n,) * n), dtype=np.uint8)
+        f = code // weights % n
         if not connected_only or \
                 len(connected_components(n, [FiniteFunction(n, tuple(f.tolist()))]).blocks) <= 1:
             orbit_count += 1
-        # the images p f p^-1 under every relabelling p
-        unseen[_codes(np.take_along_axis(perms, f[inverses], 1), n)] = False
+        # the images p f p^-1 under every relabelling p, as one flat gather
+        unseen[perms.take(f.take(inverses) + offsets) @ weights] = False
 
     connected = _connected_mapping_patterns(n)
     expected = connected[n] if connected_only else _euler_transform(connected, n)[n]

@@ -121,6 +121,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_iso(args) -> int:
     a = _read_structure(args.file_a)
     b = _read_structure(args.file_b)
+    if not all(isinstance(s, (CayleyTable, BiMagma, RMap)) for s in (a, b)):
+        raise ValueError("iso expects magma, bimagma or rmap files")
     if isinstance(a, RMap):
         a = canonical_correspondence(a)
     if isinstance(b, RMap):

@@ -34,10 +34,10 @@ class Limits:
     # VM: t = 9 takes 0.25 s and 56 MB max RSS, t = 10 takes 2.8 s and 291 MB
     simple_bls_brute: int = 9
     # orbit sweep of the self-map conjugacy census, all n**n maps; measured
-    # on a 2-vCPU VM: n = 8 takes 4.5-6.6 s per call and 48 MB max RSS
+    # on a 2-vCPU VM: n = 8 takes 3.0 s per call and 57 MB max RSS
     conjugacy_census: int = 8
     census_carrier: int = 7      # table backtracking searches
-    family_enum: int = 10**6     # generator-tuple enumeration, t**k
+    family_enum: int = 10**6     # generator-tuple enumeration, t**k; simple-BLS triples, sigma(t)
 
 
 DEFAULT_LIMITS = Limits()

@@ -1068,7 +1068,8 @@ def _transposition_generator(cycle_type, n):
 
 
 def _drop_last_row(cycle_type, n):
-    return _centralizer(cycle_type, n)[:-1]
+    rows, codes = _centralizer(cycle_type, n)
+    return rows[:-1], codes[:-1]
 
 
 @pytest.mark.parametrize("name, sabotage, message", [
@@ -1083,6 +1084,23 @@ def test_commuting_pair_sweep_failure_is_typed(monkeypatch, name, sabotage, mess
     monkeypatch.setattr(census, name, sabotage)
     with pytest.raises(CrossCheckFailed, match=message):
         census_simple_bls(4)
+
+
+def test_simple_bls_triples_come_in_divisor_order():
+    # the O(sqrt t) divisor listing keeps the order of a loop over m = 1..t
+    limits = Limits(simple_bls_brute=0)
+    for t in range(1, 400):
+        expected = [(m, t // m, d) for m in range(1, t + 1) if t % m == 0 for d in range(1, m + 1)]
+        assert [(x.m, x.n, x.d) for x in census_simple_bls(t, limits).triples] == expected
+
+
+def test_simple_bls_guard_counts_the_triples():
+    # sigma(12) = 28: refused by the triple count, under the limit by t
+    with pytest.raises(GuardExceeded, match=r"t=12 would list 28 triples \(limit 27\)"):
+        census_simple_bls(12, Limits(family_enum=27))
+    assert census_simple_bls(12, Limits(family_enum=28)).count == 28
+    with pytest.raises(GuardExceeded, match="at least 28 triples"):
+        census_simple_bls(28, Limits(family_enum=27))
 
 
 def test_simple_bls_default_guard_is_single_route_beyond():

@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, OdometerSolution,
                    OdometerTriple, bi_plonka_partition, build_solution,
@@ -205,6 +205,16 @@ def test_iso_command_on_empty_structures(capsys, tmp_path, kind, method):
     path.write_text(serialize(empty if kind == "magma" else BiMagma(empty, empty)))
     code, out, _ = run(capsys, "iso", "--method", method, str(path), str(path))
     assert code == 0 and out == "ISOMORPHIC \n"
+
+
+@pytest.mark.parametrize("name", ["collapse_3.txt", "swap_id_family.txt"])
+@pytest.mark.parametrize("method", ["brute", "structured"])
+def test_iso_refuses_function_and_family_files(capsys, name, method):
+    path = str(GOLDEN / name)
+    for argv in ((path, path), (str(GOLDEN / "z3.txt"), path)):
+        code, out, err = run(capsys, "iso", "--method", method, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: iso expects magma, bimagma or rmap files\n"
 
 
 def test_ideals_command(capsys):
@@ -542,6 +552,54 @@ def test_census_simple_bls_lists_its_triples(capsys):
     row, *triples = out.splitlines()
     assert code == 0 and row.split("\t")[2] == "7"
     assert triples == ["1 4 1", "2 2 1", "2 2 2", "4 1 1", "4 1 2", "4 1 3", "4 1 4"]
+
+
+@pytest.mark.parametrize("t, message", [
+    ("99999999999999999999", "t=99999999999999999999 would list at least 99999999999999999999 "
+                             "triples (limit 1000000)"),
+    ("720720", "t=720720 would list 3249792 triples (limit 1000000)"),
+])
+def test_census_simple_bls_refuses_above_the_triple_limit(capsys, t, message):
+    code, out, err = run(capsys, "census", "--simple-bls", t)
+    assert code == 3 and out == ""
+    assert err == f"guard exceeded: simple-solution census at {message}\n"
+
+
+@pytest.mark.parametrize("variant, what", [
+    ("identity", "identity solution"), ("flip", "flip solution"),
+    ("trivial-bimagma", "trivial bi-magma"), ("trivial-brace", "cyclic group")])
+def test_build_size_guard_refuses_before_building(capsys, variant, what):
+    code, out, err = run(capsys, "build", "--variant", variant, "--size", "4097")
+    assert code == 3 and out == ""
+    assert err == f"guard exceeded: {what} would have 4097 elements (limit 4096)\n"
+
+
+def _sized(prefix, low, high, guard):
+    """(argv, refused) pairs: a size in low..high, or one past ``guard``."""
+    return st.one_of(st.integers(low, high).map(lambda v: (prefix + (str(v),), False)),
+                     st.integers(guard, 10 ** 30).map(lambda v: (prefix + (str(v),), True)))
+
+
+_SIZED_CALLS = st.one_of(
+    _sized(("census", "--simple-bls"), 1, 6, 10 ** 7),
+    _sized(("census", "--function-classes"), 0, 6, 9),
+    st.sampled_from(["identity", "flip", "trivial-bimagma", "trivial-brace"]).flatmap(
+        lambda variant: _sized(("build", "--variant", variant, "--size"), 0, 6, 10 ** 7)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])   # capsys is read per call
+@given(_SIZED_CALLS)
+def test_sized_commands_answer_or_refuse(capsys, call):
+    argv, refused = call
+    code, out, err = run(capsys, *argv)   # an exception would escape main and fail the test
+    assert "Traceback" not in err
+    if refused:
+        assert code == 3 and out == "" and err.startswith("guard exceeded: ")
+    elif argv[-3:] == ("trivial-brace", "--size", "0"):   # no group on the empty carrier
+        assert code == 2 and err == "error: trivial brace needs a group table\n"
+    else:
+        assert code == 0 and out and err == ""
 
 
 def test_census_function_classes_command(capsys):
