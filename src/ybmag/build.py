@@ -20,13 +20,22 @@ from .plonka import BiPlonkaPartition, rebuild
 
 # largest carrier a builder makes: free_k_cyclic and every builder sized by n
 _FREE_MAGMA_LIMIT = 4096
+# most cells a builder sized by n makes: the n^2 output pairs of the identity
+# and flip solutions, the table cells of the trivial bi-magma and the cyclic group
+_BUILD_CELLS = 1 << 20
+# most triples of a trivial brace's associativity check; on a 2-vCPU VM
+# 400 points (2^26 triples) took 0.89 s and 800 points 4.8 s
+_BRACE_TRIPLES = 1 << 27
 
 
-def _check_elements(what: str, size: int) -> None:
+def _check_size(what: str, elements: int, cells: int = 0) -> None:
     """Refuse, before anything is built, a structure of more than
-    ``_FREE_MAGMA_LIMIT`` elements."""
-    if size > _FREE_MAGMA_LIMIT:
-        raise GuardExceeded(f"{what} would have {size} elements (limit {_FREE_MAGMA_LIMIT})")
+    ``_FREE_MAGMA_LIMIT`` elements or ``_BUILD_CELLS`` cells, the elements
+    checked first."""
+    for size, unit, limit in ((elements, "elements", _FREE_MAGMA_LIMIT),
+                              (cells, "cells", _BUILD_CELLS)):
+        if size > limit:
+            raise GuardExceeded(f"{what} would have {size} {unit} (limit {limit})")
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,10 @@ def build_solution(spec: SolutionSpec) -> RMap:
     between the conventions.
     """
     if isinstance(spec, IdentitySolution):
-        _check_elements("identity solution", spec.n)
+        _check_size("identity solution", spec.n, spec.n * spec.n)
         return identity_rmap(spec.n)
     if isinstance(spec, FlipSolution):
-        _check_elements("flip solution", spec.n)
+        _check_size("flip solution", spec.n, spec.n * spec.n)
         return flip_map(spec.n)
     if isinstance(spec, LyubashenkoSolution):
         return lyubashenko_rmap(spec.f, spec.g)
@@ -178,7 +187,7 @@ def free_k_cyclic(generators: int, k: int, idempotent: bool) -> FreeMagmaResult:
     if generators < 1 or k < 1:
         raise ValueError("need at least one generator and k >= 1")
     size = generators * k ** (generators - 1 if idempotent else generators)
-    _check_elements("free magma", size)
+    _check_size("free magma", size)
     elements: list[FreeKCyclicElement] = []
     for base in range(generators):
         slots = [range(k) if (i != base or not idempotent) else range(1)
@@ -221,19 +230,23 @@ def right_zero_table(n: int) -> CayleyTable:
 
 def trivial_bimagma(n: int) -> BiMagma:
     """Left-zero dot with right-zero star; the unitary baseline structure."""
-    _check_elements("trivial bi-magma", n)
+    _check_size("trivial bi-magma", n, 2 * n * n)
     return BiMagma(left_zero_table(n), right_zero_table(n))
 
 
 def trivial_brace(group: CayleyTable) -> BiMagma:
-    """Both brace operations equal to the given group."""
+    """Both brace operations equal to the given group, refused above
+    ``_BRACE_TRIPLES`` triples of its associativity check before any is read."""
+    if group.n ** 3 > _BRACE_TRIPLES:
+        raise GuardExceeded(f"trivial brace's associativity check would read {group.n ** 3} "
+                            f"triples (limit {_BRACE_TRIPLES})")
     if group_structure(group.table) is None:
         raise ValueError("trivial brace needs a group table")
     return BiMagma(group, group)
 
 
 def cyclic_group_table(n: int) -> CayleyTable:
-    _check_elements("cyclic group", n)
+    _check_size("cyclic group", n, n * n)
     return CayleyTable(n, tuple(tuple((x + y) % n for y in range(n)) for x in range(n)))
 
 

@@ -209,6 +209,15 @@ def _parse_bi_partition(path: str) -> "BiPlonkaPartition":
     return BiPlonkaPartition(part, grid("f"), grid("g"))
 
 
+def _read_input(args, kind: type):
+    """The structure in ``--input``, refused unless a magma or a bi-magma, as ``kind`` says."""
+    structure = _read_structure(args.input)
+    if not isinstance(structure, kind):
+        noun = "magma" if kind is CayleyTable else "bimagma"
+        raise ValueError(f"build --variant {args.variant} expects a {noun} file")
+    return structure
+
+
 def _cmd_build(args) -> int:
     # the flags each variant needs; "a|b" is satisfied by either flag
     required = {"identity": "size", "flip": "size", "lyubashenko": "f g",
@@ -228,15 +237,14 @@ def _cmd_build(args) -> int:
     elif args.variant == "lyubashenko":
         result = build_solution(LyubashenkoSolution(_parse_images(args.f), _parse_images(args.g)))
     elif args.variant == "opposite":
-        magma = _read_structure(args.input)
-        result = build_solution(RightPlonkaOppositeSolution(magma))
+        result = build_solution(RightPlonkaOppositeSolution(_read_input(args, CayleyTable)))
     elif args.variant == "ess":
         result = build_solution(EssSolution(args.prime, args.h1, args.h2))
     elif args.variant == "odometer":
         m, n, d = (int(v) for v in args.triple.split(","))
         result = build_solution(OdometerSolution(OdometerTriple(m, n, d)))
     elif args.variant == "brace":
-        result = build_solution(SkewBraceSolution(_read_structure(args.input)))
+        result = build_solution(SkewBraceSolution(_read_input(args, BiMagma)))
     elif args.variant == "bls-partition":
         result = build_solution(BlsFromPartitionSolution(_parse_bi_partition(args.input)))
     elif args.variant == "magma-from-function":
@@ -245,7 +253,7 @@ def _cmd_build(args) -> int:
         result = trivial_bimagma(args.size)
     elif args.variant == "trivial-brace":
         group = cyclic_group_table(args.size) if args.input is None \
-            else _read_structure(args.input)
+            else _read_input(args, CayleyTable)
         result = trivial_brace(group)
     elif args.variant == "free-k-cyclic":
         free: FreeMagmaResult = free_k_cyclic(args.generators, args.k, not args.relaxed)

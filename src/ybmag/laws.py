@@ -6,15 +6,18 @@ checked on the dot and star tables of R(x, y) = (x.y, x*y), each chain of R
 applied to slots of a pair or triple read as the tuple of terms it leaves in
 the slots.  A law is a list of groups of pieces over pairs, triples or single
 points, each group compiled once into a register program whose dot and star
-reads share one cell index.  One array evaluator runs these programs on
-stacks of tables: for ``check_laws_batch`` on census stacks of shape
-(T, grids, n, n), a magma being the one-grid case of a bi-magma, and for
-every single check, on carriers of any size.  A failing check returns the
-lexicographically first violating input together with both evaluated sides,
-so a failure message is self-contained and reproducible: a single check
-evaluates the input (0, ..., 0) on its own, where most failing structures
-fail, then the arrays in slabs of about ``_SLAB_TRIPLES`` inputs, and
-re-evaluates the first failing input on plain ints for the witness.
+reads share one cell index, and each program has two runners.  The array
+evaluator runs it on stacks of tables: for ``check_laws_batch`` on census
+stacks of shape (T, grids, n, n), a magma being the one-grid case of a
+bi-magma, and for a single check of a group with more than ``_SCAN_INPUTS``
+inputs.  A single check of a smaller group runs the scalar scan generated
+from the same program, one nested loop per input slot, so no law is written
+twice.  A failing check returns the lexicographically first violating input
+together with both evaluated sides, so a failure message is self-contained
+and reproducible: the scan stops at that input; the arrays are reached after
+the input (0, ..., 0) alone, where most failing structures fail, and run in
+slabs of about ``_SLAB_TRIPLES`` inputs up to it; either way the input is
+re-evaluated on plain ints for the witness.
 
 Two kernels stay outside the term table, and on stacks both run once per
 distinct column, the columns told apart by one lexsort: right Plonka by
@@ -38,6 +41,12 @@ from .core import (BiMagma, CayleyTable, CrossCheckFailed, RMap, Verdict, Witnes
                    VERDICT_OK, canonical_correspondence)
 
 _SLAB_TRIPLES = 1 << 13  # inputs per array slab of a single check, which bounds its memory
+# most inputs n ** arity of a group that a single check runs through its
+# scalar scan rather than the arrays; holding checks on a 2-vCPU VM, array ->
+# scan in us: triple laws on 6 points (216 inputs) 37-89 -> 23-70, on 7 (343)
+# 36-88 -> 31-100, slower for the bi-magma laws, on 8 (512) 36-96 -> 42-148;
+# pair laws on 16 points (256) 32-41 -> 17-22, on 24 (576) 41-70 -> 44-78
+_SCAN_INPUTS = 256
 _MARKS = 1 << 22  # flags, one byte each, of a table marking the column pairs that occur
 
 
@@ -117,7 +126,8 @@ def _chain(lifts, arity: int) -> tuple:
 
 def _compile(arity: int, pieces) -> tuple:
     """A group of pieces over inputs of ``arity`` points as a register
-    program (arity, width, pieces).  Registers 0..arity-1 hold the inputs.
+    program (arity, width, pieces, scan), ``scan`` being the scalar scan
+    generated from it (``_scan_source``).  Registers 0..arity-1 hold the inputs.
     A compiled piece (kind, lhs, rhs, steps) names its sides by registers
     and lists the steps that first write them: a step (a, b, reads) computes
     the cell of registers a and b once and reads it from the dot or star
@@ -143,7 +153,50 @@ def _compile(arity: int, pieces) -> tuple:
     for kind, lhs, rhs in pieces:
         steps: list = []
         compiled.append((kind, tuple(map(register, lhs)), tuple(map(register, rhs)), steps))
-    return arity, arity + len(registers), tuple(compiled)
+    compiled = tuple(compiled)
+    namespace: dict = {}
+    exec(compile(_scan_source(arity, compiled), "<law scan>", "exec"), namespace)
+    return arity, arity + len(registers), compiled, namespace["scan"]
+
+
+def _scan_source(arity: int, pieces) -> str:
+    """The source of a compiled group's scalar scan, ``scan(tables, n)``,
+    which returns the lexicographically first input at which some piece
+    fails, or None, on flattened tables as in ``_witness_at``.  It nests one
+    loop per input slot, and puts each step in the loop of the deepest input
+    it reads, so x.y is read once per (x, y); a register that a deeper step
+    uses as a left operand is multiplied by n once, where it is written.
+    The innermost loop evaluates the pieces in order and returns at the
+    first that fails."""
+    depth = {d: d for d in range(arity)}    # per register, the deepest input slot it reads
+    for _, _, _, steps in pieces:
+        for a, b, reads in steps:
+            depth.update((r, max(depth[a], depth[b])) for _, r in reads)
+    rows = {a for _, _, _, steps in pieces for a, b, _ in steps
+            if depth[a] < max(depth[a], depth[b])}
+    loops: list = [[f"m{d} = r{d} * n"] if d in rows else [] for d in range(arity)]
+    tables = set()
+    for _, lhs, rhs, steps in pieces:
+        for a, b, reads in steps:
+            d = max(depth[a], depth[b])
+            cell = f"{f'm{a}' if a in rows else f'r{a} * n'} + r{b}"
+            if len(reads) > 1:
+                loops[d].append(f"c = {cell}")
+                cell = "c"
+            for op, r in reads:
+                tables.add(op)
+                loops[d].append(f"r{r} = t{op}[{cell}]")
+                if r in rows:
+                    loops[d].append(f"m{r} = r{r} * n")
+        differ = [f"r{left} != r{right}" for left, right in zip(lhs, rhs) if left != right]
+        if differ:
+            inputs = ", ".join(f"r{d}" for d in range(arity))
+            loops[-1].append(f"if {' or '.join(differ)}: return {inputs},")
+    lines = ["def scan(tables, n):"] + [f"    t{op} = tables[{op}]" for op in sorted(tables)]
+    for d, body in enumerate(loops):
+        lines += ["    " * (d + 1) + f"for r{d} in range(n):"]
+        lines += ["    " * (d + 2) + line for line in body]
+    return "\n".join(lines + ["    return None", ""])
 
 
 def _failures(tables, count: int, n: int, program, lo: int, hi: int) -> np.ndarray:
@@ -154,7 +207,7 @@ def _failures(tables, count: int, n: int, program, lo: int, hi: int) -> np.ndarr
     intp whatever the tables' dtype, so uint8 stacks of 17 points or more
     index correctly; ``take`` copies narrower indices to intp, so int32 ones
     would cost more memory, not less."""
-    arity, width, pieces = program
+    arity, width, pieces, _ = program
     start = (np.arange(count, dtype=np.intp) * (n * n)).reshape((-1,) + (1,) * arity)
     points = np.arange(n, dtype=np.int32)
     values = [np.arange(lo, hi, dtype=np.int32).reshape((-1,) + (1,) * (arity - 1))]
@@ -180,7 +233,7 @@ def _witness_at(tables, n: int, program, inputs: tuple) -> Optional[Witness]:
     evaluated on flattened tables of plain ints up to that piece, as a
     witness: a one-term side gives its value, a chain side the tuple of its
     slots."""
-    arity, width, pieces = program
+    arity, width, pieces, _ = program
     values = [*inputs] + [None] * (width - arity)
     for kind, lhs, rhs, steps in pieces:
         for a, b, reads in steps:
@@ -197,30 +250,43 @@ def _witness_at(tables, n: int, program, inputs: tuple) -> Optional[Witness]:
 def _first_failure(tables, n: int, groups) -> Optional[Witness]:
     """The witness of a law's compiled ``groups`` on one structure, given by
     its flattened tables as int tuples: the first failing piece at the
-    lexicographically first failing input of the first failing group.  The
-    input (0, ..., 0) is evaluated on its own, then the arrays in slabs of
-    about ``_SLAB_TRIPLES`` inputs up to the first with a failure, which is
-    re-evaluated on plain ints."""
+    lexicographically first failing input of the first failing group.  A
+    group of at most ``_SCAN_INPUTS`` inputs runs its scalar scan; a larger
+    one evaluates the input (0, ..., 0) on its own, then the arrays in slabs
+    of about ``_SLAB_TRIPLES`` inputs up to the first with a failure.  The
+    failing input is re-evaluated on plain ints for the witness."""
     if not n:
         return None
     arrays = None
     for program in groups:
-        arity = program[0]
-        w = _witness_at(tables, n, program, (0,) * arity)
-        if w is not None:
-            return w
-        if arrays is None:
-            arrays = [np.array(table, dtype=np.int32) for table in tables]
-        step = max(1, _SLAB_TRIPLES // n ** (arity - 1))
-        for lo in range(0, n, step):
-            bad = _failures(arrays, 1, n, program, lo, min(n, lo + step))
-            if bad.any():
-                first = np.unravel_index(int(bad.argmax()), bad.shape)
-                inputs = (lo + int(first[1]), *map(int, first[2:]))
-                w = _witness_at(tables, n, program, inputs)
-                if w is None:
-                    raise CrossCheckFailed(f"array and scalar law evaluations disagree at {inputs}")
+        arity, _, _, scan = program
+        if n ** arity <= _SCAN_INPUTS:
+            inputs, route = scan(tables, n), "generated scan and interpreted"
+        else:
+            w = _witness_at(tables, n, program, (0,) * arity)
+            if w is not None:
                 return w
+            if arrays is None:
+                arrays = [np.array(table, dtype=np.int32) for table in tables]
+            inputs, route = _first_array_failure(arrays, n, program), "array and scalar"
+        if inputs is not None:
+            w = _witness_at(tables, n, program, inputs)
+            if w is None:
+                raise CrossCheckFailed(f"{route} law evaluations disagree at {inputs}")
+            return w
+    return None
+
+
+def _first_array_failure(arrays, n: int, program) -> Optional[tuple]:
+    """The lexicographically first input at which some piece of a compiled
+    group fails on one structure's int32 ``arrays``, found in slabs of
+    about ``_SLAB_TRIPLES`` inputs, or None."""
+    step = max(1, _SLAB_TRIPLES // n ** (program[0] - 1))
+    for lo in range(0, n, step):
+        bad = _failures(arrays, 1, n, program, lo, min(n, lo + step))
+        if bad.any():
+            first = np.unravel_index(int(bad.argmax()), bad.shape)
+            return (lo + int(first[1]), *map(int, first[2:]))
     return None
 
 

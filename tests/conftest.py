@@ -1,7 +1,8 @@
 """Shared strategies and corpus generators for the suite.
 
-The library itself has no randomness; every randomised test here draws from
-an explicitly seeded generator.
+The library itself has no randomness.  The corpus generators here draw
+from explicitly seeded generators; the ``hypothesis`` strategies are not
+seeded, so their tests draw new examples from run to run.
 """
 
 from __future__ import annotations

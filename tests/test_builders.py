@@ -11,6 +11,7 @@ from ybmag import (BiMagma, BiMagmaLaw, BiPlonkaPartition, FiniteFunction,
                    cyclic_group_table, flip_map, free_k_cyclic, identity_rmap,
                    is_simple, left_zero_table, magma_from_function,
                    symmetric_group_table, trivial_bimagma, trivial_brace)
+from ybmag import build
 from ybmag.build import (BlsFromPartitionSolution, EssSolution, FlipSolution,
                          IdentitySolution, LyubashenkoSolution, OdometerSolution,
                          RightPlonkaOppositeSolution, SkewBraceSolution,
@@ -181,6 +182,15 @@ def test_free_k_cyclic_legend():
 def test_free_k_cyclic_guard():
     with pytest.raises(GuardExceeded):
         free_k_cyclic(6, 3, idempotent=False)
+
+
+def test_trivial_brace_guard_reads_no_triple(monkeypatch):
+    # a group from a file reaches trivial_brace unguarded by any builder's
+    # size, so the brace itself refuses before its associativity check
+    group = cyclic_group_table(513)
+    monkeypatch.setattr(build, "group_structure", lambda t: pytest.fail("the group was read"))
+    with pytest.raises(GuardExceeded, match="would read 135005697 triples"):
+        trivial_brace(group)
 
 
 # ---------------------------------------------------------------------------

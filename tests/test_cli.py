@@ -1,6 +1,8 @@
 import itertools
 import json
 import pathlib
+import random
+import re
 import types
 
 import numpy as np
@@ -14,7 +16,8 @@ from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, Odomete
 from ybmag import RMap, census, cli, plonka
 from ybmag.cli import main, witness_line
 from ybmag.formats import ParseError
-from ybmag.laws import MagmaLaw, RMapLaw
+from ybmag.ideals import IdealKind
+from ybmag.laws import BiMagmaLaw, MagmaLaw, RMapLaw
 
 from conftest import bimagmas, cayley_tables, rmaps, self_maps
 from law_oracles import RMAP_ORACLES
@@ -343,6 +346,15 @@ def test_build_without_required_flags_is_usage_error(capsys, variant, flag):
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("variant, name, noun", [
+    ("opposite", "collapse_3.txt", "magma"), ("trivial-brace", "flip_2.txt", "magma"),
+    ("brace", "z3.txt", "bimagma")])
+def test_build_input_of_another_kind_is_usage_error(capsys, variant, name, noun):
+    code, out, err = run(capsys, "build", "--variant", variant, "--input", str(GOLDEN / name))
+    assert code == 2 and out == ""
+    assert err == f"error: build --variant {variant} expects a {noun} file\n"
+
+
 def test_build_bls_partition_missing_key_is_usage_error(capsys, tmp_path):
     full = {"blocks": [[0, 1]], "f": [[[1, 0]]], "g": [[[1, 0]]]}
     for key in full:
@@ -574,6 +586,19 @@ def test_build_size_guard_refuses_before_building(capsys, variant, what):
     assert err == f"guard exceeded: {what} would have 4097 elements (limit 4096)\n"
 
 
+@pytest.mark.parametrize("variant, size, message", [
+    ("identity", 1025, "identity solution would have 1050625 cells (limit 1048576)"),
+    ("flip", 4096, "flip solution would have 16777216 cells (limit 1048576)"),
+    ("trivial-bimagma", 725, "trivial bi-magma would have 1051250 cells (limit 1048576)"),
+    ("trivial-brace", 1025, "cyclic group would have 1050625 cells (limit 1048576)"),
+    ("trivial-brace", 513, "trivial brace's associativity check would read 135005697 triples "
+                           "(limit 134217728)")])
+def test_build_work_guard_refuses_below_the_element_limit(capsys, variant, size, message):
+    code, out, err = run(capsys, "build", "--variant", variant, "--size", str(size))
+    assert code == 3 and out == ""
+    assert err == f"guard exceeded: {message}\n"
+
+
 def _sized(prefix, low, high, guard):
     """(argv, refused) pairs: a size in low..high, or one past ``guard``."""
     return st.one_of(st.integers(low, high).map(lambda v: (prefix + (str(v),), False)),
@@ -663,3 +688,94 @@ def test_guard_exit_code(capsys, tmp_path):
 def test_unknown_law_exit_code(capsys):
     code, _, err = run(capsys, "check", "--law", "nonsense", str(GOLDEN / "z3.txt"))
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# every file subcommand on mutated files
+
+
+def _fuzz_files():
+    """Valid files of all five kinds, plain and JSON: the golden ones and
+    seeded random structures on 1-3 points."""
+    rng = random.Random(27)
+    values = [parse_structure(path.read_text()) for path in sorted(GOLDEN.glob("*.txt"))
+              if not path.name.startswith("reproduce_counts")]
+    for n in (1, 2, 3):
+        def images():
+            return tuple(rng.randrange(n) for _ in range(n))
+
+        def table():
+            return CayleyTable.from_flat(n, [rng.randrange(n) for _ in range(n * n)])
+
+        values += [table(), BiMagma(table(), table()),
+                   RMap(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n * n))),
+                   FiniteFunction(n, images()),
+                   FunctionFamily(n, (FiniteFunction(n, images()), FiniteFunction(n, images())))]
+    return [text for value in values for text in (serialize(value), serialize_json(value))]
+
+
+_FUZZ_FILES = _fuzz_files()
+# a token is a number, a word, a run of blanks or any other single character
+_TOKEN = re.compile(r"-?[0-9]+|[A-Za-z_]+|\s+|.", re.S)
+_REPLACEMENTS = ("-1", "0", "1", "2", "3", "4", "9", "99999999999999999999", "x", "1.5",
+                 "->", "[", "]", "{", ",", '"', "null", "magma", "rmap", "family")
+
+
+def _mutate(text, mutations):
+    """``text`` with each mutation applied in turn: a token dropped,
+    duplicated or replaced, a number set to another in -1..4 (the entries
+    stay in place, some of them out of range), or the text cut short."""
+    for op, at, replacement in mutations:
+        if op == "truncate":
+            text = text[:at % (len(text) + 1)]
+            continue
+        tokens = _TOKEN.findall(text)
+        chosen = [i for i, token in enumerate(tokens)
+                  if not token.isspace() and (op != "entry" or token[-1].isdigit())]
+        if not chosen:
+            continue
+        i = chosen[at % len(chosen)]
+        tokens[i] = {"drop": "", "duplicate": f"{tokens[i]} {tokens[i]}",
+                     "replace": replacement, "entry": str(at % 6 - 1)}[op]
+        text = "".join(tokens)
+    return text
+
+
+_LAW_NAMES = sorted({law.value for kind in (MagmaLaw, BiMagmaLaw, RMapLaw) for law in kind})
+_IDEAL_KINDS = [kind.value for kind in IdealKind]
+_ONE_FILE = st.one_of(
+    st.sampled_from(_LAW_NAMES).map(
+        lambda law: ("check", "--law", law) + (("--k", "2") if law == "k_cyclic" else ())),
+    st.sampled_from(("coarsest", "finest")).map(lambda e: ("decompose", "--extremity", e)),
+    st.sampled_from(_IDEAL_KINDS).map(lambda kind: ("ideals", "--kind", kind)),
+    st.sampled_from([()] + [("--kind", kind) for kind in _IDEAL_KINDS]).map(
+        lambda kind: ("simple", *kind)),
+    st.sampled_from([("report",), ("classify-odometer",), ("bijectivize",)]),
+    st.sampled_from(("opposite", "brace", "trivial-brace")).map(
+        lambda variant: ("build", "--variant", variant, "--input")))
+_TWO_FILES = st.sampled_from([("iso",), ("iso", "--method", "structured"), ("morphisms",)])
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(("drop", "duplicate", "replace", "truncate",
+                                                 "entry", "entry", "entry")),
+                                st.integers(0, 1 << 16), st.sampled_from(_REPLACEMENTS)),
+                      min_size=1, max_size=3)
+
+
+@settings(max_examples=1000, deadline=None,   # capsys is read and the files rewritten per call
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FUZZ_FILES), _MUTATIONS, st.one_of(_ONE_FILE, _TWO_FILES),
+       st.one_of(st.none(), st.sampled_from(_FUZZ_FILES)))
+def test_file_commands_on_mutated_files_answer_or_refuse(capsys, tmp_path, text, mutations,
+                                                         command, other):
+    path = tmp_path / "mutated.txt"
+    path.write_text(_mutate(text, mutations))
+    files = [str(path)]
+    if command[0] in ("iso", "morphisms"):
+        second = tmp_path / "other.txt"
+        second.write_text(text if other is None else other)
+        files.append(str(second))
+    try:
+        code, _, err = run(capsys, *command, *files)   # an exception would escape main
+    except SystemExit as exc:   # argparse
+        code, err = exc.code, capsys.readouterr().err
+        assert code == 2
+    assert code in (0, 1, 2, 3, 4) and "Traceback" not in err

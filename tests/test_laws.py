@@ -15,7 +15,7 @@ from ybmag.build import (EssSolution, OdometerSolution, RightPlonkaOppositeSolut
                          build_solution)
 from ybmag.families import OdometerTriple
 from ybmag.census import _raw_stream
-from ybmag.core import DEFAULT_LIMITS
+from ybmag.core import DEFAULT_LIMITS, CrossCheckFailed
 from ybmag.laws import BATCH_LAWS, check_laws_batch
 
 import law_oracles
@@ -395,6 +395,59 @@ def test_rmap_vectorised_witnesses_match_loop():
     # on every tested carrier some first failure lies beyond the first slab,
     # and some BLS witnesses fail more than one piece
     assert late >= {24, 25, 30} and shared
+
+
+def _first_true_of_failures(program, tables, n):
+    """The lexicographically first input where the array evaluator finds a
+    failing piece of ``program``, over all inputs at once, or None."""
+    bad = laws._failures([np.array(t, dtype=np.int32) for t in tables], 1, n, program, 0, n)
+    return tuple(int(v) for v in np.unravel_index(int(bad.argmax()), bad.shape)[1:]) \
+        if bad.any() else None
+
+
+def test_scan_and_arrays_find_the_same_first_failure():
+    # every compiled group's scalar scan against the array evaluator, on the
+    # oracle corpus and on seeded magmas and R-maps of 1-9 points, random or
+    # lawful with one planted cell, on both sides of the scan's crossover
+    magmas, maps = _oracle_corpus()
+    rng = random.Random(27)
+    for n in range(1, 10):
+        for _ in range(10):
+            magmas.append(CayleyTable.from_flat(n, [rng.randrange(n) for _ in range(n * n)]))
+            maps.append(RMap(n, tuple((rng.randrange(n), rng.randrange(n))
+                                      for _ in range(n * n))))
+        lawful = [left_zero_table(n), right_zero_table(n), cyclic_group_table(n)]
+        magmas += lawful + [_planted_table(m, rng, last_row) for m in lawful if n > 1
+                            for last_row in (False, True)]
+        maps += [identity_rmap(n), flip_map(n)]
+        maps += [_plant(r, rng) for r in maps[-2:] if n > 1]
+    programs = {id(program): (program, isinstance(law, MagmaLaw))
+                for law, groups in laws._TERMS.items() for program in groups}
+    seen = set()
+    for program, magma_law in programs.values():
+        for tables, n in ([((m.flat(),), m.n) for m in magmas] if magma_law else
+                          [(tuple(zip(*r.out)), r.n) for r in maps]):
+            first = program[3](tables, n)
+            assert first == _first_true_of_failures(program, tables, n), (n, program[2][0][0])
+            seen.add((first is None, n ** program[0] <= laws._SCAN_INPUTS))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("route", ["generated scan and interpreted", "array and scalar"])
+def test_runner_naming_a_passing_input_is_a_cross_check_failure(monkeypatch, route):
+    # the witness is re-evaluated at the input a runner names; where no piece
+    # fails there, the runner disagrees with that evaluation
+    arity, width, pieces, _ = laws._TERMS[MagmaLaw.ASSOCIATIVE][0]
+    scan = route.startswith("generated")
+    if scan:
+        monkeypatch.setitem(laws._TERMS, MagmaLaw.ASSOCIATIVE,
+                            ((arity, width, pieces, lambda tables, n: (1, 2, 0)),))
+    else:
+        monkeypatch.setattr(laws, "_first_array_failure", lambda arrays, n, program: (1, 2, 0))
+    group = cyclic_group_table(3 if scan else 7)
+    with pytest.raises(CrossCheckFailed,
+                       match=rf"^{route} law evaluations disagree at \(1, 2, 0\)$"):
+        check_magma_law(group, MagmaLaw.ASSOCIATIVE)
 
 
 # ---------------------------------------------------------------------------
