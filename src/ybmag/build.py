@@ -102,35 +102,38 @@ SolutionSpec = Union[IdentitySolution, FlipSolution, LyubashenkoSolution,
                      BlsFromPartitionSolution, OdometerSolution, SkewBraceSolution]
 
 
+# each spec type: the name its refusals use, its carrier and its builder
+_SOLUTIONS = {
+    IdentitySolution: ("identity solution", lambda s: s.n, lambda s: identity_rmap(s.n)),
+    FlipSolution: ("flip solution", lambda s: s.n, lambda s: flip_map(s.n)),
+    LyubashenkoSolution: ("Lyubashenko solution", lambda s: s.f.n,
+                          lambda s: lyubashenko_rmap(s.f, s.g)),
+    RightPlonkaOppositeSolution: ("opposite solution", lambda s: s.magma.n, lambda s:
+                                  canonical_correspondence(BiMagma(s.magma, s.magma.opposite()))),
+    EssSolution: ("ESS solution", lambda s: s.p, lambda s: RMap.from_function(
+        s.p, lambda x, y: ((y + s.h2) % s.p, (x + s.h1) % s.p))),
+    BlsFromPartitionSolution: ("BLS solution from a partition", lambda s: s.partition.partition.n,
+                               lambda s: canonical_correspondence(rebuild(s.partition))),
+    OdometerSolution: ("odometer solution", lambda s: s.triple.carrier,
+                       lambda s: lyubashenko_rmap(*build_odometer(s.triple))),
+    SkewBraceSolution: ("skew brace solution", lambda s: s.brace.n,
+                        lambda s: _skew_brace_rmap(s.brace)),
+}
+
+
 def build_solution(spec: SolutionSpec) -> RMap:
-    """Realise a solution spec as an R-map.
+    """Realise a solution spec as an R-map, refused before anything is built
+    above ``_check_size``'s limits on its n points and n^2 output pairs.
 
     The skew-brace variant validates the brace axioms up front and produces
     a braid solution, not a Yang-Baxter one; compose with the flip to move
     between the conventions.
     """
-    if isinstance(spec, IdentitySolution):
-        _check_size("identity solution", spec.n, spec.n * spec.n)
-        return identity_rmap(spec.n)
-    if isinstance(spec, FlipSolution):
-        _check_size("flip solution", spec.n, spec.n * spec.n)
-        return flip_map(spec.n)
-    if isinstance(spec, LyubashenkoSolution):
-        return lyubashenko_rmap(spec.f, spec.g)
-    if isinstance(spec, RightPlonkaOppositeSolution):
-        m = spec.magma
-        return RMap.from_function(m.n, lambda x, y: (m.apply(x, y), m.apply(y, x)))
-    if isinstance(spec, EssSolution):
-        p, h1, h2 = spec.p, spec.h1, spec.h2
-        return RMap.from_function(p, lambda x, y: ((y + h2) % p, (x + h1) % p))
-    if isinstance(spec, BlsFromPartitionSolution):
-        return canonical_correspondence(rebuild(spec.partition))
-    if isinstance(spec, OdometerSolution):
-        f, g = build_odometer(spec.triple)
-        return lyubashenko_rmap(f, g)
-    if isinstance(spec, SkewBraceSolution):
-        return _skew_brace_rmap(spec.brace)
-    raise TypeError(f"unknown solution spec {type(spec).__name__}")
+    if type(spec) not in _SOLUTIONS:
+        raise TypeError(f"unknown solution spec {type(spec).__name__}")
+    name, carrier, builder = _SOLUTIONS[type(spec)]
+    _check_size(name, carrier(spec), carrier(spec) ** 2)
+    return builder(spec)
 
 
 def _skew_brace_rmap(brace: BiMagma) -> RMap:

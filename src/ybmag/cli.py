@@ -194,6 +194,11 @@ def _parse_images(text: str) -> FiniteFunction:
     return FiniteFunction(len(images), images)
 
 
+def _parse_triple(text: str) -> OdometerTriple:
+    m, n, d = (int(v) for v in text.split(","))
+    return OdometerTriple(m, n, d)
+
+
 def _parse_bi_partition(path: str) -> "BiPlonkaPartition":
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -218,53 +223,42 @@ def _read_input(args, kind: type):
     return structure
 
 
+# each build variant: the flags it needs ("a|b" is met by either flag) and its builder
+_BUILD_VARIANTS = {
+    "identity": ("size", lambda a: build_solution(IdentitySolution(a.size))),
+    "flip": ("size", lambda a: build_solution(FlipSolution(a.size))),
+    "lyubashenko": ("f g", lambda a: build_solution(
+        LyubashenkoSolution(_parse_images(a.f), _parse_images(a.g)))),
+    "opposite": ("input", lambda a: build_solution(
+        RightPlonkaOppositeSolution(_read_input(a, CayleyTable)))),
+    "ess": ("prime h1 h2", lambda a: build_solution(EssSolution(a.prime, a.h1, a.h2))),
+    "odometer": ("triple", lambda a: build_solution(OdometerSolution(_parse_triple(a.triple)))),
+    "brace": ("input", lambda a: build_solution(SkewBraceSolution(_read_input(a, BiMagma)))),
+    "bls-partition": ("input", lambda a: build_solution(
+        BlsFromPartitionSolution(_parse_bi_partition(a.input)))),
+    "magma-from-function": ("f", lambda a: magma_from_function(_parse_images(a.f))),
+    "trivial-bimagma": ("size", lambda a: trivial_bimagma(a.size)),
+    "trivial-brace": ("size|input", lambda a: trivial_brace(cyclic_group_table(a.size)
+                      if a.input is None else _read_input(a, CayleyTable))),
+    "free-k-cyclic": ("generators k", lambda a: free_k_cyclic(a.generators, a.k, not a.relaxed)),
+}
+
+
 def _cmd_build(args) -> int:
-    # the flags each variant needs; "a|b" is satisfied by either flag
-    required = {"identity": "size", "flip": "size", "lyubashenko": "f g",
-                "opposite": "input", "ess": "prime h1 h2", "odometer": "triple",
-                "brace": "input", "bls-partition": "input", "magma-from-function": "f",
-                "trivial-bimagma": "size", "trivial-brace": "size|input",
-                "free-k-cyclic": "generators k"}
-    missing = [" or ".join(f"--{name}" for name in flags.split("|"))
-               for flags in required.get(args.variant, "").split()
-               if all(getattr(args, name) is None for name in flags.split("|"))]
+    if args.variant not in _BUILD_VARIANTS:
+        raise ValueError(f"unknown build variant {args.variant!r}")
+    flags, builder = _BUILD_VARIANTS[args.variant]
+    missing = [" or ".join(f"--{name}" for name in either.split("|"))
+               for either in flags.split()
+               if all(getattr(args, name) is None for name in either.split("|"))]
     if missing:
         raise ValueError(f"build --variant {args.variant} needs {', '.join(missing)}")
-    legend: Optional[list[str]] = None
-    if args.variant in ("identity", "flip"):
-        spec = (IdentitySolution if args.variant == "identity" else FlipSolution)(args.size)
-        result = build_solution(spec)
-    elif args.variant == "lyubashenko":
-        result = build_solution(LyubashenkoSolution(_parse_images(args.f), _parse_images(args.g)))
-    elif args.variant == "opposite":
-        result = build_solution(RightPlonkaOppositeSolution(_read_input(args, CayleyTable)))
-    elif args.variant == "ess":
-        result = build_solution(EssSolution(args.prime, args.h1, args.h2))
-    elif args.variant == "odometer":
-        m, n, d = (int(v) for v in args.triple.split(","))
-        result = build_solution(OdometerSolution(OdometerTriple(m, n, d)))
-    elif args.variant == "brace":
-        result = build_solution(SkewBraceSolution(_read_input(args, BiMagma)))
-    elif args.variant == "bls-partition":
-        result = build_solution(BlsFromPartitionSolution(_parse_bi_partition(args.input)))
-    elif args.variant == "magma-from-function":
-        result = magma_from_function(_parse_images(args.f))
-    elif args.variant == "trivial-bimagma":
-        result = trivial_bimagma(args.size)
-    elif args.variant == "trivial-brace":
-        group = cyclic_group_table(args.size) if args.input is None \
-            else _read_input(args, CayleyTable)
-        result = trivial_brace(group)
-    elif args.variant == "free-k-cyclic":
-        free: FreeMagmaResult = free_k_cyclic(args.generators, args.k, not args.relaxed)
-        result = free.table
-        legend = free.legend_lines()
-    else:
-        raise ValueError(f"unknown build variant {args.variant!r}")
+    result, legend = builder(args), []
+    if isinstance(result, FreeMagmaResult):
+        result, legend = result.table, result.legend_lines()
     sys.stdout.write(serialize_json(result) + "\n" if args.json else serialize(result))
-    if legend:
-        for line in legend:
-            print(line)
+    for line in legend:
+        print(line)
     return 0
 
 
