@@ -7,35 +7,27 @@ into an R-map.  Free k-cyclic magmas come with a printable element legend.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
-from .core import (BiMagma, CayleyTable, FiniteFunction, GuardExceeded, RMap,
-                   canonical_correspondence, flip_map, identity_rmap,
+from .core import (_BUILD_ELEMENTS, BiMagma, CayleyTable, FiniteFunction, GuardExceeded,
+                   RMap, _check_size, canonical_correspondence, flip_map, identity_rmap,
                    lyubashenko_rmap)
 from .families import OdometerTriple, _prime_factors, build_odometer
 from .laws import BiMagmaLaw, check_bimagma_law, group_structure
 from .plonka import BiPlonkaPartition, rebuild
 
 
-# largest carrier a builder makes: free_k_cyclic and every builder sized by n
-_FREE_MAGMA_LIMIT = 4096
-# most cells a builder sized by n makes: the n^2 output pairs of the identity
-# and flip solutions, the table cells of the trivial bi-magma and the cyclic group
-_BUILD_CELLS = 1 << 20
 # most triples of a trivial brace's associativity check; on a 2-vCPU VM
 # 400 points (2^26 triples) took 0.89 s and 800 points 4.8 s
 _BRACE_TRIPLES = 1 << 27
 
 
-def _check_size(what: str, elements: int, cells: int = 0) -> None:
-    """Refuse, before anything is built, a structure of more than
-    ``_FREE_MAGMA_LIMIT`` elements or ``_BUILD_CELLS`` cells, the elements
-    checked first."""
-    for size, unit, limit in ((elements, "elements", _FREE_MAGMA_LIMIT),
-                              (cells, "cells", _BUILD_CELLS)):
-        if size > limit:
-            raise GuardExceeded(f"{what} would have {size} {unit} (limit {limit})")
+def _refuse_uncounted(what: str) -> None:
+    """Refuse a structure whose element count passes 2^64, which is past
+    every limit, before the count is computed."""
+    raise GuardExceeded(f"{what} would have more than 2**64 elements (limit {_BUILD_ELEMENTS})")
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,7 @@ class EssSolution:
     h2: int
 
     def __post_init__(self) -> None:
+        _check_size(_SOLUTIONS[EssSolution][0], self.p)   # before the O(sqrt p) factoring
         if _prime_factors(self.p) != {self.p: 1}:
             raise ValueError("carrier order must be prime")
         if (self.h1 % self.p, self.h2 % self.p) == (0, 0):
@@ -189,8 +182,11 @@ def free_k_cyclic(generators: int, k: int, idempotent: bool) -> FreeMagmaResult:
     """
     if generators < 1 or k < 1:
         raise ValueError("need at least one generator and k >= 1")
-    size = generators * k ** (generators - 1 if idempotent else generators)
-    _check_size("free magma", size)
+    exponent = generators - 1 if idempotent else generators
+    if k > 1 and exponent * (k.bit_length() - 1) >= 64:
+        _refuse_uncounted("free magma")
+    size = generators * k ** exponent
+    _check_size("free magma", size, size * size)
     elements: list[FreeKCyclicElement] = []
     for base in range(generators):
         slots = [range(k) if (i != base or not idempotent) else range(1)
@@ -220,6 +216,7 @@ def magma_from_function(f: FiniteFunction) -> CayleyTable:
     """The magma x.y = f(x); every row x is constant at f(x)."""
     if f.codomain != f.n:
         raise ValueError("need a self-map")
+    _check_size("magma from a function", f.n, f.n * f.n)
     return CayleyTable(f.n, tuple((f(x),) * f.n for x in range(f.n)))
 
 
@@ -237,15 +234,27 @@ def trivial_bimagma(n: int) -> BiMagma:
     return BiMagma(left_zero_table(n), right_zero_table(n))
 
 
+def _check_brace_triples(n: int) -> None:
+    if n ** 3 > _BRACE_TRIPLES:
+        raise GuardExceeded(f"trivial brace's associativity check would read {n ** 3} "
+                            f"triples (limit {_BRACE_TRIPLES})")
+
+
 def trivial_brace(group: CayleyTable) -> BiMagma:
     """Both brace operations equal to the given group, refused above
     ``_BRACE_TRIPLES`` triples of its associativity check before any is read."""
-    if group.n ** 3 > _BRACE_TRIPLES:
-        raise GuardExceeded(f"trivial brace's associativity check would read {group.n ** 3} "
-                            f"triples (limit {_BRACE_TRIPLES})")
+    _check_brace_triples(group.n)
     if group_structure(group.table) is None:
         raise ValueError("trivial brace needs a group table")
     return BiMagma(group, group)
+
+
+def cyclic_trivial_brace(n: int) -> BiMagma:
+    """The trivial brace on Z/n, refused before its group is built: above the
+    group's elements, then its cells, then the brace's triples."""
+    _check_size("cyclic group", n, n * n)
+    _check_brace_triples(n)
+    return trivial_brace(cyclic_group_table(n))
 
 
 def cyclic_group_table(n: int) -> CayleyTable:
@@ -256,9 +265,12 @@ def cyclic_group_table(n: int) -> CayleyTable:
 def symmetric_group_table(degree: int) -> CayleyTable:
     """The composition table of all permutations of ``degree`` points,
     elements numbered in lexicographic order of their image tuples."""
+    if degree > 20:   # 21! passes 2^64
+        _refuse_uncounted("symmetric group")
+    size = math.factorial(max(degree, 0))
+    _check_size("symmetric group", size, size * size)
     perms = sorted(itertools.permutations(range(degree)))
     index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
     rows = []
     for p in perms:
         rows.append(tuple(index[tuple(p[q[i]] for i in range(degree))] for q in perms))

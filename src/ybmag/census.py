@@ -590,6 +590,8 @@ def _raw_stream(query: CensusQuery, limits: Limits,
                    lambda stack, law=law: check_laws_batch(stack, (law,)))
                   for law in guaranteed]
     else:
+        if n > limits.census_carrier:   # before its n ** (n * n) tables are counted
+            raise GuardExceeded(f"census carrier limit is {limits.census_carrier}")
         if (size := n ** (grids * n * n)) > _GENERIC_SWEEP:
             noun, hint = ("table", "; add right_plonka for the pruned search") if grids == 1 \
                 else ("bi-magma", "")

@@ -23,7 +23,7 @@ from .core import (BiMagma, CayleyTable, CrossCheckFailed, FiniteFunction,
 from .build import (BlsFromPartitionSolution, EssSolution, FlipSolution,
                     FreeMagmaResult, IdentitySolution, LyubashenkoSolution,
                     OdometerSolution, RightPlonkaOppositeSolution,
-                    SkewBraceSolution, build_solution, cyclic_group_table,
+                    SkewBraceSolution, build_solution, cyclic_trivial_brace,
                     free_k_cyclic, magma_from_function, trivial_bimagma,
                     trivial_brace)
 from .census import CensusQuery, census_simple_bls, enumerate_structures, \
@@ -208,7 +208,11 @@ def _parse_bi_partition(path: str) -> "BiPlonkaPartition":
     blocks = tuple(tuple(b) for b in data["blocks"])
     n = sum(len(b) for b in blocks)
     part = SetPartition(n, blocks)
+
     def grid(key):
+        if len(data[key]) > len(part.blocks):   # fewer rows fail the grid's own check
+            raise ValueError(f"partition file's {key} grid has {len(data[key])} rows "
+                             f"for {len(part.blocks)} blocks")
         return tuple(tuple(FiniteFunction(len(part.blocks[i]), tuple(images))
                            for images in row) for i, row in enumerate(data[key]))
     return BiPlonkaPartition(part, grid("f"), grid("g"))
@@ -238,8 +242,8 @@ _BUILD_VARIANTS = {
         BlsFromPartitionSolution(_parse_bi_partition(a.input)))),
     "magma-from-function": ("f", lambda a: magma_from_function(_parse_images(a.f))),
     "trivial-bimagma": ("size", lambda a: trivial_bimagma(a.size)),
-    "trivial-brace": ("size|input", lambda a: trivial_brace(cyclic_group_table(a.size)
-                      if a.input is None else _read_input(a, CayleyTable))),
+    "trivial-brace": ("size|input", lambda a: cyclic_trivial_brace(a.size) if a.input is None
+                      else trivial_brace(_read_input(a, CayleyTable))),
     "free-k-cyclic": ("generators k", lambda a: free_k_cyclic(a.generators, a.k, not a.relaxed)),
 }
 

@@ -58,6 +58,22 @@ def _check_carrier(n: int, name: str = "n") -> None:
         raise ValueError(f"carrier size {name} must be an integer >= 0, got {name} = {n!r}")
 
 
+# the one size rule of every builder: at most 4096 elements, then at most
+# 2^20 cells (table cells, or the n^2 output pairs of an R-map)
+_BUILD_ELEMENTS = 4096
+_BUILD_CELLS = 1 << 20
+
+
+def _check_size(what: str, elements: int, cells: int = 0) -> None:
+    """Refuse, before anything is built, a structure of more than
+    ``_BUILD_ELEMENTS`` elements or ``_BUILD_CELLS`` cells, the elements
+    checked first."""
+    for size, unit, limit in ((elements, "elements", _BUILD_ELEMENTS),
+                              (cells, "cells", _BUILD_CELLS)):
+        if size > limit:
+            raise GuardExceeded(f"{what} would have {size} {unit} (limit {limit})")
+
+
 @dataclass(frozen=True)
 class FiniteFunction:
     """A function {0..n-1} -> {0..codomain-1}, stored as its tuple of images.

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (CrossCheckFailed, FiniteFunction, GuardExceeded, Limits,
-                   DEFAULT_LIMITS, _check_carrier, closure, identity_function)
+                   DEFAULT_LIMITS, _check_carrier, _check_size, closure, identity_function)
 
 
 class FamilyError(ValueError):
@@ -245,6 +245,7 @@ def build_odometer(triple: OdometerTriple) -> tuple[FiniteFunction, FiniteFuncti
     first coordinate, g increments the second and carries -d on wraparound."""
     m, n, d = triple.m, triple.n, triple.d
     size = m * n
+    _check_size("odometer pair", size)
     f_images = [0] * size
     g_images = [0] * size
     for a in range(m):

@@ -1,17 +1,18 @@
 import itertools
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
 
 from ybmag import (BiMagma, BiMagmaLaw, BiPlonkaPartition, FiniteFunction,
                    MagmaLaw, OdometerTriple, PlonkaPartition, RMapLaw,
-                   SetPartition, canonical_correspondence,
+                   SetPartition, build_odometer, canonical_correspondence,
                    check_bimagma_law, check_magma_law, check_rmap_law,
                    cyclic_group_table, flip_map, free_k_cyclic, identity_rmap,
                    is_simple, left_zero_table, magma_from_function,
                    symmetric_group_table, trivial_bimagma, trivial_brace)
-from ybmag import build
+from ybmag import build, core, laws
 from ybmag.build import (BlsFromPartitionSolution, EssSolution, FlipSolution,
                          IdentitySolution, LyubashenkoSolution, OdometerSolution,
                          RightPlonkaOppositeSolution, SkewBraceSolution,
@@ -220,3 +221,75 @@ def test_theorem_bundle_small(plonka_corpus):
             fam = FunctionFamily(b.n, (FiniteFunction(b.n, pair[0]),
                                        FiniteFunction(b.n, pair[1])))
             assert simple == is_incompressible(fam)
+
+
+# ---------------------------------------------------------------------------
+# one size rule for every builder
+
+
+def _every_spec():
+    """A spec of each kind on two points."""
+    part = BiPlonkaPartition(SetPartition(2, ((0, 1),)), ((ff(1, 0),),), ((ff(1, 0),),))
+    return [IdentitySolution(2), FlipSolution(2), LyubashenkoSolution(ff(1, 0), ff(0, 1)),
+            RightPlonkaOppositeSolution(left_zero_table(2)), EssSolution(2, 1, 0),
+            BlsFromPartitionSolution(part), OdometerSolution(OdometerTriple(2, 1, 1)),
+            SkewBraceSolution(trivial_brace(cyclic_group_table(2)))]
+
+
+def test_every_spec_kind_is_refused_before_its_builder_runs(monkeypatch):
+    specs = _every_spec()
+    assert set(build._SOLUTIONS) == set(typing.get_args(build.SolutionSpec)) \
+        == {type(spec) for spec in specs}
+    assert [build_solution(spec).n for spec in specs] == [2] * len(specs)
+    monkeypatch.setattr(core, "_BUILD_CELLS", 3)
+    monkeypatch.setattr(build, "_SOLUTIONS", {
+        kind: (name, carrier, lambda spec: pytest.fail(f"{type(spec).__name__} was built"))
+        for kind, (name, carrier, _) in build._SOLUTIONS.items()})
+    for spec in specs:
+        name = build._SOLUTIONS[type(spec)][0]
+        with pytest.raises(GuardExceeded, match=f"^{name} would have 4 cells \\(limit 3\\)$"):
+            build_solution(spec)
+
+
+@pytest.mark.parametrize("builder, message", [
+    (lambda: free_k_cyclic(2, 1, True), "free magma would have 4 cells"),
+    (lambda: magma_from_function(ff(1, 0)), "magma from a function would have 4 cells"),
+    (lambda: symmetric_group_table(2), "symmetric group would have 4 cells"),
+    (lambda: trivial_bimagma(2), "trivial bi-magma would have 8 cells"),
+    (lambda: cyclic_group_table(2), "cyclic group would have 4 cells"),
+    (lambda: build.cyclic_trivial_brace(2), "cyclic group would have 4 cells")])
+def test_structure_builders_are_refused_before_any_table(monkeypatch, builder, message):
+    monkeypatch.setattr(core, "_BUILD_CELLS", 3)
+    monkeypatch.setattr(build, "CayleyTable", lambda *a: pytest.fail("a table was built"))
+    with pytest.raises(GuardExceeded, match=f"^{message} \\(limit 3\\)$"):
+        builder()
+
+
+@pytest.mark.parametrize("builder, message", [
+    (lambda: free_k_cyclic(65, 2, True), "free magma would have more than 2**64 elements"),
+    (lambda: free_k_cyclic(10 ** 30, 10 ** 30, False),
+     "free magma would have more than 2**64 elements"),
+    (lambda: free_k_cyclic(10 ** 30, 1, False), f"free magma would have {10 ** 30} elements"),
+    (lambda: symmetric_group_table(7), "symmetric group would have 5040 elements"),
+    (lambda: symmetric_group_table(10 ** 30),
+     "symmetric group would have more than 2**64 elements"),
+    (lambda: build_odometer(OdometerTriple(65, 64, 1)), "odometer pair would have 4160 elements"),
+    (lambda: EssSolution(99999999999999999999, 1, 0),
+     "ESS solution would have 99999999999999999999 elements")])
+def test_builders_refuse_past_the_element_limit_at_once(monkeypatch, builder, message):
+    monkeypatch.setattr(build, "_prime_factors", lambda p: pytest.fail("p was factored"))
+    with pytest.raises(GuardExceeded) as info:
+        builder()
+    assert str(info.value) == f"{message} (limit 4096)"
+
+
+def test_skew_brace_check_refuses_by_triples_before_reading_one(monkeypatch):
+    brace = trivial_brace(cyclic_group_table(3))
+    assert check_bimagma_law(brace, BiMagmaLaw.SKEW_LEFT_BRACE).holds
+    monkeypatch.setattr(laws, "_SKEW_BRACE_TRIPLES", 26)
+    monkeypatch.setattr(laws, "group_structure", lambda t: pytest.fail("the group was read"))
+    for check in (lambda: check_bimagma_law(brace, BiMagmaLaw.SKEW_LEFT_BRACE),
+                  lambda: build_solution(SkewBraceSolution(brace))):
+        with pytest.raises(GuardExceeded) as info:
+            check()
+        assert str(info.value) == "skew brace compatibility check would read 27 triples (limit 26)"

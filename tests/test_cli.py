@@ -7,13 +7,13 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from ybmag import (BiMagma, CayleyTable, FiniteFunction, FunctionFamily, OdometerSolution,
                    OdometerTriple, bi_plonka_partition, build_solution,
                    canonical_correspondence, flip_map, identity_rmap, lyubashenko_rmap,
                    parse_structure, serialize, serialize_json, trivial_bimagma)
-from ybmag import RMap, census, cli, plonka
+from ybmag import RMap, build, census, cli, laws, plonka
 from ybmag.cli import main, witness_line
 from ybmag.formats import ParseError
 from ybmag.ideals import IdealKind
@@ -23,6 +23,7 @@ from conftest import bimagmas, cayley_tables, rmaps, self_maps
 from law_oracles import RMAP_ORACLES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+_CYCLE_1025 = ",".join(str((x + 1) % 1025) for x in range(1025))
 
 
 def run(capsys, *argv):
@@ -506,6 +507,13 @@ def test_census_two_grid_search_guard_exit_code(capsys, laws):
     assert "limited to n <= 4" in err
 
 
+@pytest.mark.parametrize("laws", ["associative", "yang-baxter-bimagma"])
+def test_census_generic_sweep_refuses_a_large_carrier_before_counting(capsys, laws):
+    code, out, err = run(capsys, "census", "--n", "1000000", "--laws", laws)
+    assert code == 3 and out == ""
+    assert err == "guard exceeded: census carrier limit is 7\n"
+
+
 def test_census_predicates_on_bimagma_query_is_usage_error(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--laws", "plonka-bimagma",
                          "--predicates", "right-simple")
@@ -625,6 +633,56 @@ def test_sized_commands_answer_or_refuse(capsys, call):
         assert code == 2 and err == "error: trivial brace needs a group table\n"
     else:
         assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ess", "--prime", "1031", "--h1", "1", "--h2", "0"),
+     "ESS solution would have 1062961 cells (limit 1048576)"),
+    (("ess", "--prime", "99999999999999999999", "--h1", "1", "--h2", "0"),
+     "ESS solution would have 99999999999999999999 elements (limit 4096)"),
+    (("odometer", "--triple", "33,33,1"),
+     "odometer solution would have 1185921 cells (limit 1048576)"),
+    (("lyubashenko", "--f", _CYCLE_1025, "--g", _CYCLE_1025),
+     "Lyubashenko solution would have 1050625 cells (limit 1048576)"),
+    (("magma-from-function", "--f", _CYCLE_1025),
+     "magma from a function would have 1050625 cells (limit 1048576)"),
+    (("free-k-cyclic", "--generators", "5", "--k", "5"),
+     "free magma would have 9765625 cells (limit 1048576)"),
+    (("free-k-cyclic", "--generators", "99999999999999999999", "--k", "2"),
+     "free magma would have more than 2**64 elements (limit 4096)")])
+def test_build_refuses_every_variant_before_building(capsys, argv, message):
+    code, out, err = run(capsys, "build", "--variant", *argv)
+    assert code == 3 and out == ""
+    assert err == f"guard exceeded: {message}\n"
+
+
+def test_trivial_brace_size_is_refused_before_the_group_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(build, "cyclic_group_table", lambda n: pytest.fail("the group was built"))
+    for size in (513, 1024):
+        code, out, err = run(capsys, "build", "--variant", "trivial-brace", "--size", str(size))
+        assert code == 3 and out == ""
+        assert err == (f"guard exceeded: trivial brace's associativity check would read "
+                       f"{size ** 3} triples (limit 134217728)\n")
+
+
+def test_skew_brace_triple_guard_from_check_and_build(capsys, monkeypatch, tmp_path):
+    brace = tmp_path / "brace.txt"
+    brace.write_text(serialize(BiMagma(*[CayleyTable(3, tuple(
+        tuple((x + y) % 3 for y in range(3)) for x in range(3)))] * 2)))
+    monkeypatch.setattr(laws, "_SKEW_BRACE_TRIPLES", 26)
+    for argv in (("check", "--law", "skew-left-brace"), ("build", "--variant", "brace", "--input")):
+        code, out, err = run(capsys, *argv, str(brace))
+        assert code == 3 and out == ""
+        assert err == ("guard exceeded: skew brace compatibility check would read 27 triples "
+                       "(limit 26)\n")
+
+
+def test_build_bls_partition_with_more_rows_than_blocks_is_usage_error(capsys, tmp_path):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"blocks": [[0, 1]], "f": [[[1, 0]], [[0, 1]]], "g": [[[1, 0]]]}))
+    code, out, err = run(capsys, "build", "--variant", "bls-partition", "--input", str(part))
+    assert code == 2 and out == ""
+    assert err == "error: partition file's f grid has 2 rows for 1 blocks\n"
 
 
 def test_census_function_classes_command(capsys):
@@ -779,3 +837,98 @@ def test_file_commands_on_mutated_files_answer_or_refuse(capsys, tmp_path, text,
         code, err = exc.code, capsys.readouterr().err
         assert code == 2
     assert code in (0, 1, 2, 3, 4) and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# random build and census flag sets
+
+
+def _small_or_past(low, high, past=4097):
+    """An int in low..high, or one past the guards at ``past``, up to 10**30."""
+    return st.one_of(st.integers(low, high), st.integers(past, 10 ** 30))
+
+
+def _partition_json(p):
+    return json.dumps({"blocks": [list(block) for block in p.partition.blocks],
+                       **{key: [[list(fn.images) for fn in row] for row in grid]
+                          for key, grid in zip("fg", p.grids)}})
+
+
+_PARTITIONS = [json.dumps({"blocks": [[0, 1], [2]], "f": [[[1, 0], [0, 1]], [[0], [0]]],
+                           "g": [[[1, 0], [1, 0]], [[0], [0]]]})] + [
+    _partition_json(bi_plonka_partition(b, extremity))
+    for b in [trivial_bimagma(3)] + [canonical_correspondence(build_solution(OdometerSolution(
+        OdometerTriple(*triple)))) for triple in ((2, 1, 1), (1, 2, 1), (2, 2, 1))]
+    for extremity in ("coarsest", "finest")]
+_JUNK = st.text("0123456789,-x. ", max_size=8)
+# images of a self-map on at most 8 points, of a map with entries out of range or of a
+# cycle past the cell limit, comma-joined, or a malformed string
+_IMAGES = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+    st.lists(st.integers(-1, 8), min_size=1, max_size=8),
+    st.integers(1025, 3000).map(lambda n: [(x + 1) % n for x in range(n)])).map(
+        lambda images: ",".join(map(str, images))) | _JUNK
+_INPUTS = st.one_of(st.sampled_from(_FUZZ_FILES + _PARTITIONS),
+                    st.tuples(st.sampled_from(_PARTITIONS), _MUTATIONS).map(
+                        lambda drawn: _mutate(*drawn)),
+                    st.none())   # no such file
+_BUILD_FLAGS = {
+    "size": _small_or_past(-1, 8) | _JUNK, "f": _IMAGES, "g": _IMAGES,
+    "prime": _small_or_past(-1, 8), "h1": st.integers(-10 ** 30, 10 ** 30),
+    "h2": st.integers(-10 ** 30, 10 ** 30),
+    "triple": st.tuples(*[_small_or_past(0, 8)] * 3).map(lambda t: ",".join(map(str, t))) | _JUNK,
+    "generators": _small_or_past(0, 3), "k": _small_or_past(0, 3), "relaxed": st.just(True),
+    "input": _INPUTS, "json": st.just(True)}
+_CENSUS_FLAGS = {
+    "n": _small_or_past(-1, 3, 8),
+    "laws": st.lists(st.sampled_from(_LAW_NAMES + ["right-plonka", "left-plonka", "k-cyclic",
+                                                   "nonsense"]), max_size=3).map(",".join),
+    "k": st.integers(-1, 3), "predicates": st.sampled_from(("right-simple", "nonsense", "")),
+    "mode": st.sampled_from(("count", "representatives", "bogus")),
+    "workers": st.integers(-1, 2), "simple-bls": _small_or_past(-1, 8, 10 ** 7),
+    "function-classes": _small_or_past(-1, 4, 9), "connected-only": st.just(True),
+    "stats": st.just(True)}
+# a census names one selector and, now and then, the flags that go with it
+_CENSUS_SELECTORS = st.sampled_from((
+    (("n", "laws"), ("mode", "stats")),
+    (("simple-bls",), ("mode",)), (("function-classes",), ("connected-only",)))).flatmap(
+        lambda names: st.fixed_dictionaries({name: _CENSUS_FLAGS[name] for name in names[0]},
+                                            optional={name: _CENSUS_FLAGS[name]
+                                                      for name in names[1]}))
+
+
+@settings(max_examples=2000, deadline=None,   # capsys is read and the input rewritten per call
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_random_build_and_census_flag_sets_answer_or_refuse(capsys, tmp_path, data):
+    command = data.draw(st.sampled_from(("build", "census")))
+    if command == "build":
+        variant = data.draw(st.sampled_from(sorted(cli._BUILD_VARIANTS) + ["nonsense"]))
+        argv, others = [command, "--variant", variant], _BUILD_FLAGS
+        needed = [data.draw(st.sampled_from(either.split("|")))   # one flag of "a|b"
+                  for either in cli._BUILD_VARIANTS.get(variant, ("",))[0].split()]
+        flags = data.draw(st.fixed_dictionaries({name: others[name] for name in needed}))
+    else:
+        argv, others = [command], _CENSUS_FLAGS
+        flags = data.draw(_CENSUS_SELECTORS)
+    if data.draw(st.integers(0, 3)) == 0:   # any other flags as well
+        flags.update(data.draw(st.fixed_dictionaries({}, optional=others)))
+    for name, value in flags.items():
+        if name == "input":
+            path = tmp_path / "input.txt"
+            path.unlink(missing_ok=True)
+            if value is not None:
+                path.write_text(value)
+            value = path
+        argv += [f"--{name}"] if value is True else [f"--{name}", str(value)]
+    try:
+        code, out, err = run(capsys, *argv)   # an exception would escape main and fail the test
+    except SystemExit as exc:   # argparse refuses a malformed int or a flag-like value
+        (out, err), code = capsys.readouterr(), exc.code
+        assert code == 2
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2, 3, 4) and "Traceback" not in err
+    if code == 3:
+        assert out == "" and err.startswith("guard exceeded: ")
+    elif code == 2:
+        assert out == "" and err
